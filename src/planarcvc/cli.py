@@ -36,6 +36,9 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
 
+# Failures while reading or parsing an input file; each exits with 2.
+_READ_ERRORS = (OSError, UnicodeDecodeError, fileio.GraphParseError)
+
 
 def _read_graph(path: str) -> Graph:
     g, _ = fileio.parse_graph(Path(path).read_text())
@@ -50,7 +53,7 @@ def _fail(message: str) -> int:
 def _cmd_kernelize(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.input)
-    except (OSError, fileio.GraphParseError) as exc:
+    except _READ_ERRORS as exc:
         return _fail(str(exc))
     if args.k < 0:
         return _fail("--k must be non-negative")
@@ -102,7 +105,7 @@ def _print_stats(outcome: Kernel, with_oracle: bool) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.input)
-    except (OSError, fileio.GraphParseError) as exc:
+    except _READ_ERRORS as exc:
         return _fail(str(exc))
     limit = args.limit if args.limit is not None else g.n_vertices
     try:
@@ -122,7 +125,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         g = _read_graph(args.input)
         steps = fileio.parse_journal_steps(Path(args.journal).read_text())
         kernel_labels = fileio.parse_solution(Path(args.solution).read_text())
-    except (OSError, fileio.GraphParseError) as exc:
+    except _READ_ERRORS as exc:
         return _fail(str(exc))
     journal = fileio.journal_for_input(g, steps)
     try:
@@ -168,7 +171,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.input)
         labels = fileio.parse_solution(Path(args.solution).read_text())
-    except (OSError, fileio.GraphParseError) as exc:
+    except _READ_ERRORS as exc:
         return _fail(str(exc))
     by_label = {lab: v for v, lab in fileio.canonical_labels(g).items()}
     try:

@@ -21,9 +21,8 @@ from .reductions import ReductionStep, RuleId
 
 @dataclass(frozen=True)
 class AuxGraph:
-    """Co-faciality graph on the pendant-owning vertices of the host."""
+    """Co-faciality graph on the pendant-owning vertices of a graph."""
 
-    host: Graph
     vertices: tuple[VertexId, ...]
     edges: frozenset[tuple[VertexId, VertexId]]
 
@@ -53,9 +52,9 @@ def pendant_owners(g: Graph) -> list[VertexId]:
     The degree bound keeps the two endpoints of an isolated edge (which
     are mutually each other's only neighbor) out of the owner set.
     """
-    return [
-        v for v in g.vertices() if g.degree(v) >= 2 and g.pendant_neighbors(v)
-    ]
+    adj = g.adjacency()
+    owners = {next(iter(nbrs)) for nbrs in adj.values() if len(nbrs) == 1}
+    return sorted(v for v in owners if len(adj[v]) >= 2)
 
 
 def build_aux_graph(g1: Graph, e: Embedding) -> AuxGraph:
@@ -68,7 +67,7 @@ def build_aux_graph(g1: Graph, e: Embedding) -> AuxGraph:
         for i, u in enumerate(members):
             for w in members[i + 1:]:
                 edges.add((min(u, w), max(u, w)))
-    return AuxGraph(host=g1, vertices=tuple(owners), edges=frozenset(edges))
+    return AuxGraph(vertices=tuple(owners), edges=frozenset(edges))
 
 
 def planarize_matching(m0: Matching, e: Embedding) -> PlanarizedMatching:

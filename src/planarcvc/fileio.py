@@ -156,6 +156,7 @@ def parse_journal_steps(text: str) -> list[ReductionStep]:
             continue
         try:
             record = json.loads(line)
+            index = record["step_index"]
             step = ReductionStep(
                 rule=RuleId[record["rule"]],
                 site=record["site"],
@@ -165,10 +166,9 @@ def parse_journal_steps(text: str) -> list[ReductionStep]:
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise GraphParseError(f"bad journal record: {exc}", line_no) from None
-        if record["step_index"] != len(steps):
+        if index != len(steps):
             raise GraphParseError(
-                f"journal records out of order at index {record['step_index']}",
-                line_no,
+                f"journal records out of order at index {index}", line_no
             )
         steps.append(step)
     return steps

@@ -10,7 +10,8 @@ to keep downstream algorithms reproducible.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 
 VertexId = int
@@ -135,6 +136,14 @@ class Graph:
 
     def degree(self, v: VertexId) -> int:
         return len(self._adj[v])
+
+    def adjacency(self) -> Mapping[VertexId, AbstractSet[VertexId]]:
+        """Read-only live view: vertex -> neighbor set, in no particular order.
+
+        For whole-graph passes that would otherwise sort and copy every
+        neighborhood; the sets must not be mutated.
+        """
+        return MappingProxyType(self._adj)
 
     def pendant_neighbors(self, v: VertexId) -> set[VertexId]:
         """All neighbors of v that have degree exactly 1."""

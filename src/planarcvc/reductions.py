@@ -7,6 +7,11 @@ journals reproducible. Every application is recorded as a ReductionStep
 carrying the matched roles, created/removed ids and the budget change,
 which is exactly the data the solution lift needs later.
 
+Detection makes one pass over the adjacency per step. The pass indexes
+each 1-vertex under its single neighbor (its owner) and lists the
+2-vertices; R1-R5 are read off that index. R6 and R7 are searched only
+when none of R1-R5 applies.
+
 Rule summary (v is always the pattern's center):
   R1  v with several 1-neighbors: keep one pendant, drop the rest.
   R2  2-vertex v, N(v)={u,w}, uw an edge: contract uw, k -= 1.
@@ -80,60 +85,63 @@ class Phase1Result:
 
 
 def detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:
-    """Lowest-numbered applicable rule among R1-R7 with its smallest site."""
-    for rule, finder in _FINDERS:
+    """Lowest-numbered applicable rule among R1-R7 with its smallest site.
+
+    R1-R5 come from one indexing pass (see the module docstring); R6 and
+    R7 are searched only when none of them applies.
+    """
+    adj = g.adjacency()
+    owned: dict[VertexId, list[VertexId]] = {}
+    degree2: list[VertexId] = []
+    for v, nbrs in adj.items():
+        d = len(nbrs)
+        if d == 1:
+            (owner,) = nbrs
+            pendants = owned.get(owner)
+            if pendants is None:
+                owned[owner] = [v]
+            else:
+                pendants.append(v)
+        elif d == 2:
+            degree2.append(v)
+
+    crowded = [v for v, pendants in owned.items() if len(pendants) > 1]
+    if crowded:
+        v = min(crowded)
+        return RuleId.R1, {"v": v, "keep": min(owned[v])}
+
+    if degree2:
+        degree2.sort()
+        r3_site = None
+        for v in degree2:
+            u, w = sorted(adj[v])
+            if w in adj[u]:
+                return RuleId.R2, {"v": v, "u": u, "w": w}
+            if r3_site is None:
+                r3_site = (v, u, w)
+        v, u, w = r3_site
+        return RuleId.R3, {"v": v, "u": u, "w": w, "cut": g.is_cut_vertex(v)}
+
+    # From here on every owner has exactly one pendant. Owners of degree 1
+    # are the two ends of an isolated edge, a fixpoint for R4 and R5.
+    owners = sorted(v for v in owned if len(adj[v]) > 1)
+    owner_set = set(owners)
+    for u in owners:
+        later = [v for v in adj[u] if v > u and v in owner_set]
+        if later:
+            v = min(later)
+            return RuleId.R4, {"u": u, "v": v, "pu": owned[u][0], "pv": owned[v][0]}
+
+    for v in owners:
+        if len(adj[v]) == 3:
+            z = owned[v][0]
+            x, y = sorted(adj[v] - {z})
+            return RuleId.R5, {"v": v, "x": x, "y": y, "z": z}
+
+    for rule, finder in ((RuleId.R6, _find_r6), (RuleId.R7, _find_r7)):
         site = finder(g)
         if site is not None:
             return rule, site
-    return None
-
-
-def _find_r1(g: Graph) -> dict[str, int | bool] | None:
-    for v in g.vertices():
-        pendants = sorted(g.pendant_neighbors(v))
-        if len(pendants) > 1:
-            return {"v": v, "keep": pendants[0]}
-    return None
-
-
-def _find_r2(g: Graph) -> dict[str, int | bool] | None:
-    for v in g.vertices():
-        if g.degree(v) == 2:
-            u, w = g.neighbors(v)
-            if g.has_edge(u, w):
-                return {"v": v, "u": u, "w": w}
-    return None
-
-
-def _find_r3(g: Graph) -> dict[str, int | bool] | None:
-    for v in g.vertices():
-        if g.degree(v) == 2:
-            u, w = g.neighbors(v)
-            if not g.has_edge(u, w):
-                return {"v": v, "u": u, "w": w, "cut": g.is_cut_vertex(v)}
-    return None
-
-
-def _find_r4(g: Graph) -> dict[str, int | bool] | None:
-    # Pendants must be proper: on an isolated edge the endpoints are each
-    # other's 1-neighbor, and that single-edge graph is a fixpoint.
-    for u, v in g.edges():
-        pu = sorted(g.pendant_neighbors(u) - {v})
-        pv = sorted(g.pendant_neighbors(v) - {u})
-        if pu and pv:
-            return {"u": u, "v": v, "pu": pu[0], "pv": pv[0]}
-    return None
-
-
-def _find_r5(g: Graph) -> dict[str, int | bool] | None:
-    for v in g.vertices():
-        if g.degree(v) != 3:
-            continue
-        pendants = sorted(g.pendant_neighbors(v))
-        if pendants:
-            z = pendants[0]
-            x, y = sorted(set(g.neighbors(v)) - {z})
-            return {"v": v, "x": x, "y": y, "z": z}
     return None
 
 
@@ -172,17 +180,6 @@ def _find_r7(g: Graph) -> dict[str, int | bool] | None:
                 x, y = sorted(nbhd - {v})
                 return {"a": a, "v": v, "q": q, "x": x, "y": y}
     return None
-
-
-_FINDERS = (
-    (RuleId.R1, _find_r1),
-    (RuleId.R2, _find_r2),
-    (RuleId.R3, _find_r3),
-    (RuleId.R4, _find_r4),
-    (RuleId.R5, _find_r5),
-    (RuleId.R6, _find_r6),
-    (RuleId.R7, _find_r7),
-)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Independent brute-force oracles for cross-checking the library.
 
-These deliberately share no code with the package: the matcher is a
-bitmask DP over vertex subsets and the cover search enumerates subsets
-in increasing size, so agreement with the library is meaningful.
+These deliberately share no algorithm with the package: the matcher is a
+bitmask DP over vertex subsets, the cover search enumerates subsets in
+increasing size, and the rule detector finds R1-R5 by rescanning the
+sorted vertex and edge lists once per rule, so agreement with the
+library is meaningful.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from planarcvc.graph import Graph
+from planarcvc.reductions import RuleId, _find_r6, _find_r7
 
 
 def brute_matching_size(g: Graph) -> int:
@@ -55,4 +58,74 @@ def brute_minimum_cvc(g: Graph) -> int | None:
                 g.induced_is_connected(chosen)
             ):
                 return size
+    return None
+
+
+def reference_detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:
+    """Rule detection by one sorted rescan per rule, in priority order.
+
+    Each finder returns the smallest site of its rule; R6 and R7 share
+    the package's finders, which are searched the same way.
+    """
+    for rule, finder in (
+        (RuleId.R1, _find_r1),
+        (RuleId.R2, _find_r2),
+        (RuleId.R3, _find_r3),
+        (RuleId.R4, _find_r4),
+        (RuleId.R5, _find_r5),
+        (RuleId.R6, _find_r6),
+        (RuleId.R7, _find_r7),
+    ):
+        site = finder(g)
+        if site is not None:
+            return rule, site
+    return None
+
+
+def _find_r1(g: Graph) -> dict[str, int | bool] | None:
+    for v in g.vertices():
+        pendants = sorted(g.pendant_neighbors(v))
+        if len(pendants) > 1:
+            return {"v": v, "keep": pendants[0]}
+    return None
+
+
+def _find_r2(g: Graph) -> dict[str, int | bool] | None:
+    for v in g.vertices():
+        if g.degree(v) == 2:
+            u, w = g.neighbors(v)
+            if g.has_edge(u, w):
+                return {"v": v, "u": u, "w": w}
+    return None
+
+
+def _find_r3(g: Graph) -> dict[str, int | bool] | None:
+    for v in g.vertices():
+        if g.degree(v) == 2:
+            u, w = g.neighbors(v)
+            if not g.has_edge(u, w):
+                return {"v": v, "u": u, "w": w, "cut": g.is_cut_vertex(v)}
+    return None
+
+
+def _find_r4(g: Graph) -> dict[str, int | bool] | None:
+    # Pendants must be proper: on an isolated edge the endpoints are each
+    # other's 1-neighbor, and that single-edge graph is a fixpoint.
+    for u, v in g.edges():
+        pu = sorted(g.pendant_neighbors(u) - {v})
+        pv = sorted(g.pendant_neighbors(v) - {u})
+        if pu and pv:
+            return {"u": u, "v": v, "pu": pu[0], "pv": pv[0]}
+    return None
+
+
+def _find_r5(g: Graph) -> dict[str, int | bool] | None:
+    for v in g.vertices():
+        if g.degree(v) != 3:
+            continue
+        pendants = sorted(g.pendant_neighbors(v))
+        if pendants:
+            z = pendants[0]
+            x, y = sorted(set(g.neighbors(v)) - {z})
+            return {"v": v, "x": x, "y": y, "z": z}
     return None

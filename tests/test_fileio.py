@@ -142,6 +142,33 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+def test_cli_kernelize_non_utf8_input_exit_code(tmp_path, capsys):
+    graph_file = tmp_path / "bad.cvc"
+    graph_file.write_bytes(b"p cvc 2 1\ne 1 2\nc \xff\xfe\n")
+    assert main(["kernelize", "--input", str(graph_file), "--k", "1"]) == 2
+    assert "utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"created": [], "k_delta": 0, "removed": [], "rule": "R1", "site": {}}',
+        "[1, 2]",
+    ],
+    ids=["missing-step-index", "list-record"],
+)
+def test_cli_lift_malformed_journal_record_exit_code(tmp_path, capsys, record):
+    graph_file = write(tmp_path / "g.cvc", "p cvc 3 2\ne 1 2\ne 2 3\n")
+    journal_file = write(tmp_path / "journal.jsonl", record + "\n")
+    sol_file = write(tmp_path / "sol.txt", "2\n")
+    code = main(
+        ["lift", "--input", graph_file, "--journal", journal_file,
+         "--solution", sol_file]
+    )
+    assert code == 2
+    assert "bad journal record" in capsys.readouterr().err
+
+
 def test_cli_solve_and_verify(tmp_path, capsys):
     g = gen_random_planar(10, 0.7, 5)
     graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(g))
