@@ -82,9 +82,8 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
 def _print_stats(outcome: Kernel, with_oracle: bool) -> int:
     """Partition of the Phase 1 fixpoint wrt its minimum cover, on stderr."""
     journal = outcome.journal
-    n_phase1 = sum(1 for s in journal.steps if s.rule is not RuleId.R8)
-    m_star = len(journal.steps) - n_phase1
-    g1 = replay_journal(journal)[n_phase1]
+    m_star = sum(1 for s in journal.steps if s.rule is RuleId.R8)
+    g1, _ = replay_journal(journal)
     try:
         cert = minimum_cvc(g1, g1.n_vertices)
     except TooLargeError as exc:
@@ -129,7 +128,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     journal = fileio.journal_for_input(g, steps)
     try:
-        kernel = replay_journal(journal)[-1]
+        _, kernel = replay_journal(journal)
     except Exception as exc:  # noqa: BLE001 - journal/input mismatch surfaces here
         return _fail(f"journal does not replay on this input: {exc}")
     by_label = {lab: v for v, lab in fileio.canonical_labels(kernel).items()}

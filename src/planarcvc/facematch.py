@@ -6,7 +6,8 @@ possible, an auxiliary graph over pendant owners is built (edges =
 co-faciality, a union of per-face cliques), a maximum matching of it is
 computed, and the matching is rearranged face by face into consecutive,
 hence non-crossing, pairs of equal total count before the merges are
-performed.
+performed. undo_identification reverses one merge when a solution is
+lifted back through the journal.
 """
 
 from __future__ import annotations
@@ -124,6 +125,22 @@ def apply_identification(
         "u": u, "v": v, "xu": xu, "xv": xv, "c": c, "face": face_id,
     }
     return ReductionStep(RuleId.R8, site, (c,), (xu, xv), 0)
+
+
+def undo_identification(g: Graph, step: ReductionStep) -> None:
+    """The inverse of apply_identification, in place.
+
+    g must be the graph right after the R8 step: the merged 2-vertex c
+    is removed and the pendants xu and xv hang on u and v again under
+    their recorded ids.
+    """
+    site = step.site
+    u, v, c = site["u"], site["v"], site["c"]
+    assert g.neighbor_set(c) == {u, v}, "R8 undo needs the merged 2-vertex"
+    g.remove_vertex(c)
+    for owner, pendant in ((u, site["xu"]), (v, site["xv"])):
+        g.add_named_vertex(pendant)
+        g.add_edge(owner, pendant)
 
 
 def run_phase2(g: Graph, e: Embedding | None = None) -> list[ReductionStep]:

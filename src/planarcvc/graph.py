@@ -185,14 +185,30 @@ class Graph:
         return comps
 
     def is_cut_vertex(self, v: VertexId) -> bool:
-        """True iff deleting v disconnects the graph. Requires a connected graph."""
-        if not self.is_connected():
-            raise ValueError("is_cut_vertex requires a connected graph")
-        rest = [w for w in self._adj if w != v]
-        if not rest:
+        """True iff deleting v disconnects the graph. Requires a connected graph.
+
+        One traversal of G - v: a BFS from v's first neighbor that reaches
+        every other vertex settles "no". Otherwise the search continues
+        from v's unreached neighbors; vertices still unreached after that
+        lie outside v's component, so the graph was disconnected.
+        """
+        rest = len(self._adj) - 1
+        nbrs = iter(self._adj[v])
+        first = next(nbrs, None)
+        if first is None:
+            if rest:
+                raise ValueError("is_cut_vertex requires a connected graph")
             return False
-        reached = self._bfs_reach(rest[0], frozenset((v,)))
-        return len(reached) != len(rest)
+        skip = frozenset((v,))
+        reached = self._bfs_reach(first, skip)
+        if len(reached) == rest:
+            return False
+        for w in nbrs:
+            if w not in reached:
+                reached |= self._bfs_reach(w, skip)
+        if len(reached) != rest:
+            raise ValueError("is_cut_vertex requires a connected graph")
+        return True
 
     def is_connected_without(self, removed: Iterable[VertexId]) -> bool:
         """Connectivity of the graph with `removed` vertices deleted."""

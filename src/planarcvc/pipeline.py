@@ -2,9 +2,12 @@
 
 kernelize runs Phase 1 to a fixpoint, embeds once, runs Phase 2, then
 applies the size gate 3*|V| <= 11*k in exact integer arithmetic. Every
-graph modification is journaled; lift_solution undoes the journal in
-reverse, mapping a connected vertex cover of the kernel back to one of
-the original instance without exceeding the spent budget.
+graph modification is journaled. replay_journal rebuilds the Phase 1
+fixpoint and the kernel on one working graph; lift_solution walks the
+journal in reverse on that kernel as an undo log, mapping a connected
+vertex cover of the kernel back to one of the original instance without
+exceeding the spent budget. R1-R7 lift from their recorded sites alone;
+only R8 reads the graph, which is undone in place step by step.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .embedding import NonPlanarGraphError, embed
-from .facematch import apply_identification, run_phase2
+from .facematch import apply_identification, run_phase2, undo_identification
 from .graph import Graph, VertexId
 from .oracle import verify_cvc
 from .reductions import ReductionStep, RuleId, apply_rule, run_phase1
@@ -122,25 +125,30 @@ def kernelize(inst: Instance) -> KernelOutcome:
 # ----------------------------------------------------------------------
 
 
-def replay_journal(journal: ReductionJournal) -> list[Graph]:
-    """Reproduce the graph after every journal step.
+def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
+    """Replay the journal on one graph; return (Phase 1 fixpoint, kernel).
 
-    Returns snapshots[0] = input minus isolated vertices and
-    snapshots[t] = graph after step t; verifies along the way that the
-    replayed steps realize exactly the recorded ids.
+    Starts from the input minus its isolated vertices and applies the
+    steps in order, checking that each replayed step equals its record
+    (rule, site, created and removed ids, budget change), so that lifting
+    may trust the recorded sites. The fixpoint is copied once, before the
+    first R8 step, or at the end when there is none; the kernel is the
+    working graph itself. Raises ValueError when the journal does not
+    replay, or when an R1-R7 step follows an R8 step.
     """
     g = journal.input_graph.copy()
     for v in journal.input_graph.isolated_vertices():
         g.remove_vertex(v)
-    snapshots = [g.copy()]
+    fixpoint = None
     for step in journal.steps:
-        realized = _replay_step(g, step)
-        if (realized.created, realized.removed, realized.k_delta) != (
-            step.created, step.removed, step.k_delta
-        ):
+        if step.rule is RuleId.R8:
+            if fixpoint is None:
+                fixpoint = g.copy()
+        elif fixpoint is not None:
+            raise ValueError(f"Phase 1 step after an R8 step: {step}")
+        if _replay_step(g, step) != step:
             raise ValueError(f"journal replay diverged at step {step}")
-        snapshots.append(g.copy())
-    return snapshots
+    return (g.copy() if fixpoint is None else fixpoint), g
 
 
 def _replay_step(g: Graph, step: ReductionStep) -> ReductionStep:
@@ -162,20 +170,25 @@ def lift_solution(
 ) -> set[VertexId]:
     """Map a connected vertex cover of the kernel back to the input graph.
 
-    Undoes the journal steps in reverse order, applying one lift map per
-    rule. The result grows by at most the budget each step spent, i.e.
-    |result| <= |kernel_solution| + sum of -k_delta over the steps.
+    Replays the journal once, then undoes its steps in reverse order on
+    the kernel graph, applying one lift map per rule. R1-R7 lift from
+    their site data alone. An R8 step lifts on the current graph, which
+    is then that step's post-graph, and undo_identification turns it into
+    the pre-graph for the steps before it. The result grows by at most
+    the budget each step spent, i.e. |result| <= |kernel_solution| + sum
+    of -k_delta over the steps.
     """
-    snapshots = replay_journal(journal)
-    kernel = snapshots[-1]
+    _, g = replay_journal(journal)
     sol = set(kernel_solution)
-    if not verify_cvc(kernel, sol):
+    if not verify_cvc(g, sol):
         raise ValueError("kernel solution is not a connected vertex cover")
 
-    for idx in range(len(journal.steps) - 1, -1, -1):
-        step = journal.steps[idx]
-        post = snapshots[idx + 1]
-        sol = _lift_step(step, post, sol)
+    for step in reversed(journal.steps):
+        if step.rule is RuleId.R8:
+            sol = _lift_identification(step, g, sol)
+            undo_identification(g, step)
+        else:
+            sol = _lift_step(step, sol)
 
     if not verify_cvc(journal.input_graph, sol):
         raise AssertionError("lifted solution failed verification; lift map bug")
@@ -196,9 +209,8 @@ def _normalize_pendant(
         sol.add(parent)
 
 
-def _lift_step(
-    step: ReductionStep, post: Graph, sol: set[VertexId]
-) -> set[VertexId]:
+def _lift_step(step: ReductionStep, sol: set[VertexId]) -> set[VertexId]:
+    """Lift one R1-R7 step; none of them reads the graph."""
     site = step.site
     rule = step.rule
 
@@ -255,9 +267,6 @@ def _lift_step(
         assert site["x"] in sol and site["y"] in sol
         sol.add(site["v"])
         return sol
-
-    if rule is RuleId.R8:
-        return _lift_identification(step, post, sol)
 
     raise AssertionError(f"unknown rule {rule}")
 

@@ -4,7 +4,8 @@ These deliberately share no algorithm with the package: the matcher is a
 bitmask DP over vertex subsets, the cover search enumerates subsets in
 increasing size, and the rule detector finds R1-R5 by rescanning the
 sorted vertex and edge lists once per rule, so agreement with the
-library is meaningful.
+library is meaningful. dfs_tree_cover is a polynomial-time connected
+vertex cover for checks beyond the exact solver's reach.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from planarcvc.graph import Graph
+from planarcvc.graph import Graph, VertexId
 from planarcvc.reductions import RuleId, _find_r6, _find_r7
 
 
@@ -59,6 +60,33 @@ def brute_minimum_cvc(g: Graph) -> int | None:
             ):
                 return size
     return None
+
+
+def dfs_tree_cover(g: Graph) -> set[VertexId]:
+    """The non-leaf vertices of a DFS tree of a connected graph.
+
+    A connected vertex cover of size at most twice the minimum (Savage
+    1982): every non-tree edge joins a vertex to one of its ancestors,
+    and the inner vertices of a tree induce a subtree. The search starts
+    at the smallest vertex and visits neighbours in ascending order.
+    """
+    if g.n_vertices == 0:
+        return set()
+    root = min(g.vertices())
+    seen = {root}
+    inner: set[VertexId] = set()
+    stack = [(root, iter(g.neighbors(root)))]
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in seen:
+                seen.add(w)
+                inner.add(v)
+                stack.append((w, iter(g.neighbors(w))))
+                break
+        else:
+            stack.pop()
+    return inner
 
 
 def reference_detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:

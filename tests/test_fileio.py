@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from planarcvc import fileio
@@ -11,6 +13,7 @@ from planarcvc.graph import Graph
 from planarcvc.oracle import verify_cvc
 from planarcvc.pipeline import Instance, Kernel, kernelize, replay_journal
 
+from brute import dfs_tree_cover
 from conftest import make_path
 
 
@@ -167,6 +170,42 @@ def test_cli_lift_malformed_journal_record_exit_code(tmp_path, capsys, record):
     )
     assert code == 2
     assert "bad journal record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "g, k, rule, role",
+    [
+        (gen_random_planar(14, 0.5, 0), 14, "R2", "c"),
+        (gen_tightness(3), 11, "R8", "xu"),
+        (gen_tightness(3), 11, None, None),
+    ],
+    ids=["R2-c", "R8-xu", "untampered"],
+)
+def test_cli_lift_tampered_journal_site_exit_code(tmp_path, capsys, g, k, rule, role):
+    # Lifting trusts the recorded sites, so replay must reject a record
+    # whose site differs from the replayed one even where the created and
+    # removed ids still match.
+    graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(g))
+    journal_file = tmp_path / "journal.jsonl"
+    assert main(
+        ["kernelize", "--input", graph_file, "--k", str(k), "--journal", str(journal_file)]
+    ) == 0
+    kernel, _ = fileio.parse_graph(capsys.readouterr().out)
+    sol_file = write(tmp_path / "ksol.txt", fileio.serialize_solution(dfs_tree_cover(kernel)))
+    if rule is not None:
+        records = [json.loads(ln) for ln in journal_file.read_text().splitlines()]
+        next(r for r in records if r["rule"] == rule)["site"][role] += 1000
+        journal_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main(
+        ["lift", "--input", graph_file, "--journal", str(journal_file),
+         "--solution", sol_file]
+    )
+    if rule is None:
+        assert code == 0
+        assert verify_cvc(g, fileio.parse_solution(capsys.readouterr().out))
+    else:
+        assert code == 2
+        assert "does not replay" in capsys.readouterr().err
 
 
 def test_cli_solve_and_verify(tmp_path, capsys):

@@ -1,26 +1,41 @@
-"""Golden journals: kernelize must reproduce the recorded journals byte for byte.
+"""Golden journals and lifts: kernelize and lift_solution must not drift.
 
 The digests in golden_journals.json are the sha256 of serialize_journal
 for a fixed corpus. A refactor of the reduction engine that changes the
 rule order, the smallest-site tie-break or the fresh-id allocation shows
-up here as a digest mismatch. Re-record only for an intended journal
-change:
+up here as a digest mismatch. golden_lifts.json holds, for the same
+corpus, the sha256 of the sorted lifted cover of the kernel's DFS-tree
+cover (brute.dfs_tree_cover), so a refactor of replay or lifting that
+changes a lifted cover shows up too. Re-record only for an intended
+journal or lift change:
 
     PYTHONPATH=src python tests/test_golden_journals.py
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
 from pathlib import Path
 
+from planarcvc.facematch import apply_identification, undo_identification
 from planarcvc.fileio import serialize_journal
 from planarcvc.generators import gen_random_planar, gen_tightness
-from planarcvc.pipeline import Instance, Kernel, kernelize
+from planarcvc.pipeline import (
+    Instance,
+    Kernel,
+    kernelize,
+    lift_solution,
+    replay_journal,
+)
+from planarcvc.reductions import RuleId
+
+from brute import dfs_tree_cover
 
 GOLDEN = Path(__file__).with_name("golden_journals.json")
+GOLDEN_LIFTS = Path(__file__).with_name("golden_lifts.json")
 
 
 def golden_corpus():
@@ -32,13 +47,33 @@ def golden_corpus():
         yield f"tightness l={copies}", gen_tightness(copies), 3 * copies + 2
 
 
-def journal_digests() -> dict[str, str]:
-    digests = {}
+@functools.cache
+def golden_kernels() -> tuple[tuple[str, Kernel], ...]:
+    out = []
     for label, g, k in golden_corpus():
         outcome = kernelize(Instance(g, k))
         assert isinstance(outcome, Kernel), f"{label}: expected a kernel"
-        text = serialize_journal(outcome.journal)
-        digests[label] = hashlib.sha256(text.encode()).hexdigest()
+        out.append((label, outcome))
+    return tuple(out)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def journal_digests() -> dict[str, str]:
+    return {
+        label: _sha256(serialize_journal(outcome.journal))
+        for label, outcome in golden_kernels()
+    }
+
+
+def lift_digests() -> dict[str, str]:
+    digests = {}
+    for label, outcome in golden_kernels():
+        cover = dfs_tree_cover(outcome.instance.graph)
+        lifted = lift_solution(outcome.journal, cover)
+        digests[label] = _sha256(json.dumps(sorted(lifted)))
     return digests
 
 
@@ -47,6 +82,29 @@ def test_journals_match_golden_digests():
     assert journal_digests() == expected
 
 
+def test_lifts_match_golden_digests():
+    expected = json.loads(GOLDEN_LIFTS.read_text())
+    assert lift_digests() == expected
+
+
+def test_r8_undo_restores_every_pre_graph():
+    undone = 0
+    for label, outcome in golden_kernels():
+        g, _ = replay_journal(outcome.journal)
+        merges = [s for s in outcome.journal.steps if s.rule is RuleId.R8]
+        pre_graphs = []
+        for step in merges:
+            pre_graphs.append((g.vertices(), g.edges()))
+            site = step.site
+            assert apply_identification(g, site["u"], site["v"], site["face"]) == step
+        for step, pre in zip(reversed(merges), reversed(pre_graphs)):
+            undo_identification(g, step)
+            assert (g.vertices(), g.edges()) == pre, label
+            undone += 1
+    assert undone > 0
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(journal_digests(), indent=1) + "\n")
+    GOLDEN_LIFTS.write_text(json.dumps(lift_digests(), indent=1) + "\n")
     sys.exit(0)

@@ -83,6 +83,20 @@ def test_cut_vertex_rejects_disconnected():
         g.is_cut_vertex(1)
 
 
+@pytest.mark.parametrize("v", [1, 2, 4, 6])
+def test_cut_vertex_rejects_disconnected_at_every_kind_of_vertex(v):
+    # 2 splits its own component; 1 and 4 are leaves; 6 is isolated.
+    g = graph_from_edges([(1, 2), (2, 3), (4, 5)], vertices=[6])
+    with pytest.raises(ValueError):
+        g.is_cut_vertex(v)
+
+
+def test_cut_vertex_single_vertex_is_not_a_cut():
+    g = Graph()
+    v = g.add_vertex()
+    assert not g.is_cut_vertex(v)
+
+
 def test_pendant_neighbors():
     star = make_star(3)
     assert star.pendant_neighbors(1) == {2, 3, 4}

@@ -6,6 +6,7 @@ import pytest
 
 from planarcvc.generators import (
     gen_exception_graph,
+    gen_random_planar,
     gen_tightness,
     tightness_cover,
 )
@@ -27,7 +28,7 @@ from planarcvc.pipeline import (
 )
 from planarcvc.reductions import RuleId, apply_rule
 
-from brute import brute_minimum_cvc
+from brute import brute_minimum_cvc, dfs_tree_cover
 from conftest import make_complete, make_cycle, make_path, make_star, small_planar_corpus
 from test_reductions import r5_example
 
@@ -241,6 +242,23 @@ def test_lift_merge_undo_branches():
     assert lift_solution(journal, {1, 3, c}) == {1, 2, 3}
 
 
+def test_replay_rejects_phase1_step_after_r8():
+    # Merging the pendants of 1 and 2 on the 4-cycle 1-3-2-4 leaves the
+    # 2-vertex 3 for R3. kernelize never journals that order, and lifting
+    # undoes R8 on the graph right after it, so replay refuses it.
+    from planarcvc.facematch import apply_identification
+
+    g = graph_from_edges([(1, 3), (3, 2), (2, 4), (4, 1), (1, 5), (2, 6)])
+    work = g.copy()
+    merge = apply_identification(work, 1, 2)
+    _, r3 = apply_rule(work, 0, RuleId.R3, {"v": 3, "u": 1, "w": 2, "cut": False})
+    journal = ReductionJournal(
+        input_graph=g.copy(), dropped_isolated=(), steps=[merge, r3]
+    )
+    with pytest.raises(ValueError, match="after an R8 step"):
+        replay_journal(journal)
+
+
 def test_lift_tightness_covers_with_merged_vertices():
     g = gen_tightness(3)
     out = kernelize(Instance(g.copy(), 11))
@@ -255,6 +273,32 @@ def test_lift_tightness_covers_with_merged_vertices():
         lifted = lift_solution(out.journal, sol)
         assert verify_cvc(g, lifted)
         assert len(lifted) <= len(sol)
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: gen_random_planar(800, 0.5, 0), None),
+        (lambda: gen_random_planar(1000, 0.5, 1), None),
+        (lambda: gen_tightness(40), 3 * 40 + 2),
+    ],
+    ids=["random-n800", "random-n1000", "tightness-l40"],
+)
+def test_lift_soundness_beyond_the_oracle_window(make, k):
+    # Far beyond the exact solver's reach: the DFS-tree cover (at most
+    # twice the minimum) sets the budget of the random inputs, so they
+    # are YES instances, and the kernel's own DFS-tree cover is lifted.
+    g = make()
+    if k is None:
+        k = len(dfs_tree_cover(g))
+    out = kernelize(Instance(g, k))
+    assert isinstance(out, Kernel)
+    kernel = out.instance
+    assert check_size_bound(kernel.graph.n_vertices, kernel.k)
+    cover = dfs_tree_cover(kernel.graph)
+    lifted = lift_solution(out.journal, cover)
+    assert verify_cvc(g, lifted)
+    assert len(lifted) <= len(cover) + out.journal.k_spent
 
 
 def test_end_to_end_equivalence_small():
