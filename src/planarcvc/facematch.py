@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .embedding import Embedding, embed
 from .graph import Graph, VertexId
 from .matching import Matching, maximum_matching
-from .reductions import ReductionStep, RuleId
+from .reductions import ReductionStep, RuleApplicationError, RuleId
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,19 @@ def apply_identification(
     """Merge the pendants of u and v into one fresh 2-vertex (R8).
 
     The owners must be distinct and non-adjacent (guaranteed for Phase 1
-    fixpoints because R4 removed adjacent pendant-owner pairs).
+    fixpoints because R4 removed adjacent pendant-owner pairs). A site
+    that breaks this, as a tampered journal may, raises
+    RuleApplicationError before the graph changes.
     """
-    assert u != v, "R8 needs two distinct owners"
-    assert not g.has_edge(u, v), "R8 owners must not be adjacent"
+    if u not in g or v not in g:
+        raise RuleApplicationError(f"R8 owners {u}, {v} must be vertices")
+    if u == v or g.has_edge(u, v):
+        raise RuleApplicationError(f"R8 owners {u}, {v} must be distinct and non-adjacent")
     pu = sorted(g.pendant_neighbors(u))
     pv = sorted(g.pendant_neighbors(v))
-    assert pu and pv, "R8 owners must both own a pendant"
+    if not pu or not pv:
+        raise RuleApplicationError(f"R8 owners {u}, {v} must both own a pendant")
     xu, xv = pu[0], pv[0]
-    assert xu != xv
     g.remove_vertex(xu)
     g.remove_vertex(xv)
     c = g.add_vertex()

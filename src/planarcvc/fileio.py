@@ -166,6 +166,8 @@ def parse_journal_steps(text: str) -> list[ReductionStep]:
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise GraphParseError(f"bad journal record: {exc}", line_no) from None
+        if not all(type(v) is int for v in step.created + step.removed):
+            raise GraphParseError("bad journal record: created/removed ids must be integers", line_no)
         if index != len(steps):
             raise GraphParseError(
                 f"journal records out of order at index {index}", line_no

@@ -133,22 +133,41 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
     (rule, site, created and removed ids, budget change), so that lifting
     may trust the recorded sites. The fixpoint is copied once, before the
     first R8 step, or at the end when there is none; the kernel is the
-    working graph itself. Raises ValueError when the journal does not
-    replay, or when an R1-R7 step follows an R8 step.
+    working graph itself. Raises ValueError naming the step index when
+    the journal does not replay: a step fails on the graph, differs from
+    its record, or is an R1-R7 step after an R8 step.
     """
     g = journal.input_graph.copy()
     for v in journal.input_graph.isolated_vertices():
         g.remove_vertex(v)
     fixpoint = None
-    for step in journal.steps:
+    for idx, step in enumerate(journal.steps):
         if step.rule is RuleId.R8:
             if fixpoint is None:
                 fixpoint = g.copy()
         elif fixpoint is not None:
-            raise ValueError(f"Phase 1 step after an R8 step: {step}")
-        if _replay_step(g, step) != step:
-            raise ValueError(f"journal replay diverged at step {step}")
+            raise ValueError(f"journal does not replay at step {idx}: Phase 1 step after an R8 step")
+        try:
+            realized = _replay_step(g, step)
+        except Exception as exc:  # noqa: BLE001 - a record's site is untrusted input
+            raise ValueError(f"journal does not replay at step {idx}: {exc!r}") from exc
+        if realized != step:
+            raise ValueError(f"journal does not replay at step {idx}: replayed {realized}")
     return (g.copy() if fixpoint is None else fixpoint), g
+
+
+def kernel_vertex_ids(journal: ReductionJournal) -> set[VertexId]:
+    """The kernel's vertex set, read off the journal records without replay.
+
+    The input's non-isolated vertices, minus each step's removed ids and
+    plus its created ids; ids are never reused, so this is the vertex set
+    of replay_journal's kernel whenever the journal replays.
+    """
+    ids = {v for v, nbrs in journal.input_graph.adjacency().items() if nbrs}
+    for step in journal.steps:
+        ids.difference_update(step.removed)
+        ids.update(step.created)
+    return ids
 
 
 def _replay_step(g: Graph, step: ReductionStep) -> ReductionStep:

@@ -1,8 +1,17 @@
-"""planar-embedding: planarity verdicts, faces, Euler and double cover."""
+"""planar-embedding: planarity verdicts, faces, Euler and double cover.
+
+The left-right test is checked against networkx (the code it was ported
+from), which is a test-only dependency: verdicts and rotation tuples,
+first neighbor included, must be identical.
+"""
 
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
+from hypothesis import given, settings
 
 from planarcvc.embedding import (
     NonPlanarGraphError,
@@ -11,10 +20,12 @@ from planarcvc.embedding import (
     enumerate_faces,
     is_planar,
 )
-from planarcvc.generators import gen_random_planar
+from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.graph import Graph, graph_from_edges
+from planarcvc.reductions import run_phase1
 
 from conftest import make_complete, make_complete_bipartite, make_cycle, make_path
+from strategies import small_graphs
 
 
 def test_k4_has_four_triangular_faces():
@@ -87,3 +98,86 @@ def test_pendant_edge_walked_twice_in_one_face():
     assert len(pendant_faces) == 1
     boundary = pendant_faces[0].boundary
     assert (1, 4) in boundary and (4, 1) in boundary
+
+
+def _networkx_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
+    """networkx's rotation system for g (nodes and edges added sorted), or None."""
+    nx = pytest.importorskip("networkx")
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices())
+    nxg.add_edges_from(g.edges())
+    planar, emb = nx.check_planarity(nxg)
+    if not planar:
+        return None
+    data = emb.get_data()
+    return {v: tuple(data.get(v, ())) for v in g.vertices()}
+
+
+def _assert_matches_networkx(g: Graph) -> bool:
+    """Same verdict and, for connected planar g, the same rotation tuples."""
+    expected = _networkx_rotation(g)
+    assert is_planar(g) == (expected is not None)
+    if g.n_vertices and g.is_connected():
+        if expected is None:
+            with pytest.raises(NonPlanarGraphError):
+                embed(g)
+        else:
+            assert embed(g).rotation == expected
+    return expected is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_matches_networkx_on_small_graphs(g):
+    _assert_matches_networkx(g)
+
+
+def test_matches_networkx_on_triangulations_up_to_1000():
+    for n in (3, 4, 5, 10, 50, 200, 500, 1000):
+        for seed in range(2):
+            assert _assert_matches_networkx(gen_random_planar(n, 1.0, seed))
+
+
+def test_matches_networkx_on_random_planar_densities():
+    for density in (0.2, 0.5, 1.0):
+        for n in (2, 8, 30, 100, 300):
+            for seed in range(3):
+                assert _assert_matches_networkx(gen_random_planar(n, density, seed))
+
+
+def test_matches_networkx_on_ring_family_and_fixpoints():
+    for ell in (3, 4, 6, 12, 24):
+        g = gen_tightness(ell)
+        assert _assert_matches_networkx(g)
+        assert _assert_matches_networkx(run_phase1(g.copy(), 3 * ell + 2).graph)
+
+
+def test_matches_networkx_with_extra_edges():
+    rng = random.Random(4)
+    non_planar = 0
+    for i in range(120):
+        g = gen_random_planar(rng.randint(5, 80), rng.choice((0.3, 0.6, 1.0)), 9000 + i)
+        vertices = g.vertices()
+        for _ in range(rng.randint(1, 5)):
+            g.ensure_edge(*rng.sample(vertices, 2))
+        non_planar += not _assert_matches_networkx(g)
+    assert non_planar >= 20  # both verdicts are exercised
+
+
+def test_long_path_and_cycle_do_not_recurse():
+    n = 20_000
+    assert len(embed(make_path(n)).faces) == 1
+    assert len(embed(make_cycle(n)).faces) == 2
+
+
+def test_embed_leaves_no_cyclic_garbage():
+    # Reference cycles would be freed only by the cyclic collector, so
+    # peak memory would move with its timing.
+    g = gen_random_planar(400, 1.0, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        embed(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

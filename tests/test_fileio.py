@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +208,65 @@ def test_cli_lift_tampered_journal_site_exit_code(tmp_path, capsys, g, k, rule, 
     else:
         assert code == 2
         assert "does not replay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper", ["adjacent", "unknown"])
+def test_cli_lift_bad_r8_owner_exit_code(tmp_path, capsys, tamper):
+    # An R8 record naming owners that are adjacent, or that are not
+    # vertices at all, fails inside the merge; replay reports the step
+    # as an input error instead of a traceback.
+    g = gen_tightness(3)
+    graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(g))
+    journal_file = tmp_path / "journal.jsonl"
+    assert main(
+        ["kernelize", "--input", graph_file, "--k", "11", "--journal", str(journal_file)]
+    ) == 0
+    kernel, _ = fileio.parse_graph(capsys.readouterr().out)
+    sol_file = write(tmp_path / "ksol.txt", fileio.serialize_solution(dfs_tree_cover(kernel)))
+    records = [json.loads(ln) for ln in journal_file.read_text().splitlines()]
+    index, record = next((i, r) for i, r in enumerate(records) if r["rule"] == "R8")
+    if tamper == "adjacent":
+        fixpoint, _ = replay_journal(
+            fileio.journal_for_input(g, fileio.parse_journal_steps(journal_file.read_text()))
+        )
+        record["site"]["v"] = fixpoint.neighbors(record["site"]["u"])[0]
+    else:
+        record["site"]["u"] = 10**6
+    journal_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main(
+        ["lift", "--input", graph_file, "--journal", str(journal_file),
+         "--solution", sol_file]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"does not replay at step {index}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_lift_non_integer_journal_ids_exit_code(tmp_path, capsys):
+    graph_file = write(tmp_path / "g.cvc", "p cvc 3 2\ne 1 2\ne 2 3\n")
+    record = {"step_index": 0, "rule": "R1", "site": {}, "created": [[1]],
+              "removed": [], "k_delta": 0}
+    journal_file = write(tmp_path / "journal.jsonl", json.dumps(record) + "\n")
+    sol_file = write(tmp_path / "sol.txt", "2\n")
+    code = main(
+        ["lift", "--input", graph_file, "--journal", journal_file,
+         "--solution", sol_file]
+    )
+    assert code == 2
+    assert "bad journal record" in capsys.readouterr().err
+
+
+def test_cli_round_trip_without_networkx():
+    # networkx is a test-only dependency: generate -> kernelize -> solve
+    # -> lift -> verify must run with every import of it blocked.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
+    proc = subprocess.run(
+        ["bash", str(script)], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
+    assert steps == ["generate", "kernelize", "solve", "lift", "verify"]
 
 
 def test_cli_solve_and_verify(tmp_path, capsys):

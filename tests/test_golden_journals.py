@@ -26,6 +26,7 @@ from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.pipeline import (
     Instance,
     Kernel,
+    kernel_vertex_ids,
     kernelize,
     lift_solution,
     replay_journal,
@@ -85,6 +86,16 @@ def test_journals_match_golden_digests():
 def test_lifts_match_golden_digests():
     expected = json.loads(GOLDEN_LIFTS.read_text())
     assert lift_digests() == expected
+
+
+def test_kernel_vertex_ids_match_the_kernel():
+    # planarcvc lift labels the kernel from the journal records alone.
+    with_isolated = gen_random_planar(30, 0.5, 1)
+    with_isolated.add_vertex()
+    extra = kernelize(Instance(with_isolated, 30))
+    assert isinstance(extra, Kernel)
+    for _, outcome in golden_kernels() + (("isolated", extra),):
+        assert kernel_vertex_ids(outcome.journal) == set(outcome.instance.graph.vertices())
 
 
 def test_r8_undo_restores_every_pre_graph():
