@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, NoReturn
 
 from . import fileio
 from .generators import gen_exception_graph, gen_random_planar, gen_tightness
@@ -69,7 +70,10 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
 
     kernel = outcome.instance
     if args.journal:
-        Path(args.journal).write_text(fileio.serialize_journal(outcome.journal))
+        try:
+            Path(args.journal).write_text(fileio.serialize_journal(outcome.journal))
+        except OSError as exc:
+            return _fail(str(exc))
     sys.stdout.write(fileio.serialize_graph(kernel.graph))
     print(f"c kernel-k {kernel.k}")
 
@@ -183,33 +187,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_NO
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="planarcvc",
-        description="11/3k kernelization for Connected Vertex Cover on planar graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kernelize", help="reduce an instance, emit the kernel")
+def _kernelize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--journal", help="write the reduction journal here")
     p.add_argument("--stats", action="store_true", help="partition sizes on stderr")
     p.add_argument("--with-oracle", action="store_true", help="add the partition-bound check")
-    p.set_defaults(func=_cmd_kernelize)
 
-    p = sub.add_parser("solve", help="exact minimum connected vertex cover")
+
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--limit", type=int, help="largest cover size to accept")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("lift", help="lift a kernel solution to the input graph")
+
+def _lift_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--journal", required=True)
     p.add_argument("--solution", required=True, help="kernel solution, kernel labels")
-    p.set_defaults(func=_cmd_lift)
 
-    p = sub.add_parser("generate", help="emit generator output as a graph file")
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     gen_sub = p.add_subparsers(dest="family", required=True)
     pt = gen_sub.add_parser("tightness")
     pt.add_argument("--l", type=int, required=True)
@@ -218,18 +215,77 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--density", type=float, default=1.0)
     pr.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("verify", help="check a solution file against a graph file")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--solution", required=True)
-    p.set_defaults(func=_cmd_verify)
 
+
+class _Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+_COMMANDS: dict[str, _Command] = {
+    "kernelize": _Command("reduce an instance, emit the kernel", _kernelize_arguments, _cmd_kernelize),
+    "solve": _Command("exact minimum connected vertex cover", _solve_arguments, _cmd_solve),
+    "lift": _Command("lift a kernel solution to the input graph", _lift_arguments, _cmd_lift),
+    "generate": _Command("emit generator output as a graph file", _generate_arguments, _cmd_generate),
+    "verify": _Command("check a solution file against a graph file", _verify_arguments, _cmd_verify),
+}
+
+
+def _add_command(p: argparse.ArgumentParser, command: _Command) -> None:
+    command.add_arguments(p)
+    p.set_defaults(func=command.run)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subcommand of `planarcvc`."""
+    parser = argparse.ArgumentParser(
+        prog="planarcvc",
+        description="11/3k kernelization for Connected Vertex Cover on planar graphs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=command.help), command)
     return parser
 
 
+class _UsageError(Exception):
+    """Raised by a one-command parser instead of printing a usage error."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line; the namespace's `func` runs the command.
+
+    When argv names a command, only that command's parser is built (the
+    full parser costs about five times as much, and a process parses one
+    command line). A usage error is left to the full parser, so that
+    its wording and exit code are exactly those of build_parser();
+    `-h`, no arguments and unknown commands also go to the full parser.
+    The namespace lacks the full parser's `command` field.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = _OneCommandParser(prog=f"planarcvc {argv[0]}")
+        _add_command(parser, command)
+        try:
+            return parser.parse_args(argv[1:])
+        except _UsageError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     return args.func(args)
 
 

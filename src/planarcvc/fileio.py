@@ -33,69 +33,74 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
 
     File labels 1..n map onto the same internal ids, so the mapping is
     the identity; it is returned anyway so callers never have to assume
-    that.
+    that. Each edge is checked here, once, and the checked adjacency is
+    handed to Graph.from_adjacency.
     """
     header: tuple[int, int] | None = None
-    g = Graph()
-    mapping: dict[int, VertexId] = {}
+    adj: dict[VertexId, set[VertexId]] = {}
+    n = 0
     edges_seen = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
-            if header is not None:
-                raise GraphParseError("duplicate header", line_no)
-            if len(fields) != 4 or fields[1] != "cvc":
-                raise GraphParseError(f"malformed header {line!r}", line_no)
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise GraphParseError(f"malformed header {line!r}", line_no) from None
-            if n < 0 or m < 0:
-                raise GraphParseError("negative counts in header", line_no)
-            header = (n, m)
-            for label in range(1, n + 1):
-                mapping[label] = g.add_named_vertex(label)
-        elif fields[0] == "e":
+        tag = fields[0]
+        if tag == "e":
             if header is None:
                 raise GraphParseError("edge before header", line_no)
             if len(fields) != 3:
-                raise GraphParseError(f"malformed edge line {line!r}", line_no)
+                raise GraphParseError(f"malformed edge line {raw.strip()!r}", line_no)
             try:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
-                raise GraphParseError(f"malformed edge line {line!r}", line_no) from None
-            n = header[0]
+                raise GraphParseError(f"malformed edge line {raw.strip()!r}", line_no) from None
             if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphParseError(f"vertex id out of range in {line!r}", line_no)
+                raise GraphParseError(f"vertex id out of range in {raw.strip()!r}", line_no)
             if u == v:
                 raise GraphParseError(f"self-loop at vertex {u}", line_no)
-            if g.has_edge(mapping[u], mapping[v]):
+            nbrs = adj[u]
+            if v in nbrs:
                 raise GraphParseError(f"duplicate edge ({u},{v})", line_no)
-            g.add_edge(mapping[u], mapping[v])
+            nbrs.add(v)
+            adj[v].add(u)
             edges_seen += 1
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
+            if header is not None:
+                raise GraphParseError("duplicate header", line_no)
+            if len(fields) != 4 or fields[1] != "cvc":
+                raise GraphParseError(f"malformed header {raw.strip()!r}", line_no)
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise GraphParseError(f"malformed header {raw.strip()!r}", line_no) from None
+            if n < 0 or m < 0:
+                raise GraphParseError("negative counts in header", line_no)
+            header = (n, m)
+            adj = {label: set() for label in range(1, n + 1)}
         else:
-            raise GraphParseError(f"unknown line type {fields[0]!r}", line_no)
+            raise GraphParseError(f"unknown line type {tag!r}", line_no)
     if header is None:
         raise GraphParseError("missing header", 1)
     if edges_seen != header[1]:
         raise GraphParseError(
             f"header announced {header[1]} edges, found {edges_seen}",
-            len(text.splitlines()) or 1,
+            len(lines) or 1,
         )
-    return g, mapping
+    return Graph.from_adjacency(adj), {label: label for label in adj}
 
 
 def serialize_graph(g: Graph) -> str:
-    """Canonical text form: vertices renumbered 1..n ascending, edges sorted."""
-    order = {v: i for i, v in enumerate(g.vertices(), start=1)}
-    edges = sorted(
-        (min(order[u], order[w]), max(order[u], order[w])) for u, w in g.edges()
-    )
-    lines = [f"p cvc {g.n_vertices} {len(edges)}"]
-    lines.extend(f"e {u} {w}" for u, w in edges)
+    """Canonical text form: vertices renumbered 1..n ascending, edges sorted.
+
+    The renumbering keeps the id order, so edges sorted by id are also
+    sorted by label.
+    """
+    label = canonical_labels(g)
+    lines = [f"p cvc {g.n_vertices} {g.n_edges}"]
+    lines.extend(f"e {label[u]} {label[w]}" for u, w in g.edges())
     return "\n".join(lines) + "\n"
 
 
@@ -133,18 +138,18 @@ def serialize_solution(labels: set[int]) -> str:
 
 
 def serialize_journal(journal: ReductionJournal) -> str:
-    lines = []
-    for idx, step in enumerate(journal.steps):
-        record = {
+    encode = json.JSONEncoder(sort_keys=True).encode
+    return "".join(
+        encode({
             "step_index": idx,
             "rule": step.rule.name,
             "site": step.site,
-            "created": list(step.created),
-            "removed": list(step.removed),
+            "created": step.created,
+            "removed": step.removed,
             "k_delta": step.k_delta,
-        }
-        lines.append(json.dumps(record, sort_keys=True))
-    return "".join(line + "\n" for line in lines)
+        }) + "\n"
+        for idx, step in enumerate(journal.steps)
+    )
 
 
 def parse_journal_steps(text: str) -> list[ReductionStep]:

@@ -25,6 +25,21 @@ class Graph:
         self._next_id: VertexId = 1
         self._n_edges = 0
 
+    @classmethod
+    def from_adjacency(cls, adj: dict[VertexId, set[VertexId]]) -> Graph:
+        """A graph that takes over `adj` (vertex -> neighbor set) as is.
+
+        For readers that check every edge once as they collect it: the
+        ids must be positive and the sets symmetric and loop-free, which
+        is not checked again here. The graph owns `adj` afterwards. The
+        allocator starts past the largest id, as after add_named_vertex.
+        """
+        g = cls()
+        g._adj = adj
+        g._next_id = max(adj, default=0) + 1
+        g._n_edges = sum(map(len, adj.values())) // 2
+        return g
+
     # ------------------------------------------------------------------
     # construction / mutation
     # ------------------------------------------------------------------
@@ -120,9 +135,7 @@ class Graph:
 
     def edges(self) -> list[tuple[VertexId, VertexId]]:
         """All edges as (u, w) pairs with u < w, sorted."""
-        return sorted(
-            (min(u, w), max(u, w)) for u in self._adj for w in self._adj[u] if u < w
-        )
+        return sorted((u, w) for u, adj in self._adj.items() for w in adj if u < w)
 
     def has_edge(self, u: VertexId, w: VertexId) -> bool:
         return u in self._adj and w in self._adj[u]

@@ -38,13 +38,15 @@ def verify_cvc(g: Graph, s: set[VertexId] | frozenset[VertexId]) -> bool:
     """True iff s covers every edge of g and induces a connected subgraph.
 
     The empty set verifies exactly when g has no edges. Unknown vertex
-    ids are rejected with KeyError.
+    ids are rejected with KeyError. s covers every edge iff every vertex
+    outside s has all its neighbors in s.
     """
+    adj = g.adjacency()
     for v in s:
-        if v not in g:
+        if v not in adj:
             raise KeyError(f"solution vertex {v} is not in the graph")
-    for u, w in g.edges():
-        if u not in s and w not in s:
+    for v, nbrs in adj.items():
+        if v not in s and not nbrs <= s:
             return False
     return g.induced_is_connected(s)
 

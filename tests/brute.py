@@ -6,14 +6,23 @@ increasing size, and the rule detector finds R1-R5 by rescanning the
 sorted vertex and edge lists once per rule, so agreement with the
 library is meaningful. dfs_tree_cover is a polynomial-time connected
 vertex cover for checks beyond the exact solver's reach.
+
+The reference_* text-format and verifier functions are the package's
+parse_graph, serialize_graph, serialize_journal and verify_cvc as they
+were before their one-pass rewrites (edge-by-edge Graph.add_edge, a
+second sort after relabelling, one json.dumps per record, a sorted scan
+of every edge), kept as the references the rewrites are compared with.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import combinations
 
+from planarcvc.fileio import GraphParseError
 from planarcvc.graph import Graph, VertexId
+from planarcvc.pipeline import ReductionJournal
 from planarcvc.reductions import RuleId, _find_r6, _find_r7
 
 
@@ -157,3 +166,92 @@ def _find_r5(g: Graph) -> dict[str, int | bool] | None:
             x, y = sorted(set(g.neighbors(v)) - {z})
             return {"v": v, "x": x, "y": y, "z": z}
     return None
+
+
+def reference_parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
+    header: tuple[int, int] | None = None
+    g = Graph()
+    mapping: dict[int, VertexId] = {}
+    edges_seen = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if header is not None:
+                raise GraphParseError("duplicate header", line_no)
+            if len(fields) != 4 or fields[1] != "cvc":
+                raise GraphParseError(f"malformed header {line!r}", line_no)
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise GraphParseError(f"malformed header {line!r}", line_no) from None
+            if n < 0 or m < 0:
+                raise GraphParseError("negative counts in header", line_no)
+            header = (n, m)
+            for label in range(1, n + 1):
+                mapping[label] = g.add_named_vertex(label)
+        elif fields[0] == "e":
+            if header is None:
+                raise GraphParseError("edge before header", line_no)
+            if len(fields) != 3:
+                raise GraphParseError(f"malformed edge line {line!r}", line_no)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise GraphParseError(f"malformed edge line {line!r}", line_no) from None
+            n = header[0]
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphParseError(f"vertex id out of range in {line!r}", line_no)
+            if u == v:
+                raise GraphParseError(f"self-loop at vertex {u}", line_no)
+            if g.has_edge(mapping[u], mapping[v]):
+                raise GraphParseError(f"duplicate edge ({u},{v})", line_no)
+            g.add_edge(mapping[u], mapping[v])
+            edges_seen += 1
+        else:
+            raise GraphParseError(f"unknown line type {fields[0]!r}", line_no)
+    if header is None:
+        raise GraphParseError("missing header", 1)
+    if edges_seen != header[1]:
+        raise GraphParseError(
+            f"header announced {header[1]} edges, found {edges_seen}",
+            len(text.splitlines()) or 1,
+        )
+    return g, mapping
+
+
+def reference_serialize_graph(g: Graph) -> str:
+    order = {v: i for i, v in enumerate(g.vertices(), start=1)}
+    edges = sorted(
+        (min(order[u], order[w]), max(order[u], order[w])) for u, w in g.edges()
+    )
+    lines = [f"p cvc {g.n_vertices} {len(edges)}"]
+    lines.extend(f"e {u} {w}" for u, w in edges)
+    return "\n".join(lines) + "\n"
+
+
+def reference_serialize_journal(journal: ReductionJournal) -> str:
+    lines = []
+    for idx, step in enumerate(journal.steps):
+        record = {
+            "step_index": idx,
+            "rule": step.rule.name,
+            "site": step.site,
+            "created": list(step.created),
+            "removed": list(step.removed),
+            "k_delta": step.k_delta,
+        }
+        lines.append(json.dumps(record, sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_verify_cvc(g: Graph, s: set[VertexId] | frozenset[VertexId]) -> bool:
+    for v in s:
+        if v not in g:
+            raise KeyError(f"solution vertex {v} is not in the graph")
+    for u, w in g.edges():
+        if u not in s and w not in s:
+            return False
+    return g.induced_is_connected(s)

@@ -154,6 +154,20 @@ def test_cli_kernelize_non_utf8_input_exit_code(tmp_path, capsys):
     assert "utf-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_kernelize_unwritable_journal_exit_code(tmp_path, capsys, where):
+    # Exit 1 means NO; a journal that cannot be written is an input error,
+    # and no kernel may reach stdout without its journal.
+    graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(gen_tightness(3)))
+    journal = tmp_path / "absent" / "j.jsonl" if where == "missing-directory" else tmp_path
+    code = main(["kernelize", "--input", graph_file, "--k", "11", "--journal", str(journal)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(journal) in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "record",
     [
