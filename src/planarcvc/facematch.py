@@ -6,8 +6,8 @@ possible, an auxiliary graph over pendant owners is built (edges =
 co-faciality, a union of per-face cliques), a maximum matching of it is
 computed, and the matching is rearranged face by face into consecutive,
 hence non-crossing, pairs of equal total count before the merges are
-performed. undo_identification reverses one merge when a solution is
-lifted back through the journal.
+performed, in time linear in the total face size. undo_identification
+reverses one merge when a solution is lifted back through the journal.
 """
 
 from __future__ import annotations
@@ -77,26 +77,21 @@ def planarize_matching(m0: Matching, e: Embedding) -> PlanarizedMatching:
     Faces are visited in embedding order; each matched edge is assigned to
     the first face containing both its endpoints. Inside one face the
     matched vertices are re-paired consecutively along the face order, so
-    the new pairs can be drawn inside the face without crossings. The
-    total count never changes.
+    the new pairs can be drawn inside the face without crossings, and the
+    total count never changes. The unassigned edges live in a partner
+    map, so a face costs its size.
     """
-    unassigned = set(m0.edges)
+    partner: dict[VertexId, VertexId] = {}
+    for u, w in m0.edges:
+        partner[u], partner[w] = w, u
     pairs: list[tuple[VertexId, VertexId, int]] = []
     for face_id, face in enumerate(e.faces):
         members = set(face.incident_vertices)
-        in_face = [
-            (u, w) for u, w in sorted(unassigned) if u in members and w in members
-        ]
-        if not in_face:
-            continue
-        unassigned.difference_update(in_face)
-        matched = {v for edge in in_face for v in edge}
-        ordered = [v for v in face.incident_vertices if v in matched]
-        assert len(ordered) == 2 * len(in_face)
-        for i in range(0, len(ordered), 2):
-            pairs.append((ordered[i], ordered[i + 1], face_id))
-    assert not unassigned, "matched pair without a common face"
-    assert len(pairs) == m0.size
+        ordered = [v for v in face.incident_vertices if partner.get(v) in members]
+        for v in ordered:
+            del partner[v]
+        pairs.extend((ordered[i], ordered[i + 1], face_id) for i in range(0, len(ordered), 2))
+    assert not partner, "matched pair without a common face"
     return PlanarizedMatching(pairs=tuple(pairs))
 
 
@@ -108,7 +103,8 @@ def apply_identification(
     The owners must be distinct and non-adjacent (guaranteed for Phase 1
     fixpoints because R4 removed adjacent pendant-owner pairs). A site
     that breaks this, as a tampered journal may, raises
-    RuleApplicationError before the graph changes.
+    RuleApplicationError before the graph changes. In a connected graph
+    c is never a cut vertex (u and v stay joined), so none is checked.
     """
     if u not in g or v not in g:
         raise RuleApplicationError(f"R8 owners {u}, {v} must be vertices")
@@ -124,7 +120,6 @@ def apply_identification(
     c = g.add_vertex()
     g.add_edge(u, c)
     g.add_edge(v, c)
-    assert not g.is_cut_vertex(c), "merged pendant vertex must not be a cut vertex"
     site: dict[str, int | bool] = {
         "u": u, "v": v, "xu": xu, "xv": xv, "c": c, "face": face_id,
     }
@@ -163,7 +158,6 @@ def run_phase2(g: Graph, e: Embedding | None = None) -> list[ReductionStep]:
         return []
     m0 = maximum_matching(aux.to_graph())
     planar = planarize_matching(m0, e)
-    assert planar.size == m0.size
     steps = []
     for u, v, face_id in planar.pairs:
         steps.append(apply_identification(g, u, v, face_id))

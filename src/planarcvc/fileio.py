@@ -169,7 +169,7 @@ def parse_journal_steps(text: str) -> list[ReductionStep]:
                 removed=tuple(record["removed"]),
                 k_delta=record["k_delta"],
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise GraphParseError(f"bad journal record: {exc}", line_no) from None
         if not all(type(v) is int for v in step.created + step.removed):
             raise GraphParseError("bad journal record: created/removed ids must be integers", line_no)
@@ -182,9 +182,9 @@ def parse_journal_steps(text: str) -> list[ReductionStep]:
 
 
 def journal_for_input(g: Graph, steps: list[ReductionStep]) -> ReductionJournal:
-    """Rebuild an in-memory journal for a parsed input graph."""
+    """Rebuild an in-memory journal that takes the parsed input graph g over."""
     return ReductionJournal(
-        input_graph=g.copy(),
+        input_graph=g,
         dropped_isolated=tuple(g.isolated_vertices()),
         steps=list(steps),
     )

@@ -135,7 +135,8 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
     first R8 step, or at the end when there is none; the kernel is the
     working graph itself. Raises ValueError naming the step index when
     the journal does not replay: a step fails on the graph, differs from
-    its record, or is an R1-R7 step after an R8 step.
+    its record, is an R1-R7 step after an R8 step, or is the first R8
+    step on a disconnected graph, which lifting R8 steps relies on.
     """
     g = journal.input_graph.copy()
     for v in journal.input_graph.isolated_vertices():
@@ -144,6 +145,8 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
     for idx, step in enumerate(journal.steps):
         if step.rule is RuleId.R8:
             if fixpoint is None:
+                if not g.is_connected():
+                    raise ValueError(f"journal does not replay at step {idx}: R8 on a disconnected graph")
                 fixpoint = g.copy()
         elif fixpoint is not None:
             raise ValueError(f"journal does not replay at step {idx}: Phase 1 step after an R8 step")
@@ -297,7 +300,8 @@ def _lift_identification(
 
     The merged 2-vertex c has neighbors u and v. When the solution leans
     on c for connectivity, one replacement vertex adjacent to both halves
-    always exists because c is not a cut vertex of the merged graph.
+    always exists because c is not a cut vertex of the merged graph
+    (replay_journal checked connectivity before the first R8 step).
     """
     u, v, c = step.site["u"], step.site["v"], step.site["c"]
     if c not in sol:

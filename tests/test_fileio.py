@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,8 +175,11 @@ def test_cli_kernelize_unwritable_journal_exit_code(tmp_path, capsys, where):
     [
         '{"created": [], "k_delta": 0, "removed": [], "rule": "R1", "site": {}}',
         "[1, 2]",
+        # too deep for the JSON decoder, and past Python's integer digit limit
+        "[" * 100_000,
+        '{"step_index": ' + "7" * 5000 + "}",
     ],
-    ids=["missing-step-index", "list-record"],
+    ids=["missing-step-index", "list-record", "nested-arrays", "huge-integer"],
 )
 def test_cli_lift_malformed_journal_record_exit_code(tmp_path, capsys, record):
     graph_file = write(tmp_path / "g.cvc", "p cvc 3 2\ne 1 2\ne 2 3\n")
@@ -185,7 +190,40 @@ def test_cli_lift_malformed_journal_record_exit_code(tmp_path, capsys, record):
          "--solution", sol_file]
     )
     assert code == 2
-    assert "bad journal record" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: bad journal record")
+    assert "Traceback" not in err
+
+
+# Two paths 1-2-3 and 4-5-6, and one R8 record merging the pendants 1
+# and 4 of the owners 2 and 5 into the new vertex 7: the merge replays,
+# but 7 is a cut vertex, so no lift of the kernel cover {2, 5, 7}
+# (labels 1, 3, 5) exists. kernelize answers NO on this input.
+_TWO_PATHS = "p cvc 6 4\ne 1 2\ne 2 3\ne 4 5\ne 5 6\n"
+_R8_ACROSS = {"step_index": 0, "rule": "R8", "created": [7], "removed": [1, 4], "k_delta": 0,
+              "site": {"u": 2, "v": 5, "xu": 1, "xv": 4, "c": 7, "face": 0}}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["in-process", "python-O"])
+def test_cli_lift_r8_across_components_exit_code(tmp_path, capsys, optimize):
+    # The check runs once in replay, not as an assert, so `python -O`
+    # rejects the journal too.
+    argv = ["lift", "--input", write(tmp_path / "g.cvc", _TWO_PATHS),
+            "--journal", write(tmp_path / "journal.jsonl", json.dumps(_R8_ACROSS) + "\n"),
+            "--solution", write(tmp_path / "sol.txt", "1\n3\n5\n")]
+    if optimize:
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "planarcvc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: journal does not replay at step 0")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

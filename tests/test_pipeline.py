@@ -259,6 +259,32 @@ def test_replay_rejects_phase1_step_after_r8():
         replay_journal(journal)
 
 
+@pytest.mark.parametrize("target", ["run_phase2", "replay_journal"])
+def test_r8_connectivity_checks_do_not_grow_with_the_ring(monkeypatch, target):
+    # R8 makes no per-merge connectivity query: the whole-graph
+    # traversals of Phase 2 and of replaying its journal stay the same
+    # while the ring family's merges grow from 12 to 48.
+    from planarcvc.facematch import run_phase2
+
+    bfs_reach = Graph._bfs_reach
+    counts = []
+    for ell in (12, 48):
+        g = gen_tightness(ell)
+        out = kernelize(Instance(g.copy(), 3 * ell + 2))
+        assert isinstance(out, Kernel)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(Graph, "_bfs_reach", lambda self, *a: calls.append(a) or bfs_reach(self, *a))
+            if target == "run_phase2":
+                steps = run_phase2(g)
+            else:
+                replay_journal(out.journal)
+                steps = out.journal.steps
+        assert sum(s.rule is RuleId.R8 for s in steps) == ell
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1
+
+
 def test_lift_tightness_covers_with_merged_vertices():
     g = gen_tightness(3)
     out = kernelize(Instance(g.copy(), 11))
