@@ -3,7 +3,9 @@
 # (l = 3), kernelize it, solve the kernel, lift the solution back and
 # verify it. Every step runs planarcvc.cli.main in a fresh Python process
 # in which `import networkx` raises ImportError, and fails if any
-# networkx module got loaded anyway. Prints one "ok <step>" line per step.
+# networkx module got loaded anyway. Then one input error, a graph file
+# with a self-loop, must exit 2 with a single `error:` line on stderr.
+# Prints one "ok <step>" line per step.
 #
 #   bash scripts/roundtrip_without_networkx.sh
 set -euo pipefail
@@ -13,7 +15,7 @@ export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-planarcvc() {
+run() {
   python3 -c '
 import sys
 sys.modules["networkx"] = None  # any import of networkx now fails
@@ -22,6 +24,10 @@ code = main(sys.argv[1:])
 loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "networkx" and mod]
 sys.exit(f"networkx modules loaded: {loaded}" if loaded else code)
 ' "$@"
+}
+
+planarcvc() {
+  run "$@"
   echo "ok $1" >&2
 }
 
@@ -33,3 +39,13 @@ planarcvc solve --input "$work/kernel.cvc" --limit "$k" > "$work/kernel.sol"
 planarcvc lift --input "$work/ring.cvc" --journal "$work/ring.journal" \
   --solution "$work/kernel.sol" > "$work/lifted.sol"
 planarcvc verify --input "$work/ring.cvc" --solution "$work/lifted.sol"
+
+printf 'p cvc 2 1\ne 1 1\n' > "$work/loop.cvc"
+code=0
+run kernelize --input "$work/loop.cvc" --k 1 > /dev/null 2> "$work/loop.err" || code=$?
+if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/loop.err")" -ne 1 ] || ! grep -q '^error: ' "$work/loop.err"; then
+  echo "input error: want exit 2 and one error: line, got exit $code and:" >&2
+  cat "$work/loop.err" >&2
+  exit 1
+fi
+echo "ok input-error" >&2

@@ -1,6 +1,8 @@
 """Command line surface.
 
 Exit codes: 0 = YES (kernel or solution emitted), 1 = NO, 2 = input error.
+Commands raise on bad input; main alone turns that into one `error:` line
+on stderr and exit 2.
 
 Commands:
   kernelize --input FILE --k INT [--journal FILE] [--stats] [--with-oracle]
@@ -19,7 +21,7 @@ from typing import Callable, NamedTuple, NoReturn
 
 from . import fileio
 from .generators import gen_exception_graph, gen_random_planar, gen_tightness
-from .graph import Graph
+from .graph import Graph, VertexId
 from .oracle import TooLargeError, minimum_cvc, verify_cvc
 from .pipeline import (
     Instance,
@@ -38,8 +40,24 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
 
-# Failures while reading or parsing an input file; each exits with 2.
-_READ_ERRORS = (OSError, UnicodeDecodeError, fileio.GraphParseError)
+
+class InputError(Exception):
+    """An input that a command rejects by its own check."""
+
+
+# What a command raises on bad input; main prints it and exits with 2.
+# ValueError covers journals that do not replay, generator parameters and
+# a negative budget; anything else, AssertionError included, is a bug and
+# keeps its traceback.
+_INPUT_ERRORS = (
+    OSError,
+    UnicodeDecodeError,
+    fileio.GraphParseError,
+    ValueError,
+    TooLargeError,
+    NonPlanarInputError,
+    InputError,
+)
 
 
 def _read_graph(path: str) -> Graph:
@@ -47,54 +65,37 @@ def _read_graph(path: str) -> Graph:
     return g
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
+def _solution_vertices(labels: set[int], by_label: dict[int, VertexId], what: str) -> set[VertexId]:
+    unknown = labels - by_label.keys()
+    if unknown:
+        raise InputError(f"solution label {min(unknown)} is not {what}")
+    return {by_label[lab] for lab in labels}
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input)
-    except _READ_ERRORS as exc:
-        return _fail(str(exc))
-    if args.k < 0:
-        return _fail("--k must be non-negative")
-    try:
-        outcome = kernelize(Instance(g, args.k))
-    except NonPlanarInputError as exc:
-        return _fail(f"input graph is not planar ({exc})")
-
+    outcome = kernelize(Instance(_read_graph(args.input), args.k))
     if not isinstance(outcome, Kernel):
         print(f"c no-instance {outcome.reason.value}")
         return EXIT_NO
 
     kernel = outcome.instance
     if args.journal:
-        try:
-            Path(args.journal).write_text(fileio.serialize_journal(outcome.journal))
-        except OSError as exc:
-            return _fail(str(exc))
+        Path(args.journal).write_text(fileio.serialize_journal(outcome.journal))
     sys.stdout.write(fileio.serialize_graph(kernel.graph))
     print(f"c kernel-k {kernel.k}")
-
     if args.stats:
-        code = _print_stats(outcome, with_oracle=args.with_oracle)
-        if code != EXIT_YES:
-            return code
+        _print_stats(outcome, with_oracle=args.with_oracle)
     return EXIT_YES
 
 
-def _print_stats(outcome: Kernel, with_oracle: bool) -> int:
+def _print_stats(outcome: Kernel, with_oracle: bool) -> None:
     """Partition of the Phase 1 fixpoint wrt its minimum cover, on stderr."""
     journal = outcome.journal
     m_star = sum(1 for s in journal.steps if s.rule is RuleId.R8)
     g1, _ = replay_journal(journal)
-    try:
-        cert = minimum_cvc(g1, g1.n_vertices)
-    except TooLargeError as exc:
-        return _fail(f"--stats needs the exact solver: {exc}")
+    cert = minimum_cvc(g1, g1.n_vertices)
     if cert is None:
-        return _fail("--stats: fixpoint has no connected vertex cover")
+        raise InputError("--stats: fixpoint has no connected vertex cover")
     part = partition_stats(g1, set(cert.vertices))
     print(f"stats minimum-cover {cert.size}", file=sys.stderr)
     for name, size in part.sizes().items():
@@ -103,19 +104,12 @@ def _print_stats(outcome: Kernel, with_oracle: bool) -> int:
     if with_oracle:
         verdict = partition_bound_holds(g1, set(cert.vertices), m_star)
         print(f"stats partition-bound {'holds' if verdict else 'VIOLATED'}", file=sys.stderr)
-    return EXIT_YES
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input)
-    except _READ_ERRORS as exc:
-        return _fail(str(exc))
+    g = _read_graph(args.input)
     limit = args.limit if args.limit is not None else g.n_vertices
-    try:
-        cert = minimum_cvc(g, limit)
-    except TooLargeError as exc:
-        return _fail(str(exc))
+    cert = minimum_cvc(g, limit)
     if cert is None:
         print(f"c no connected vertex cover within {limit}")
         return EXIT_NO
@@ -125,24 +119,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input)
-        steps = fileio.parse_journal_steps(Path(args.journal).read_text())
-        kernel_labels = fileio.parse_solution(Path(args.solution).read_text())
-    except _READ_ERRORS as exc:
-        return _fail(str(exc))
+    g = _read_graph(args.input)
+    steps = fileio.parse_journal_steps(Path(args.journal).read_text())
+    kernel_labels = fileio.parse_solution(Path(args.solution).read_text())
     journal = fileio.journal_for_input(g, steps)
     # the kernel file's labels, from the journal records; lift_solution
     # makes the only replay and rejects a journal that does not replay
     by_label = dict(enumerate(sorted(kernel_vertex_ids(journal)), start=1))
-    try:
-        kernel_solution = {by_label[lab] for lab in kernel_labels}
-    except KeyError as exc:
-        return _fail(f"solution label {exc} is not a kernel vertex")
-    try:
-        lifted = lift_solution(journal, kernel_solution)
-    except ValueError as exc:
-        return _fail(str(exc))
+    kernel_solution = _solution_vertices(kernel_labels, by_label, "a kernel vertex")
+    lifted = lift_solution(journal, kernel_solution)
     input_labels = fileio.canonical_labels(g)
     sys.stdout.write(fileio.serialize_solution({input_labels[v] for v in lifted}))
     return EXIT_YES
@@ -150,36 +135,20 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.family == "tightness":
-        if args.l is None:
-            return _fail("tightness needs --l")
-        try:
-            g = gen_tightness(args.l)
-        except ValueError as exc:
-            return _fail(str(exc))
+        g = gen_tightness(args.l)
     elif args.family == "exception":
         g = gen_exception_graph()
     else:
-        if args.n is None:
-            return _fail("random needs --n")
-        try:
-            g = gen_random_planar(args.n, args.density, args.seed)
-        except ValueError as exc:
-            return _fail(str(exc))
+        g = gen_random_planar(args.n, args.density, args.seed)
     sys.stdout.write(fileio.serialize_graph(g))
     return EXIT_YES
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input)
-        labels = fileio.parse_solution(Path(args.solution).read_text())
-    except _READ_ERRORS as exc:
-        return _fail(str(exc))
+    g = _read_graph(args.input)
+    labels = fileio.parse_solution(Path(args.solution).read_text())
     by_label = {lab: v for v, lab in fileio.canonical_labels(g).items()}
-    try:
-        solution = {by_label[lab] for lab in labels}
-    except KeyError as exc:
-        return _fail(f"solution label {exc} is not a vertex")
+    solution = _solution_vertices(labels, by_label, "a vertex")
     if verify_cvc(g, solution):
         print(f"c valid connected vertex cover of size {len(solution)}")
         return EXIT_YES
@@ -285,8 +254,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; the one place where an input error exits 2."""
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

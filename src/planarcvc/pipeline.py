@@ -23,7 +23,14 @@ from .reductions import ReductionStep, RuleId, apply_rule, run_phase1
 
 
 class NonPlanarInputError(Exception):
-    """kernelize was handed a graph with no planar embedding."""
+    """kernelize's Phase 1 fixpoint has no planar embedding.
+
+    R1-R7 turn planar graphs into planar graphs, so the input is not
+    planar either. kernelize embeds only the fixpoint: a non-planar input
+    whose fixpoint is planar gets an answer, and R1-R7 keep it equal to
+    the input's (the tests check it against the exact solver on small
+    non-planar graphs).
+    """
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,7 @@ def kernelize(inst: Instance) -> KernelOutcome:
     try:
         embedding = embed(g1)
     except NonPlanarGraphError as exc:
-        raise NonPlanarInputError(str(exc)) from exc
+        raise NonPlanarInputError(f"input graph is not planar ({exc})") from exc
 
     phase2_steps = run_phase2(g1, embedding)
     journal.steps = list(phase1.steps) + phase2_steps

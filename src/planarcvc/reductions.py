@@ -60,7 +60,8 @@ class ReductionStep:
     """One journaled rule application.
 
     site maps role names to vertex ids (plus the boolean 'cut' flag for
-    R3); created/removed list fresh and deleted ids in a fixed per-rule
+    R3, which applying the rule records and replay checks);
+    created/removed list fresh and deleted ids in a fixed per-rule
     order. Replaying the step on the pre-graph reproduces the post-graph.
     """
 
@@ -120,7 +121,7 @@ def detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:
             if r3_site is None:
                 r3_site = (v, u, w)
         v, u, w = r3_site
-        return RuleId.R3, {"v": v, "u": u, "w": w, "cut": g.is_cut_vertex(v)}
+        return RuleId.R3, {"v": v, "u": u, "w": w}
 
     # From here on every owner has exactly one pendant. Owners of degree 1
     # are the two ends of an isolated edge, a fixpoint for R4 and R5.
@@ -240,8 +241,8 @@ def _apply_r3(g: Graph, site: dict) -> ReductionStep:
     _require(set(g.neighbors(v)) == {u, w}, "R3: neighborhood mismatch")
     _require(not g.has_edge(u, w), "R3: uw must not be an edge")
     cut = g.is_cut_vertex(v)
-    _require(cut == bool(site["cut"]), "R3: cut flag does not match the graph")
-    rec = dict(site)
+    _require(cut == bool(site.get("cut", cut)), "R3: cut flag does not match the graph")
+    rec = dict(site, cut=cut)
     if cut:
         c = g.contract_edge(u, v)
         rec["c"] = c

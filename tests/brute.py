@@ -141,7 +141,7 @@ def _find_r3(g: Graph) -> dict[str, int | bool] | None:
         if g.degree(v) == 2:
             u, w = g.neighbors(v)
             if not g.has_edge(u, w):
-                return {"v": v, "u": u, "w": w, "cut": g.is_cut_vertex(v)}
+                return {"v": v, "u": u, "w": w}
     return None
 
 

@@ -195,6 +195,17 @@ def test_cli_lift_malformed_journal_record_exit_code(tmp_path, capsys, record):
     assert "Traceback" not in err
 
 
+def _main_optimized(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of `python -O -m planarcvc.cli ARGV`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "planarcvc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
 # Two paths 1-2-3 and 4-5-6, and one R8 record merging the pendants 1
 # and 4 of the owners 2 and 5 into the new vertex 7: the merge replays,
 # but 7 is a cut vertex, so no lift of the kernel cover {2, 5, 7}
@@ -212,13 +223,7 @@ def test_cli_lift_r8_across_components_exit_code(tmp_path, capsys, optimize):
             "--journal", write(tmp_path / "journal.jsonl", json.dumps(_R8_ACROSS) + "\n"),
             "--solution", write(tmp_path / "sol.txt", "1\n3\n5\n")]
     if optimize:
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "planarcvc.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        code, err = proc.returncode, proc.stderr
+        code, err = _main_optimized(argv)
     else:
         code, err = main(argv), capsys.readouterr().err
     assert code == 2
@@ -309,16 +314,151 @@ def test_cli_lift_non_integer_journal_ids_exit_code(tmp_path, capsys):
     assert "bad journal record" in capsys.readouterr().err
 
 
+# One row per input-error kind per command: the command line, split on
+# spaces, with "{d}" for the input_error_dir fixture, and the message of
+# its one `error:` line. A ("read" | "write", path) message is the
+# OSError or UnicodeDecodeError that reading or writing path raises.
+_LIFT = "lift --input {d}/ring.cvc --journal {d}/ring.jsonl"
+_INPUT_ERROR_ROWS = {
+    "kernelize-missing": ("kernelize --input {d}/absent.cvc --k 3", ("read", "{d}/absent.cvc")),
+    "kernelize-directory": ("kernelize --input {d} --k 3", ("read", "{d}")),
+    "kernelize-undecodable": ("kernelize --input {d}/bytes.cvc --k 3", ("read", "{d}/bytes.cvc")),
+    "kernelize-malformed-graph": ("kernelize --input {d}/loop.cvc --k 3", "line 2: self-loop at vertex 1"),
+    "kernelize-negative-k": ("kernelize --input {d}/ring.cvc --k -1", "budget must be non-negative, got -1"),
+    "kernelize-nonplanar": (
+        "kernelize --input {d}/k5.cvc --k 5",
+        "input graph is not planar (graph with 5 vertices / 10 edges is not planar)",
+    ),
+    "kernelize-unwritable-journal": ("kernelize --input {d}/ring.cvc --k 11 --journal {d}", ("write", "{d}")),
+    "kernelize-stats-too-large": (
+        "kernelize --input {d}/tri.cvc --k 80 --stats", "exact search declined: 80 vertices with budget 80",
+    ),
+    "solve-missing": ("solve --input {d}/absent.cvc", ("read", "{d}/absent.cvc")),
+    "solve-directory": ("solve --input {d}", ("read", "{d}")),
+    "solve-undecodable": ("solve --input {d}/bytes.cvc", ("read", "{d}/bytes.cvc")),
+    "solve-malformed-graph": ("solve --input {d}/loop.cvc", "line 2: self-loop at vertex 1"),
+    "solve-too-large": ("solve --input {d}/tri.cvc", "exact search declined: 80 vertices with budget 80"),
+    "lift-missing": (
+        "lift --input {d}/ring.cvc --journal {d}/absent.jsonl --solution {d}/ring.sol",
+        ("read", "{d}/absent.jsonl"),
+    ),
+    "lift-directory": ("lift --input {d} --journal {d}/ring.jsonl --solution {d}/ring.sol", ("read", "{d}")),
+    "lift-undecodable": (_LIFT + " --solution {d}/bytes.cvc", ("read", "{d}/bytes.cvc")),
+    "lift-malformed-graph": (
+        "lift --input {d}/loop.cvc --journal {d}/ring.jsonl --solution {d}/ring.sol",
+        "line 2: self-loop at vertex 1",
+    ),
+    "lift-malformed-journal": (
+        "lift --input {d}/ring.cvc --journal {d}/list.jsonl --solution {d}/ring.sol",
+        "line 1: bad journal record: list indices must be integers or slices, not str",
+    ),
+    "lift-journal-does-not-replay": (
+        "lift --input {d}/paths.cvc --journal {d}/across.jsonl --solution {d}/across.sol",
+        "journal does not replay at step 0: R8 on a disconnected graph",
+    ),
+    "lift-unknown-label": (_LIFT + " --solution {d}/label99.sol", "solution label 99 is not a kernel vertex"),
+    "lift-not-a-cover": (
+        _LIFT + " --solution {d}/label1.sol", "kernel solution is not a connected vertex cover",
+    ),
+    "verify-missing": ("verify --input {d}/ring.cvc --solution {d}/absent.sol", ("read", "{d}/absent.sol")),
+    "verify-directory": ("verify --input {d} --solution {d}/ring.sol", ("read", "{d}")),
+    "verify-undecodable": ("verify --input {d}/bytes.cvc --solution {d}/ring.sol", ("read", "{d}/bytes.cvc")),
+    "verify-malformed-graph": (
+        "verify --input {d}/loop.cvc --solution {d}/ring.sol", "line 2: self-loop at vertex 1",
+    ),
+    "verify-malformed-solution": (
+        "verify --input {d}/ring.cvc --solution {d}/loop.cvc", "line 1: bad solution line 'p cvc 2 1'",
+    ),
+    "verify-unknown-label": (
+        "verify --input {d}/ring.cvc --solution {d}/label99.sol", "solution label 99 is not a vertex",
+    ),
+    "generate-tightness-l": ("generate tightness --l 2", "the ring family needs at least 3 copies, got 2"),
+    "generate-random-n": ("generate random --n 0", "need at least one vertex, got 0"),
+    "generate-density-nan": ("generate random --n 5 --density nan", "density must lie in [0, 1], got nan"),
+    "generate-density-inf": ("generate random --n 5 --density inf", "density must lie in [0, 1], got inf"),
+    "generate-density-negative": (
+        "generate random --n 5 --density -1", "density must lie in [0, 1], got -1.0",
+    ),
+    "generate-density-above-one": (
+        "generate random --n 5 --density 1.5", "density must lie in [0, 1], got 1.5",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def input_error_dir(tmp_path_factory):
+    """The files that the rows of _INPUT_ERROR_ROWS name."""
+    d = tmp_path_factory.mktemp("input-errors")
+    ring = gen_tightness(3)
+    out = kernelize(Instance(ring, 11))
+    kernel = out.instance.graph
+    labels = fileio.canonical_labels(kernel)
+    files = {
+        "ring.cvc": fileio.serialize_graph(ring),
+        "ring.jsonl": fileio.serialize_journal(out.journal),
+        "ring.sol": fileio.serialize_solution({labels[v] for v in dfs_tree_cover(kernel)}),
+        "label1.sol": "1\n",
+        "label99.sol": "99\n",
+        "loop.cvc": "p cvc 2 1\ne 1 1\n",
+        "k5.cvc": "p cvc 5 10\n" + "".join(f"e {i} {j}\n" for i in range(1, 6) for j in range(i + 1, 6)),
+        "tri.cvc": fileio.serialize_graph(gen_random_planar(80, 1.0, 0)),
+        "list.jsonl": "[1, 2]\n",
+        "paths.cvc": _TWO_PATHS,
+        "across.jsonl": json.dumps(_R8_ACROSS) + "\n",
+        "across.sol": "1\n3\n5\n",
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    (d / "bytes.cvc").write_bytes(b"p cvc 2 1\ne 1 2\nc \xff\xfe\n")
+    return d
+
+
+def _input_error_row(row: str, d: Path) -> tuple[list[str], str]:
+    """The row's argv and the one stderr line it must print."""
+    line, expected = _INPUT_ERROR_ROWS[row]
+    argv = [a.replace("{d}", str(d)) for a in line.split()]
+    if isinstance(expected, tuple):
+        how, path = expected
+        path = Path(path.replace("{d}", str(d)))
+        try:
+            path.read_text() if how == "read" else path.write_text("")
+        except (OSError, UnicodeDecodeError) as exc:
+            expected = str(exc)
+        else:
+            raise AssertionError(f"{path} does not fail to {how}")
+    return argv, f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("row", list(_INPUT_ERROR_ROWS))
+def test_cli_input_errors_exit_2(input_error_dir, capsys, row):
+    # Every input error leaves main as exit 2 and exactly one `error:`
+    # line, whichever command meets it.
+    argv, expected = _input_error_row(row, input_error_dir)
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize(
+    "row", ["kernelize-nonplanar", "lift-not-a-cover", "verify-unknown-label", "generate-density-nan"]
+)
+def test_cli_input_errors_exit_2_optimized(input_error_dir, row):
+    # The same boundary in a fresh `python -O` process, where asserts are gone.
+    argv, expected = _input_error_row(row, input_error_dir)
+    assert _main_optimized(argv) == (2, expected)
+
+
 def test_cli_round_trip_without_networkx():
     # networkx is a test-only dependency: generate -> kernelize -> solve
-    # -> lift -> verify must run with every import of it blocked.
+    # -> lift -> verify must run with every import of it blocked, and an
+    # input error must exit 2 from the entry point.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
-    assert steps == ["generate", "kernelize", "solve", "lift", "verify"]
+    assert steps == ["generate", "kernelize", "solve", "lift", "verify", "input-error"]
 
 
 def test_cli_solve_and_verify(tmp_path, capsys):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from planarcvc.embedding import is_planar
 from planarcvc.generators import (
     gen_exception_graph,
     gen_random_planar,
@@ -29,7 +32,15 @@ from planarcvc.pipeline import (
 from planarcvc.reductions import RuleId, apply_rule
 
 from brute import brute_minimum_cvc, dfs_tree_cover
-from conftest import make_complete, make_cycle, make_path, make_star, small_planar_corpus
+from conftest import (
+    make_complete,
+    make_complete_bipartite,
+    make_cycle,
+    make_path,
+    make_random_graph,
+    make_star,
+    small_planar_corpus,
+)
 from test_reductions import r5_example
 
 
@@ -92,6 +103,59 @@ def test_kernelize_strips_isolated_vertices():
 def test_kernelize_rejects_nonplanar():
     with pytest.raises(NonPlanarInputError):
         kernelize(Instance(make_complete(5), 5))
+
+
+def _subdivided_k5() -> Graph:
+    """K5 with each of its 10 edges subdivided once: 15 vertices."""
+    edges = []
+    for mid, (i, j) in enumerate(((i, j) for i in range(1, 6) for j in range(i + 1, 6)), start=6):
+        edges += [(i, mid), (mid, j)]
+    return graph_from_edges(edges)
+
+
+def _nonplanar_corpus(count: int) -> list[Graph]:
+    rng = random.Random(1964)
+    corpus = []
+    while len(corpus) < count:
+        g = make_random_graph(rng.randint(5, 9), rng.uniform(0.45, 0.9), rng.randrange(10**9))
+        if g.is_connected() and not is_planar(g):
+            corpus.append(g)
+    return corpus
+
+
+def _kernelize_or_nonplanar(g: Graph, k: int):
+    try:
+        return kernelize(Instance(g, k))
+    except NonPlanarInputError:
+        return None
+
+
+def test_kernelize_nonplanar_fixed_graphs():
+    for g in (make_complete(5), make_complete_bipartite(3, 3)):
+        for k in range(g.n_vertices + 1):
+            assert _kernelize_or_nonplanar(g, k) is None
+    # R3 removes every subdivision vertex, so the only planarity check
+    # sees a planar fixpoint and the answer is the input's.
+    sub = _subdivided_k5()
+    assert isinstance(kernelize(Instance(sub, 8)), No)
+    for k in (9, 10, 11):
+        out = kernelize(Instance(sub, k))
+        assert isinstance(out, Kernel) and decide_cvc(out.instance.graph, out.instance.k)
+
+
+def test_kernelize_nonplanar_answers_match_oracle():
+    # The contract on non-planar input: NonPlanarInputError, or the
+    # input's own answer.
+    answers = 0
+    for g in _nonplanar_corpus(400):
+        for k in range(g.n_vertices + 1):
+            out = _kernelize_or_nonplanar(g, k)
+            if out is None:
+                continue
+            answers += 1
+            got = isinstance(out, Kernel) and decide_cvc(out.instance.graph, out.instance.k)
+            assert got == decide_cvc(g, k), (g.edges(), k)
+    assert answers > 0
 
 
 def test_kernel_budget_monotone(corpus_small):

@@ -77,15 +77,21 @@ def test_detect_p3_is_r1():
 
 
 def test_detect_path_is_r3():
-    rule, site = detect_rule(make_path(4))
+    # Detection leaves the cut question to the rule, which records it.
+    g = make_path(4)
+    rule, site = detect_rule(g)
     assert rule is RuleId.R3
-    assert site["v"] == 2 and site["cut"] is True
+    assert site == {"v": 2, "u": 1, "w": 3}
+    _, step = apply_rule(g, 4, rule, site)
+    assert step.site["cut"] is True
 
 
 def test_detect_c4_is_r3_noncut():
-    rule, site = detect_rule(make_cycle(4))
+    g = make_cycle(4)
+    rule, site = detect_rule(g)
     assert rule is RuleId.R3
-    assert site["cut"] is False
+    _, step = apply_rule(g, 4, rule, site)
+    assert step.site["cut"] is False
 
 
 def test_detect_single_edge_is_fixpoint():
