@@ -4,7 +4,9 @@
 # verify it. Every step runs planarcvc.cli.main in a fresh Python process
 # in which `import networkx` raises ImportError, and fails if any
 # networkx module got loaded anyway. Then one input error, a graph file
-# with a self-loop, must exit 2 with a single `error:` line on stderr.
+# with a self-loop, must exit 2 with a single `error:` line on stderr,
+# and K5, whose Phase 1 fixpoint has no pendant owner and so only meets
+# the left-right planarity test, must exit 2 with the not-planar error.
 # Prints one "ok <step>" line per step.
 #
 #   bash scripts/roundtrip_without_networkx.sh
@@ -49,3 +51,14 @@ if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/loop.err")" -ne 1 ] || ! grep -q '^e
   exit 1
 fi
 echo "ok input-error" >&2
+
+printf 'p cvc 5 10\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 2 3\ne 2 4\ne 2 5\ne 3 4\ne 3 5\ne 4 5\n' > "$work/k5.cvc"
+want='error: input graph is not planar (graph with 5 vertices / 10 edges is not planar)'
+code=0
+run kernelize --input "$work/k5.cvc" --k 5 > /dev/null 2> "$work/k5.err" || code=$?
+if [ "$code" -ne 2 ] || [ "$(cat "$work/k5.err")" != "$want" ]; then
+  echo "K5: want exit 2 and '$want', got exit $code and:" >&2
+  cat "$work/k5.err" >&2
+  exit 1
+fi
+echo "ok nonplanar" >&2

@@ -115,8 +115,12 @@ def embed(g: Graph) -> Embedding:
 
 
 def is_planar(g: Graph) -> bool:
-    """Planarity of any graph, connected or not (the same test as embed)."""
-    return _LRPlanarity(g).embedding() is not None
+    """Planarity of any graph, connected or not (the same test as embed).
+
+    Runs only the decision half of the left-right test: no sign
+    resolution, rotation system or face list is built.
+    """
+    return _LRPlanarity(g).is_planar()
 
 
 def enumerate_faces(e: Embedding) -> list[Face]:
@@ -275,8 +279,11 @@ class _Rotation:
 class _LRPlanarity:
     """State of one left-right planarity test (Brandes 2009).
 
-    Edges are (tail, head) tuples oriented by the DFS; out[v] lists the
-    heads of v's oriented edges in orientation order.
+    is_planar() is the decision half: the orientation and testing passes.
+    embedding() runs it, then the build half: sign resolution, the
+    embedding pass and the rotation system. Edges are (tail, head) tuples
+    oriented by the DFS; out[v] lists the heads of v's oriented edges in
+    orientation order.
     """
 
     __slots__ = (
@@ -306,11 +313,11 @@ class _LRPlanarity:
         self.left_ref: dict[VertexId, VertexId] = {}
         self.right_ref: dict[VertexId, VertexId] = {}
 
-    def embedding(self) -> _Rotation | None:
-        """Run the test; the rotation system if planar, else None."""
+    def is_planar(self) -> bool:
+        """The decision half: orientation and testing passes, no embedding."""
         n = len(self.vertices)
         if n > 2 and self.n_edges > 3 * n - 6:
-            return None
+            return False
 
         for v in self.vertices:
             if v not in self.height:
@@ -324,10 +331,13 @@ class _LRPlanarity:
             self.ordered_adjs[v] = sorted(
                 self.out[v], key=lambda w: nesting_depth[(v, w)]
             )
-        for v in self.roots:
-            if not self._dfs_testing(v):
-                return None
+        return all(self._dfs_testing(v) for v in self.roots)
 
+    def embedding(self) -> _Rotation | None:
+        """Run the test, then build; the rotation system if planar, else None."""
+        if not self.is_planar():
+            return None
+        nesting_depth = self.nesting_depth
         for v in self.vertices:
             for w in self.out[v]:
                 e = (v, w)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import Embedding, embed
+from .embedding import Embedding, embed, is_planar
 from .graph import Graph, VertexId
 from .matching import Matching, maximum_matching
 from .reductions import ReductionStep, RuleApplicationError, RuleId
@@ -147,12 +147,17 @@ def run_phase2(g: Graph, e: Embedding | None = None) -> list[ReductionStep]:
 
     The embedding is computed once here when not supplied; the merges
     themselves never consult it again, since consecutive pairs inside a
-    face are realizable without re-embedding.
+    face are realizable without re-embedding. With fewer than two pendant
+    owners there is nothing to pair, so only planarity is decided and no
+    embedding is built. A non-planar g raises NonPlanarGraphError either
+    way.
     """
     if g.n_vertices == 0:
         return []
     if e is None:
-        e = embed(g)
+        if len(pendant_owners(g)) < 2 and is_planar(g):
+            return []
+        e = embed(g)  # raises NonPlanarGraphError for a non-planar g
     aux = build_aux_graph(g, e)
     if not aux.edges:
         return []

@@ -1,9 +1,12 @@
 """Maximum cardinality matching in general graphs (blossom algorithm).
 
-Augmenting-path search with blossom shrinking, O(V^3) overall. The input
-graph does not have to be planar or connected; correctness, not the
-sub-quadratic factor of fancier matchers, is the contract here. Small
-instances are cross-checked against an exhaustive matcher in the tests.
+Augmenting-path search with blossom shrinking, O(V^3) overall. Each
+search resets and scans only the vertices of its own alternating tree,
+so a search that stays local costs its tree, not the whole graph. The
+input graph does not have to be planar or connected; correctness, not
+the sub-quadratic factor of fancier matchers, is the contract here.
+Small instances are cross-checked against an exhaustive matcher in the
+tests.
 """
 
 from __future__ import annotations
@@ -48,36 +51,46 @@ def maximum_matching(g: Graph) -> Matching:
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
+    # vertices the current search has put in its tree, the only ones
+    # whose parent, base or in_queue entry differs from its reset value
+    tree: set[int] = set()
+    queue: deque[int] = deque()
 
     def lca(a: int, b: int) -> int:
-        used = [False] * n
+        used: set[int] = set()
         while True:
             a = base[a]
-            used[a] = True
+            used.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if b in used:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, in_blossom: set[int]) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            in_blossom.add(base[v])
+            in_blossom.add(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
 
+    def enqueue(v: int) -> None:
+        in_queue[v] = True
+        tree.add(v)
+        queue.append(v)
+
     def find_augmenting_path(root: int) -> int:
-        for i in range(n):
+        for i in tree:
             parent[i] = -1
             base[i] = i
             in_queue[i] = False
-        in_queue[root] = True
-        queue = deque([root])
+        tree.clear()
+        queue.clear()
+        enqueue(root)
         while queue:
             v = queue.popleft()
             for to in adj[v]:
@@ -86,22 +99,22 @@ def maximum_matching(g: Graph) -> Matching:
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     # Odd cycle: shrink the blossom around the common ancestor.
                     cur_base = lca(v, to)
-                    in_blossom = [False] * n
+                    in_blossom: set[int] = set()
                     mark_path(v, cur_base, to, in_blossom)
                     mark_path(to, cur_base, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
+                    # ascending, as a scan of all vertices would visit them
+                    for i in sorted(tree):
+                        if base[i] in in_blossom:
                             base[i] = cur_base
                             if not in_queue[i]:
-                                in_queue[i] = True
-                                queue.append(i)
+                                enqueue(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    tree.add(to)
                     if match[to] == -1:
                         return to
                     if not in_queue[match[to]]:
-                        in_queue[match[to]] = True
-                        queue.append(match[to])
+                        enqueue(match[to])
         return -1
 
     for v in range(n):

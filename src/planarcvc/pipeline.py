@@ -1,7 +1,9 @@
 """Kernelization pipeline: phases 1-3, journal replay and solution lifting.
 
-kernelize runs Phase 1 to a fixpoint, embeds once, runs Phase 2, then
-applies the size gate 3*|V| <= 11*k in exact integer arithmetic. Every
+kernelize runs Phase 1 to a fixpoint, runs Phase 2, then applies the
+size gate 3*|V| <= 11*k in exact integer arithmetic. Phase 2 embeds the
+fixpoint once when it has at least two pendant owners to pair; with
+fewer, only the left-right planarity test runs. Every
 graph modification is journaled. replay_journal rebuilds the Phase 1
 fixpoint and the kernel on one working graph; lift_solution walks the
 journal in reverse on that kernel as an undo log, mapping a connected
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .embedding import NonPlanarGraphError, embed
+from .embedding import NonPlanarGraphError
 from .facematch import apply_identification, run_phase2, undo_identification
 from .graph import Graph, VertexId
 from .oracle import verify_cvc
@@ -26,7 +28,7 @@ class NonPlanarInputError(Exception):
     """kernelize's Phase 1 fixpoint has no planar embedding.
 
     R1-R7 turn planar graphs into planar graphs, so the input is not
-    planar either. kernelize embeds only the fixpoint: a non-planar input
+    planar either. kernelize tests only the fixpoint: a non-planar input
     whose fixpoint is planar gets an answer, and R1-R7 keep it equal to
     the input's (the tests check it against the exact solver on small
     non-planar graphs).
@@ -115,11 +117,9 @@ def kernelize(inst: Instance) -> KernelOutcome:
     g1, k1 = phase1.graph, phase1.k
 
     try:
-        embedding = embed(g1)
+        phase2_steps = run_phase2(g1)
     except NonPlanarGraphError as exc:
         raise NonPlanarInputError(f"input graph is not planar ({exc})") from exc
-
-    phase2_steps = run_phase2(g1, embedding)
     journal.steps = list(phase1.steps) + phase2_steps
 
     if not check_size_bound(g1.n_vertices, k1):

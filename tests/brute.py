@@ -12,16 +12,20 @@ parse_graph, serialize_graph, serialize_journal and verify_cvc as they
 were before their one-pass rewrites (edge-by-edge Graph.add_edge, a
 second sort after relabelling, one json.dumps per record, a sorted scan
 of every edge), kept as the references the rewrites are compared with.
+reference_maximum_matching is the blossom matcher before its searches
+became local to their trees; the matchings must be equal, edge for edge.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
 from planarcvc.fileio import GraphParseError
 from planarcvc.graph import Graph, VertexId
+from planarcvc.matching import Matching
 from planarcvc.pipeline import ReductionJournal
 from planarcvc.reductions import RuleId, _find_r6, _find_r7
 
@@ -96,6 +100,102 @@ def dfs_tree_cover(g: Graph) -> set[VertexId]:
         else:
             stack.pop()
     return inner
+
+
+def reference_maximum_matching(g: Graph) -> Matching:
+    """The blossom matcher as it was before its searches became local.
+
+    Every augmenting-path search resets parent, base and in_queue over
+    the whole graph, and lca and blossom shrinking scan n-sized lists.
+    """
+    verts = g.vertices()
+    n = len(verts)
+    if n == 0:
+        return Matching()
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [[index[w] for w in g.neighbors(v)] for v in verts]
+
+    match = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
+
+    def lca(a: int, b: int) -> int:
+        used = [False] * n
+        while True:
+            a = base[a]
+            used[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if used[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_augmenting_path(root: int) -> int:
+        for i in range(n):
+            parent[i] = -1
+            base[i] = i
+            in_queue[i] = False
+        in_queue[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    # Odd cycle: shrink the blossom around the common ancestor.
+                    cur_base = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur_base, to, in_blossom)
+                    mark_path(to, cur_base, v, in_blossom)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur_base
+                            if not in_queue[i]:
+                                in_queue[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        return to
+                    if not in_queue[match[to]]:
+                        in_queue[match[to]] = True
+                        queue.append(match[to])
+        return -1
+
+    for v in range(n):
+        if match[v] != -1:
+            continue
+        leaf = find_augmenting_path(v)
+        if leaf == -1:
+            continue
+        # Alternate matched/unmatched edges back to the root.
+        while leaf != -1:
+            pv = parent[leaf]
+            next_leaf = match[pv]
+            match[leaf] = pv
+            match[pv] = leaf
+            leaf = next_leaf
+
+    pairs = frozenset(
+        (min(verts[i], verts[match[i]]), max(verts[i], verts[match[i]]))
+        for i in range(n)
+        if match[i] > i
+    )
+    return Matching(edges=pairs)
+
 
 
 def reference_detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:

@@ -451,14 +451,14 @@ def test_cli_input_errors_exit_2_optimized(input_error_dir, row):
 def test_cli_round_trip_without_networkx():
     # networkx is a test-only dependency: generate -> kernelize -> solve
     # -> lift -> verify must run with every import of it blocked, and an
-    # input error must exit 2 from the entry point.
+    # input error and a non-planar K5 must exit 2 from the entry point.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
-    assert steps == ["generate", "kernelize", "solve", "lift", "verify", "input-error"]
+    assert steps == ["generate", "kernelize", "solve", "lift", "verify", "input-error", "nonplanar"]
 
 
 def test_cli_solve_and_verify(tmp_path, capsys):

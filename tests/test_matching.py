@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-from planarcvc.generators import gen_random_planar
-from planarcvc.matching import matching_bound_holds, maximum_matching
+from hypothesis import given, settings
 
-from brute import brute_matching_size
+from planarcvc.embedding import embed
+from planarcvc.facematch import build_aux_graph
+from planarcvc.generators import gen_random_planar, gen_tightness
+from planarcvc.matching import matching_bound_holds, maximum_matching
+from planarcvc.reductions import run_phase1
+
+from brute import brute_matching_size, reference_maximum_matching
 from conftest import (
     make_complete,
     make_complete_bipartite,
@@ -14,6 +19,7 @@ from conftest import (
     make_petersen,
     make_random_graph,
 )
+from strategies import small_graphs
 
 
 def test_path4():
@@ -83,3 +89,25 @@ def test_matching_bound_on_planar_corpus():
         n = 4 + (i * 5) % 40
         g = gen_random_planar(n, (0.5, 0.8, 1.0)[i % 3], 9100 + i)
         assert matching_bound_holds(g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_matching_equals_reference(g):
+    assert maximum_matching(g).edges == reference_maximum_matching(g).edges
+
+
+def test_matching_equals_reference_on_larger_graphs():
+    for i in range(60):
+        g = make_random_graph(20 + i, (0.05, 0.1, 0.3)[i % 3], 7700 + i)
+        assert maximum_matching(g).edges == reference_maximum_matching(g).edges, i
+
+
+def test_matching_equals_reference_on_ring_aux_graphs():
+    # The R8 pairs come from this matching, so the journals depend on it.
+    for l in (3, 8, 20):
+        phase1 = run_phase1(gen_tightness(l), 10**6)
+        aux = build_aux_graph(phase1.graph, embed(phase1.graph)).to_graph()
+        m = maximum_matching(aux)
+        assert m.size > 0
+        assert m.edges == reference_maximum_matching(aux).edges

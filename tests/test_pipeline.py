@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from planarcvc import embedding
 from planarcvc.embedding import is_planar
+from planarcvc.facematch import pendant_owners
 from planarcvc.generators import (
     gen_exception_graph,
     gen_random_planar,
@@ -29,7 +31,7 @@ from planarcvc.pipeline import (
     partition_stats,
     replay_journal,
 )
-from planarcvc.reductions import RuleId, apply_rule
+from planarcvc.reductions import RuleId, apply_rule, run_phase1
 
 from brute import brute_minimum_cvc, dfs_tree_cover
 from conftest import (
@@ -141,6 +143,60 @@ def test_kernelize_nonplanar_fixed_graphs():
     for k in (9, 10, 11):
         out = kernelize(Instance(sub, k))
         assert isinstance(out, Kernel) and decide_cvc(out.instance.graph, out.instance.k)
+
+
+def _count_embedding_builds(monkeypatch) -> dict[str, int]:
+    """Count rotation systems and face lists built from now on."""
+    calls = {"rotation": 0, "faces": 0}
+    build, trace = embedding._LRPlanarity.embedding, embedding._trace_faces
+
+    def counted_build(self):
+        calls["rotation"] += 1
+        return build(self)
+
+    def counted_trace(*args):
+        calls["faces"] += 1
+        return trace(*args)
+
+    monkeypatch.setattr(embedding._LRPlanarity, "embedding", counted_build)
+    monkeypatch.setattr(embedding, "_trace_faces", counted_trace)
+    return calls
+
+
+def test_kernelize_embeds_only_with_two_owners(monkeypatch):
+    calls = _count_embedding_builds(monkeypatch)
+    triangulation = gen_random_planar(60, 1.0, 7)
+    assert pendant_owners(run_phase1(triangulation.copy(), 60).graph) == []
+    assert isinstance(kernelize(Instance(triangulation, 60)), Kernel)
+    assert calls == {"rotation": 0, "faces": 0}
+
+    ring = gen_tightness(3)
+    assert len(pendant_owners(run_phase1(ring.copy(), 11).graph)) >= 2
+    assert isinstance(kernelize(Instance(ring, 11)), Kernel)
+    assert calls == {"rotation": 1, "faces": 1}
+
+
+def _k5_with(extra: list[tuple[int, int]]) -> Graph:
+    return graph_from_edges([(i, j) for i in range(1, 6) for j in range(i + 1, 6)] + extra)
+
+
+@pytest.mark.parametrize(
+    ("extra", "owners", "size"),
+    [
+        ([], 0, "5 vertices / 10 edges"),
+        ([(1, 6)], 1, "6 vertices / 11 edges"),
+        # two non-adjacent owners, 6 and 7, each attached to a K5 triangle
+        ([(6, 1), (6, 2), (6, 3), (7, 3), (7, 4), (7, 5), (6, 8), (7, 9)], 2, "9 vertices / 18 edges"),
+    ],
+)
+def test_kernelize_nonplanar_fixpoint_message(extra, owners, size):
+    g = _k5_with(extra)
+    for k in (0, 5, g.n_vertices):
+        fixpoint = run_phase1(g.copy(), k).graph
+        assert len(pendant_owners(fixpoint)) == owners
+        with pytest.raises(NonPlanarInputError) as info:
+            kernelize(Instance(g, k))
+        assert str(info.value) == f"input graph is not planar (graph with {size} is not planar)"
 
 
 def test_kernelize_nonplanar_answers_match_oracle():
