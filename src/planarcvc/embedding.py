@@ -2,16 +2,19 @@
 
 The planarity test is Brandes' left-right algorithm ("The Left-Right
 Planarity Test", 2009), ported from the iterative
-``LRPlanarity.lr_planarity`` of networkx 3.6.1 to run on ``Graph``'s own
-adjacency. Roots and neighbour lists are taken in ascending id order, so
-the rotation system is the one ``networkx.check_planarity`` returns for
-the same graph with nodes and edges added in sorted order, down to the
-first neighbour of every rotation. Face enumeration and the embedding
-sanity checks are implemented here on top of that rotation system. Face
-orientation follows one fixed convention: the edge after (u, v) on a
-boundary walk is (v, w) where w is the cyclic successor of u in the
-rotation at v. Only the consistency of this convention matters, not
-geometric clockwiseness.
+``LRPlanarity.lr_planarity`` of networkx 3.6.1 to run on list-indexed
+copies of ``Graph``'s adjacency: vertices become 0..n-1 in ascending id
+order and edges get integer ids, and only the finished rotation system
+is translated back to vertex ids. Roots and neighbour lists are taken in
+ascending id order, so the rotation system is the one
+``networkx.check_planarity`` returns for the same graph with nodes and
+edges added in sorted order, down to the first neighbour of every
+rotation. Face enumeration and the embedding sanity checks are
+implemented here on top of that rotation system. Face orientation
+follows one fixed convention: the edge after (u, v) on a boundary walk
+is (v, w) where w is the cyclic successor of u in the rotation at v.
+Only the consistency of this convention matters, not geometric
+clockwiseness.
 
 The port is derived from networkx, which is distributed under the
 3-clause BSD licence:
@@ -97,18 +100,14 @@ def embed(g: Graph) -> Embedding:
     """
     if g.n_vertices == 0:
         raise ValueError("cannot embed the empty graph")
-    if not g.is_connected():
-        raise ValueError("embed requires a connected graph")
-
-    rot = _LRPlanarity(g).embedding()
-    if rot is None:
+    rotation = _LRPlanarity(g).embedding()  # ValueError when disconnected
+    if rotation is None:
         raise NonPlanarGraphError(
             f"graph with {g.n_vertices} vertices / {g.n_edges} edges is not planar"
         )
-    vertices = g.vertices()
     return Embedding(
-        rotation={v: rot.rotation(v) for v in vertices},
-        faces=_trace_faces(rot.cw, vertices),
+        rotation=rotation,
+        faces=_trace_faces(_successors(rotation), list(rotation)),  # ids ascending
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,
     )
@@ -125,8 +124,11 @@ def is_planar(g: Graph) -> bool:
 
 def enumerate_faces(e: Embedding) -> list[Face]:
     """Re-derive the face list from the rotation system."""
-    succ = {v: dict(zip(rot, rot[1:] + rot[:1])) for v, rot in e.rotation.items()}
-    return list(_trace_faces(succ, sorted(e.rotation)))
+    return list(_trace_faces(_successors(e.rotation), sorted(e.rotation)))
+
+
+def _successors(rotation: dict[VertexId, tuple[VertexId, ...]]) -> Successors:
+    return {v: dict(zip(rot, rot[1:] + rot[:1])) for v, rot in rotation.items()}
 
 
 def _trace_faces(succ: Successors, vertices: list[VertexId]) -> tuple[Face, ...]:
@@ -179,391 +181,360 @@ def check_embedding(e: Embedding) -> None:
 # ----------------------------------------------------------------------
 
 
-class _Interval:
-    """A set of return edges that must all lie on the same side."""
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, low: Edge | None = None, high: Edge | None = None) -> None:
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-    def copy(self) -> _Interval:
-        return _Interval(self.low, self.high)
-
-    def conflicting(self, b: Edge, lowpt: dict[Edge, int]) -> bool:
-        """True iff this interval conflicts with edge b."""
-        return not self.empty() and lowpt[self.high] > lowpt[b]
-
-
-class _ConflictPair:
-    """Two intervals whose edges must lie on different sides."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Interval, right: _Interval) -> None:
-        self.left = left
-        self.right = right
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
-
-    def lowest(self, lowpt: dict[Edge, int]) -> int:
-        """The lowest lowpoint of the pair."""
-        if self.left.empty():
-            return lowpt[self.right.low]
-        if self.right.empty():
-            return lowpt[self.left.low]
-        return min(lowpt[self.left.low], lowpt[self.right.low])
-
-
-class _Rotation:
-    """Half-edge rotation system under construction.
-
-    cw[v][w] and ccw[v][w] are the neighbors after and before w around v;
-    leftmost[v] is where the rotation of v starts, which the left-right
-    embedding phase updates exactly as networkx's PlanarEmbedding does.
-    """
-
-    __slots__ = ("cw", "ccw", "leftmost")
-
-    def __init__(self, vertices: list[VertexId]) -> None:
-        self.cw: Successors = {v: {} for v in vertices}
-        self.ccw: Successors = {v: {} for v in vertices}
-        self.leftmost: dict[VertexId, VertexId] = {}
-
-    def add_half_edge(
-        self,
-        start: VertexId,
-        end: VertexId,
-        cw: VertexId | None = None,
-        ccw: VertexId | None = None,
-    ) -> None:
-        """Insert end before the reference cw, or after the reference ccw."""
-        succ, pred = self.cw[start], self.ccw[start]
-        if not succ:
-            succ[end] = pred[end] = end
-            self.leftmost[start] = end
-        elif cw is not None:
-            before = pred[cw]
-            succ[end], pred[end] = cw, before
-            succ[before] = pred[cw] = end
-            if cw == self.leftmost[start]:
-                self.leftmost[start] = end
-        else:
-            after = succ[ccw]
-            succ[end], pred[end] = after, ccw
-            pred[after] = succ[ccw] = end
-
-    def add_half_edge_first(self, start: VertexId, end: VertexId) -> None:
-        """Insert end just before the leftmost neighbor and make it leftmost."""
-        self.add_half_edge(start, end, cw=self.leftmost.get(start))
-
-    def rotation(self, v: VertexId) -> tuple[VertexId, ...]:
-        """The neighbors of v clockwise, from the leftmost one."""
-        succ = self.cw[v]
-        if not succ:
-            return ()
-        start = self.leftmost[v]
-        out = [start]
-        w = succ[start]
-        while w != start:
-            out.append(w)
-            w = succ[w]
-        return tuple(out)
-
-
 class _LRPlanarity:
     """State of one left-right planarity test (Brandes 2009).
 
     is_planar() is the decision half: the orientation and testing passes.
-    embedding() runs it, then the build half: sign resolution, the
-    embedding pass and the rotation system. Edges are (tail, head) tuples
-    oriented by the DFS; out[v] lists the heads of v's oriented edges in
-    orientation order.
+    embedding() adds the build half: sign resolution, the embedding pass
+    and the rotation system. Both run on dense indices. Vertices are
+    0..n-1 in ascending id order, and each edge gets the next integer id
+    when the DFS orients it, from tail[e] to head[e]; out[v] lists the
+    edges oriented away from v in orientation order. Every per-vertex and
+    per-edge quantity is a list entry, with -1 for "none". A conflict
+    pair is one list [left.low, left.high, right.low, right.high] of edge
+    ids, and an interval is empty iff its low is -1. lowpt and ref have
+    one spare last entry, which index -1 reaches: lowpt[-1] = -1 is below
+    every height, so an empty interval never conflicts, and ref[-1] takes
+    the one write that networkx makes to ref[None] and nothing reads.
     """
 
     __slots__ = (
-        "vertices", "n_edges", "adjs", "roots", "height", "lowpt", "lowpt2",
-        "nesting_depth", "parent_edge", "out", "ordered_adjs", "ref", "side",
-        "S", "stack_bottom", "lowpt_edge", "left_ref", "right_ref",
+        "vertices", "adjs", "n_edges", "roots", "height", "parent_edge",
+        "tail", "head", "lowpt", "lowpt2", "nesting_depth", "out",
+        "ordered_adjs", "ref", "side", "S", "stack_bottom", "lowpt_edge",
     )
 
     def __init__(self, g: Graph) -> None:
         adj = g.adjacency()
         self.vertices = g.vertices()
+        # monotone, so every neighbor list keeps its ascending order
+        index = {v: i for i, v in enumerate(self.vertices)}.__getitem__
+        self.adjs = [sorted(map(index, adj[v])) for v in self.vertices]
         self.n_edges = g.n_edges
-        self.adjs = {v: sorted(adj[v]) for v in self.vertices}
-        self.roots: list[VertexId] = []
-        self.height: dict[VertexId, int] = {}
-        self.lowpt: dict[Edge, int] = {}
-        self.lowpt2: dict[Edge, int] = {}
-        self.nesting_depth: dict[Edge, int] = {}
-        self.parent_edge: dict[VertexId, Edge] = {}
-        self.out: dict[VertexId, list[VertexId]] = {v: [] for v in self.vertices}
-        self.ordered_adjs: dict[VertexId, list[VertexId]] = {}
-        self.ref: dict[Edge | None, Edge | None] = {}
-        self.side: dict[Edge, int] = {}
-        self.S: list[_ConflictPair] = []
-        self.stack_bottom: dict[Edge, _ConflictPair | None] = {}
-        self.lowpt_edge: dict[Edge, Edge] = {}
-        self.left_ref: dict[VertexId, VertexId] = {}
-        self.right_ref: dict[VertexId, VertexId] = {}
+        self.roots: list[int] = []
+        self.height = [-1] * len(self.vertices)
+        self.parent_edge = [-1] * len(self.vertices)
+        self.S: list[list[int]] = []
 
     def is_planar(self) -> bool:
         """The decision half: orientation and testing passes, no embedding."""
-        n = len(self.vertices)
+        n = len(self.adjs)
         if n > 2 and self.n_edges > 3 * n - 6:
             return False
+        if not self.roots:  # embedding() may have oriented already
+            self._orient()
+        return self._test()
 
-        for v in self.vertices:
-            if v not in self.height:
-                self.height[v] = 0
-                self.roots.append(v)
-                self._dfs_orientation(v)
+    def embedding(self) -> dict[VertexId, tuple[VertexId, ...]] | None:
+        """Run the test, then build: the rotation system if planar, else None.
 
-        nesting_depth = self.nesting_depth
-        for v in self.vertices:
-            # sorting by nesting depth makes the test non-linear, as in networkx
-            self.ordered_adjs[v] = sorted(
-                self.out[v], key=lambda w: nesting_depth[(v, w)]
-            )
-        return all(self._dfs_testing(v) for v in self.roots)
-
-    def embedding(self) -> _Rotation | None:
-        """Run the test, then build; the rotation system if planar, else None."""
+        Raises ValueError on a disconnected graph, which the orientation
+        pass shows by starting more than one DFS tree, before any verdict.
+        """
+        self._orient()
+        if len(self.roots) > 1:
+            raise ValueError("embed requires a connected graph")
         if not self.is_planar():
             return None
         nesting_depth = self.nesting_depth
-        for v in self.vertices:
-            for w in self.out[v]:
-                e = (v, w)
-                nesting_depth[e] = self._sign(e) * nesting_depth[e]
+        for out_v in self.out:
+            for e in out_v:
+                nesting_depth[e] *= self._sign(e)
 
-        rot = _Rotation(self.vertices)
-        for v in self.vertices:
-            self.ordered_adjs[v] = ordered = sorted(
-                self.out[v], key=lambda w: nesting_depth[(v, w)]
-            )
-            previous = None
-            for w in ordered:
-                rot.add_half_edge(v, w, ccw=previous)
-                previous = w
+        # half-edge 2e lies at tail[e] and points to head[e], 2e+1 the
+        # reverse; cw and ccw link the half-edges around each vertex
+        m = self.n_edges
+        cw, ccw = [0] * (2 * m), [0] * (2 * m)
+        leftmost = [-1] * len(self.adjs)
+        self.ordered_adjs = [sorted(o, key=nesting_depth.__getitem__) for o in self.out]
+        for v, ordered in enumerate(self.ordered_adjs):
+            if ordered:
+                halves = [2 * e for e in ordered]
+                leftmost[v] = halves[0]
+                for a, b in zip(halves, halves[1:] + halves[:1]):
+                    cw[a], ccw[b] = b, a
+        self._dfs_embedding(cw, ccw, leftmost)
 
-        for v in self.roots:
-            self._dfs_embedding(v, rot)
-        return rot
+        vertices = self.vertices
+        ends = [0] * (2 * m)
+        ends[0::2] = [vertices[w] for w in self.head]
+        ends[1::2] = [vertices[v] for v in self.tail]
+        rotation = {}
+        for v, first in enumerate(leftmost):
+            around = []
+            if first >= 0:
+                around.append(ends[first])
+                h = cw[first]
+                while h != first:
+                    around.append(ends[h])
+                    h = cw[h]
+            rotation[vertices[v]] = tuple(around)
+        return rotation
 
-    def _dfs_orientation(self, root: VertexId) -> None:
-        """Orient the graph by DFS, compute lowpoints and nesting depths."""
-        height, lowpt, lowpt2 = self.height, self.lowpt, self.lowpt2
-        nesting_depth, parent_edge = self.nesting_depth, self.parent_edge
+    def _orient(self) -> None:
+        """Orient the graph by DFS from each root, compute lowpoints and nesting depths."""
+        adjs, height, parent_edge = self.adjs, self.height, self.parent_edge
+        m = self.n_edges
+        self.tail = tail = [0] * m
+        self.head = head = [0] * m
+        self.lowpt = lowpt = [0] * m + [-1]
+        self.lowpt2 = lowpt2 = [0] * m
+        self.nesting_depth = nesting_depth = [0] * m
+        self.out = out = [[] for _ in adjs]
         # next neighbor index per vertex; a vertex popped again resumes at
         # the tree edge it descended along, whose initial work is done
-        ind: dict[VertexId, int] = {}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            e = parent_edge.get(v)
-            hv = height[v]
-            nbrs = self.adjs[v]
-            i = ind.get(v)
-            resumed = i is not None
-            if not resumed:
-                i = 0
-            while i < len(nbrs):
-                w = nbrs[i]
-                vw = (v, w)
-                if resumed:
-                    resumed = False
-                else:
-                    if (w, v) in lowpt:
-                        i += 1
-                        continue  # the edge was already oriented
-                    self.out[v].append(w)
-                    lowpt[vw] = lowpt2[vw] = hv
-                    hw = height.get(w)
-                    if hw is None:  # (v, w) is a tree edge
-                        parent_edge[w] = vw
-                        height[w] = hv + 1
-                        ind[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        break
-                    lowpt[vw] = hw  # (v, w) is a back edge
-
-                # nesting depth: twice the lowpoint, plus one when chordal
-                low = lowpt[vw]
-                nesting_depth[vw] = 2 * low + (lowpt2[vw] < hv)
-                if e is not None:  # update the lowpoints of the parent edge
-                    if low < lowpt[e]:
-                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
-                        lowpt[e] = low
-                    elif low > lowpt[e]:
-                        lowpt2[e] = min(lowpt2[e], low)
+        ind = [-1] * len(adjs)
+        last = -1  # the id of the last oriented edge
+        for root in range(len(adjs)):
+            if height[root] >= 0:
+                continue
+            height[root] = 0
+            self.roots.append(root)
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                e = parent_edge[v]
+                u = tail[e] if e >= 0 else -1
+                hv = height[v]
+                nbrs = adjs[v]
+                i = ind[v]
+                resumed = i >= 0
+                if not resumed:
+                    i = 0
+                while i < len(nbrs):
+                    w = nbrs[i]
+                    if resumed:
+                        resumed = False
+                        vw = parent_edge[w]
                     else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
-                i += 1
+                        hw = height[w]
+                        if hw > hv or w == u:
+                            i += 1
+                            continue  # w is v's parent or a finished descendant: oriented from w
+                        last += 1
+                        vw = last
+                        tail[vw], head[vw] = v, w
+                        out[v].append(vw)
+                        lowpt2[vw] = hv
+                        if hw < 0:  # (v, w) is a tree edge
+                            lowpt[vw] = hv
+                            parent_edge[w] = vw
+                            height[w] = hv + 1
+                            ind[v] = i
+                            stack.append(v)
+                            stack.append(w)
+                            break
+                        lowpt[vw] = hw  # (v, w) is a back edge
 
-    def _dfs_testing(self, root: VertexId) -> bool:
+                    # nesting depth: twice the lowpoint, plus one when chordal
+                    low, low2 = lowpt[vw], lowpt2[vw]
+                    nesting_depth[vw] = 2 * low + (low2 < hv)
+                    if e >= 0:  # update the lowpoints of the parent edge
+                        le = lowpt[e]
+                        if low < le:
+                            lowpt2[e] = le if le < low2 else low2
+                            lowpt[e] = low
+                        elif low > le:
+                            if low < lowpt2[e]:
+                                lowpt2[e] = low
+                        elif low2 < lowpt2[e]:
+                            lowpt2[e] = low2
+                    i += 1
+
+    def _test(self) -> bool:
         """Test for a left-right partition; False when none exists."""
-        height, lowpt, parent_edge = self.height, self.lowpt, self.parent_edge
-        S, stack_bottom, lowpt_edge = self.S, self.stack_bottom, self.lowpt_edge
-        ind: dict[VertexId, int] = {}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            e = parent_edge.get(v)
-            adjv = self.ordered_adjs[v]
-            i = ind.get(v)
-            resumed = i is not None
-            if not resumed:
-                i = 0
-            descended = False
-            while i < len(adjv):
-                w = adjv[i]
-                ei = (v, w)
-                if resumed:
-                    resumed = False
-                else:
-                    stack_bottom[ei] = S[-1] if S else None
-                    if ei == parent_edge.get(w):  # tree edge
-                        ind[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        descended = True
-                        break
-                    lowpt_edge[ei] = ei  # back edge
-                    S.append(_ConflictPair(_Interval(), _Interval(ei, ei)))
+        height, lowpt, parent_edge, head = self.height, self.lowpt, self.parent_edge, self.head
+        m, S = self.n_edges, self.S
+        # sorting by nesting depth makes the test non-linear, as in networkx
+        key = self.nesting_depth.__getitem__
+        self.ordered_adjs = ordered_adjs = [sorted(o, key=key) for o in self.out]
+        self.ref = [-1] * (m + 1)
+        self.side = [1] * m
+        self.lowpt_edge = lowpt_edge = [-1] * m
+        self.stack_bottom = stack_bottom = [None] * m
+        ind = [-1] * len(ordered_adjs)
+        for root in self.roots:
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                e = parent_edge[v]
+                hv = height[v]
+                adjv = ordered_adjs[v]
+                i = ind[v]
+                resumed = i >= 0
+                if not resumed:
+                    i = 0
+                while i < len(adjv):
+                    ei = adjv[i]
+                    if resumed:
+                        resumed = False
+                    else:
+                        stack_bottom[ei] = S[-1] if S else None
+                        w = head[ei]
+                        if ei == parent_edge[w]:  # tree edge
+                            ind[v] = i
+                            stack.append(v)
+                            stack.append(w)
+                            break
+                        lowpt_edge[ei] = ei  # back edge
+                        S.append([-1, -1, ei, ei])
 
-                # integrate new return edges
-                if lowpt[ei] < height[v]:
-                    if w == adjv[0]:  # e_i has a return edge
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not self._add_constraints(ei, e):
-                        return False
-                i += 1
-
-            if not descended and e is not None:
-                self._remove_back_edges(e)
+                    # integrate new return edges
+                    if lowpt[ei] < hv:
+                        if i == 0:  # e_i has a return edge
+                            lowpt_edge[e] = lowpt_edge[ei]
+                        elif not self._add_constraints(ei, e):
+                            return False
+                    i += 1
+                else:  # v is finished
+                    if e >= 0:
+                        self._remove_back_edges(e)
         return True
 
-    def _add_constraints(self, ei: Edge, e: Edge) -> bool:
+    def _add_constraints(self, ei: int, e: int) -> bool:
         lowpt, ref, S = self.lowpt, self.ref, self.S
-        P = _ConflictPair(_Interval(), _Interval())
+        pll = plh = prl = prh = -1  # the new conflict pair P
+        low_e, bottom = lowpt[e], self.stack_bottom[ei]
         # merge the return edges of e_i into P.right
         while True:
-            Q = S.pop()
-            if not Q.left.empty():
-                Q.swap()
-            if not Q.left.empty():  # not planar
+            ll, lh, rl, rh = S.pop()
+            if ll >= 0:  # swap the intervals
+                ll, lh, rl, rh = rl, rh, ll, lh
+            if ll >= 0:  # not planar
                 return False
-            if lowpt[Q.right.low] > lowpt[e]:  # merge intervals
-                if P.right.empty():  # topmost interval
-                    P.right = Q.right.copy()
+            if lowpt[rl] > low_e:  # merge intervals
+                if prl < 0:  # topmost interval
+                    prh = rh
                 else:
-                    ref[P.right.low] = Q.right.high
-                P.right.low = Q.right.low
+                    ref[prl] = rh
+                prl = rl
             else:  # align
-                ref[Q.right.low] = self.lowpt_edge[e]
-            if (S[-1] if S else None) is self.stack_bottom[ei]:
+                ref[rl] = self.lowpt_edge[e]
+            if (S[-1] if S else None) is bottom:
                 break
         # merge the conflicting return edges of e_1, ..., e_{i-1} into P.left
-        while S[-1].left.conflicting(ei, lowpt) or S[-1].right.conflicting(ei, lowpt):
-            Q = S.pop()
-            if Q.right.conflicting(ei, lowpt):
-                Q.swap()
-            if Q.right.conflicting(ei, lowpt):  # not planar
+        low_i = lowpt[ei]
+        while lowpt[S[-1][1]] > low_i or lowpt[S[-1][3]] > low_i:
+            ll, lh, rl, rh = S.pop()
+            if lowpt[rh] > low_i:
+                ll, lh, rl, rh = rl, rh, ll, lh
+            if lowpt[rh] > low_i:  # not planar
                 return False
             # merge the interval below lowpt(e_i) into P.right
-            ref[P.right.low] = Q.right.high
-            if Q.right.low is not None:
-                P.right.low = Q.right.low
-            if P.left.empty():  # topmost interval
-                P.left = Q.left.copy()
+            ref[prl] = rh
+            if rl >= 0:
+                prl = rl
+            if pll < 0:  # topmost interval
+                plh = lh
             else:
-                ref[P.left.low] = Q.left.high
-            P.left.low = Q.left.low
+                ref[pll] = lh
+            pll = ll
 
-        if not (P.left.empty() and P.right.empty()):
-            S.append(P)
+        if pll >= 0 or prl >= 0:
+            S.append([pll, plh, prl, prh])
         return True
 
-    def _remove_back_edges(self, e: Edge) -> None:
-        lowpt, ref, side, S = self.lowpt, self.ref, self.side, self.S
-        u = e[0]
+    def _remove_back_edges(self, e: int) -> None:
+        lowpt, ref, side, S, head = self.lowpt, self.ref, self.side, self.S, self.head
+        u = self.tail[e]
         hu = self.height[u]
         # trim back edges ending at the parent u: drop whole conflict pairs
-        while S and S[-1].lowest(lowpt) == hu:
-            P = S.pop()
-            if P.left.low is not None:
-                side[P.left.low] = -1
+        while S:
+            ll, _, rl, _ = S[-1]
+            if ll < 0:
+                lowest = lowpt[rl]
+            elif rl < 0:
+                lowest = lowpt[ll]
+            else:
+                lowest = min(lowpt[ll], lowpt[rl])
+            if lowest != hu:
+                break
+            S.pop()
+            if ll >= 0:
+                side[ll] = -1
 
         if S:  # one more conflict pair to consider
-            P = S.pop()
+            P = S[-1]
             # trim the left interval
-            while P.left.high is not None and P.left.high[1] == u:
-                P.left.high = ref.get(P.left.high)
-            if P.left.high is None and P.left.low is not None:  # just emptied
-                ref[P.left.low] = P.right.low
-                side[P.left.low] = -1
-                P.left.low = None
+            h = P[1]
+            while h >= 0 and head[h] == u:
+                h = ref[h]
+            P[1] = h
+            if h < 0 and P[0] >= 0:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = -1
             # trim the right interval
-            while P.right.high is not None and P.right.high[1] == u:
-                P.right.high = ref.get(P.right.high)
-            if P.right.high is None and P.right.low is not None:  # just emptied
-                ref[P.right.low] = P.left.low
-                side[P.right.low] = -1
-                P.right.low = None
-            S.append(P)
+            h = P[3]
+            while h >= 0 and head[h] == u:
+                h = ref[h]
+            P[3] = h
+            if h < 0 and P[2] >= 0:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = -1
 
         # the side of e is the side of a highest return edge
         if lowpt[e] < hu:  # e has a return edge
-            hl, hr = S[-1].left.high, S[-1].right.high
-            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+            _, hl, _, hr = S[-1]
+            if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]):
                 ref[e] = hl
             else:
                 ref[e] = hr
 
-    def _sign(self, e: Edge) -> int:
+    def _sign(self, e: int) -> int:
         """Resolve the side of e relative to its reference to an absolute side."""
         ref, side = self.ref, self.side
         chain = []
         x = e
-        while (r := ref.get(x)) is not None:
-            ref[x] = None
+        while (r := ref[x]) >= 0:
+            ref[x] = -1
             chain.append((x, r))
             x = r
         for x, r in reversed(chain):
-            side[x] = side.get(x, 1) * side.get(r, 1)
-        return side.get(e, 1)
+            side[x] *= side[r]
+        return side[e]
 
-    def _dfs_embedding(self, root: VertexId, rot: _Rotation) -> None:
-        """Complete the embedding with the reverse half-edge of every oriented edge."""
-        parent_edge, side = self.parent_edge, self.side
-        left_ref, right_ref = self.left_ref, self.right_ref
-        ind: dict[VertexId, int] = {}
-        stack = [root]
+    def _dfs_embedding(self, cw: list[int], ccw: list[int], leftmost: list[int]) -> None:
+        """Link the reverse half-edge 2e+1 of every oriented edge e in at head[e]."""
+        head, parent_edge, side = self.head, self.parent_edge, self.side
+        ordered_adjs = self.ordered_adjs
+        # the half-edges at v that back edges into v are placed beside
+        left_ref, right_ref = [-1] * len(ordered_adjs), [-1] * len(ordered_adjs)
+        ind = [0] * len(ordered_adjs)
+        stack = list(self.roots)  # one root: the graph is connected
         while stack:
             v = stack.pop()
-            adjv = self.ordered_adjs[v]
-            i = ind.get(v, 0)
+            adjv = ordered_adjs[v]
+            i = ind[v]
             while i < len(adjv):
-                w = adjv[i]
+                ei = adjv[i]
                 i += 1
-                ei = (v, w)
-                if ei == parent_edge.get(w):  # tree edge
-                    rot.add_half_edge_first(w, v)
-                    left_ref[v] = right_ref[v] = w
+                w, h = head[ei], 2 * ei + 1
+                if ei == parent_edge[w]:  # tree edge: h becomes w's leftmost
+                    first = leftmost[w]
+                    if first < 0:
+                        cw[h] = ccw[h] = h
+                    else:
+                        before = ccw[first]
+                        cw[h], ccw[h] = first, before
+                        cw[before] = ccw[first] = h
+                    leftmost[w] = h
+                    left_ref[v] = right_ref[v] = 2 * ei
                     stack.append(v)
                     stack.append(w)
                     break
-                if side.get(ei, 1) == 1:  # back edge, to the right
-                    rot.add_half_edge(w, v, ccw=right_ref[w])
-                else:
-                    rot.add_half_edge(w, v, cw=left_ref[w])
-                    left_ref[w] = v
+                if side[ei] == 1:  # back edge, to the right: after right_ref[w]
+                    after = right_ref[w]
+                    nxt = cw[after]
+                    cw[h], ccw[h] = nxt, after
+                    ccw[nxt] = cw[after] = h
+                else:  # to the left: before left_ref[w]
+                    ref = left_ref[w]
+                    before = ccw[ref]
+                    cw[h], ccw[h] = ref, before
+                    cw[before] = ccw[ref] = h
+                    if ref == leftmost[w]:
+                        leftmost[w] = h
+                    left_ref[w] = h
             ind[v] = i

@@ -12,8 +12,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarcvc.embedding import (
+    Face,
     NonPlanarGraphError,
     check_embedding,
     embed,
@@ -71,6 +73,86 @@ def test_rejects_empty_and_disconnected():
         embed(Graph())
     with pytest.raises(ValueError):
         embed(graph_from_edges([(1, 2), (3, 4)]))
+
+
+def test_disconnected_is_rejected_before_any_verdict():
+    # K7 has 21 > 3*8 - 6 edges, so the edge-count shortcut alone would
+    # call K7 plus an isolated vertex non-planar.
+    k7 = make_complete(7)
+    with pytest.raises(NonPlanarGraphError):
+        embed(k7)
+    k7.add_vertex()
+    assert not is_planar(k7)
+    with pytest.raises(ValueError, match="connected"):
+        embed(k7)
+    k5_and_edge = graph_from_edges([(i, j) for i in range(1, 6) for j in range(i + 1, 6)] + [(6, 7)])
+    with pytest.raises(ValueError, match="connected"):
+        embed(k5_and_edge)
+
+
+def _renamed(g: Graph, ids: list[int]) -> Graph:
+    """g with its i-th smallest vertex renamed to ids[i]."""
+    name = dict(zip(g.vertices(), ids))
+    h = Graph()
+    for v in ids:
+        h.add_named_vertex(v)
+    for u, w in g.edges():
+        h.add_edge(name[u], name[w])
+    return h
+
+
+def _assert_ids_only_mapped(g: Graph, rng: random.Random) -> None:
+    """Sparse ids up to ~2**40 give what 1..n gives, renamed monotonically."""
+    ids = sorted(rng.sample(range(1, 2**40), g.n_vertices))
+    compact = _renamed(g, list(range(1, g.n_vertices + 1)))
+    sparse = _renamed(g, ids)
+    assert is_planar(sparse) == is_planar(compact)
+    if not g.n_vertices or not g.is_connected():
+        return
+    if not is_planar(compact):
+        with pytest.raises(NonPlanarGraphError):
+            embed(sparse)
+        return
+    name = dict(zip(range(1, g.n_vertices + 1), ids))
+    e, f = embed(compact), embed(sparse)
+    assert f.rotation == {name[v]: tuple(name[w] for w in rot) for v, rot in e.rotation.items()}
+    assert f.faces == tuple(
+        Face(
+            boundary=tuple((name[u], name[w]) for u, w in face.boundary),
+            incident_vertices=tuple(name[v] for v in face.incident_vertices),
+        )
+        for face in e.faces
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_vertex_ids_are_only_mapped_on_small_graphs(g, rng):
+    _assert_ids_only_mapped(g, rng)
+
+
+def test_vertex_ids_are_only_mapped_on_larger_graphs():
+    rng = random.Random(40)
+    for i in range(30):
+        g = gen_random_planar(rng.randint(5, 200), rng.choice((0.3, 0.6, 1.0)), 8000 + i)
+        vertices = g.vertices()
+        for _ in range(i % 4):
+            g.ensure_edge(*rng.sample(vertices, 2))
+        _assert_ids_only_mapped(g, rng)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_is_planar_iff_every_component_embeds(g):
+    def embeds(component: set[int]) -> bool:
+        try:
+            embed(graph_from_edges((u, w) for u, w in g.edges() if u in component))
+        except NonPlanarGraphError:
+            return False
+        return True
+
+    components = [c for c in g.connected_components() if len(c) > 1]
+    assert is_planar(g) == all(embeds(c) for c in components)
 
 
 def test_enumerate_faces_matches_embed():
