@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # planarcvc round trip with networkx blocked: generate the ring family
 # (l = 3), kernelize it, solve the kernel, lift the solution back and
-# verify it. Every step runs planarcvc.cli.main in a fresh Python process
-# in which `import networkx` raises ImportError, and fails if any
-# networkx module got loaded anyway. Then one input error, a graph file
+# verify it. The kernel must have 11l + 2 = 35 vertices and the journal
+# exactly l = 3 R8 (pendant merge) records, so a Phase 2 that loses
+# merges fails here. Every step runs planarcvc.cli.main in a fresh
+# Python process in which `import networkx` raises ImportError, and
+# fails if any networkx module got loaded anyway. Then one input error, a graph file
 # with a self-loop, must exit 2 with a single `error:` line on stderr,
 # and K5, whose Phase 1 fixpoint has no pendant owner and so only meets
 # the left-right planarity test, must exit 2 with the not-planar error.
@@ -35,6 +37,13 @@ planarcvc() {
 
 planarcvc generate tightness --l 3 > "$work/ring.cvc"
 planarcvc kernelize --input "$work/ring.cvc" --k 11 --journal "$work/ring.journal" > "$work/kernel.out"
+header=$(head -n 1 "$work/kernel.out")
+merges=$(grep -c '"rule": "R8"' "$work/ring.journal" || true)
+if [[ "$header" != "p cvc 35 "* ]] || [ "$merges" -ne 3 ]; then
+  echo "ring l = 3: want header 'p cvc 35 ...' and 3 R8 records, got '$header' and $merges" >&2
+  exit 1
+fi
+echo "ok ring-merges" >&2
 grep -v '^c ' "$work/kernel.out" > "$work/kernel.cvc"
 k=$(sed -n 's/^c kernel-k //p' "$work/kernel.out")
 planarcvc solve --input "$work/kernel.cvc" --limit "$k" > "$work/kernel.sol"

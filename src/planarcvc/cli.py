@@ -1,6 +1,9 @@
 """Command line surface.
 
-Exit codes: 0 = YES (kernel or solution emitted), 1 = NO, 2 = input error.
+Exit codes: 0 = YES (kernel or solution emitted), 1 = NO, 2 = input error,
+141 = stdout was closed before the output was written (as under
+`planarcvc ... | head -c 1`; 128 + SIGPIPE, what a shell reports for a
+process that a closed pipe kills), with nothing on stderr.
 Commands raise on bad input; main alone turns that into one `error:` line
 on stderr and exit 2.
 
@@ -15,6 +18,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
@@ -39,6 +43,7 @@ from .reductions import RuleId
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class InputError(Exception):
@@ -80,7 +85,10 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
 
     kernel = outcome.instance
     if args.journal:
-        Path(args.journal).write_text(fileio.serialize_journal(outcome.journal))
+        try:
+            Path(args.journal).write_text(fileio.serialize_journal(outcome.journal))
+        except OSError as exc:  # a closed pipe included: that is the journal's, not stdout's
+            raise InputError(str(exc)) from exc
     sys.stdout.write(fileio.serialize_graph(kernel.graph))
     print(f"c kernel-k {kernel.k}")
     if args.stats:
@@ -257,10 +265,19 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line; the one place where an input error exits 2."""
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # stdout's reader has gone: not an input error, and nothing to
+        # report; what is left unwritten goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -4,17 +4,19 @@ The planarity test is Brandes' left-right algorithm ("The Left-Right
 Planarity Test", 2009), ported from the iterative
 ``LRPlanarity.lr_planarity`` of networkx 3.6.1 to run on list-indexed
 copies of ``Graph``'s adjacency: vertices become 0..n-1 in ascending id
-order and edges get integer ids, and only the finished rotation system
-is translated back to vertex ids. Roots and neighbour lists are taken in
+order and edges get integer ids, and the embedding it builds stays on
+those indices, as half-edges. Roots and neighbour lists are taken in
 ascending id order, so the rotation system is the one
 ``networkx.check_planarity`` returns for the same graph with nodes and
 edges added in sorted order, down to the first neighbour of every
-rotation. Face enumeration and the embedding sanity checks are
-implemented here on top of that rotation system. Face orientation
-follows one fixed convention: the edge after (u, v) on a boundary walk
-is (v, w) where w is the cyclic successor of u in the rotation at v.
-Only the consistency of this convention matters, not geometric
-clockwiseness.
+rotation. The faces are numbered by one walk over the half-edges;
+the rotation system and the face list in vertex ids are built from the
+half-edges only when asked for, and Phase 2 reads the faces it needs
+without either. The embedding sanity checks are implemented here too.
+Face orientation follows one fixed convention: the edge after (u, v) on
+a boundary walk is (v, w) where w is the cyclic successor of u in the
+rotation at v. Only the consistency of this convention matters, not
+geometric clockwiseness.
 
 The port is derived from networkx, which is distributed under the
 3-clause BSD licence:
@@ -56,13 +58,14 @@ The port is derived from networkx, which is distributed under the
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import compress
+from typing import Iterable
 
 from .graph import Graph, VertexId
-
-Edge = tuple[VertexId, VertexId]
-# v -> (neighbor u -> the neighbor after u in the rotation at v)
-Successors = dict[VertexId, dict[VertexId, VertexId]]
 
 
 class NonPlanarGraphError(Exception):
@@ -82,14 +85,130 @@ class Face:
     incident_vertices: tuple[VertexId, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
-    """Rotation system plus the face list it induces."""
+    """A rotation system on half-edges, and the faces it induces.
 
-    rotation: dict[VertexId, tuple[VertexId, ...]]
-    faces: tuple[Face, ...]
-    n_vertices: int
-    n_edges: int
+    Vertex i is vertices[i], ids ascending. Half-edge h points to vertex
+    ends[h] and leaves vertex ends[h ^ 1], h ^ 1 being its reverse; cw[h]
+    is the half-edge after h around the vertex it leaves, and leftmost[i]
+    is the first half-edge at vertex i (-1 when there is none). The
+    rotation system and the face list, in vertex ids, are built on first
+    access; face_members reads faces without building either.
+    """
+
+    vertices: list[VertexId]
+    ends: list[int]
+    cw: list[int]
+    leftmost: list[int]
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.cw) // 2
+
+    @cached_property
+    def rotation(self) -> dict[VertexId, tuple[VertexId, ...]]:
+        """Each vertex's neighbors in rotation order, from its leftmost half-edge."""
+        vertices, ends, cw = self.vertices, self.ends, self.cw
+        rotation = {}
+        for v, first in zip(vertices, self.leftmost):
+            around = []
+            if first >= 0:
+                around.append(vertices[ends[first]])
+                h = cw[first]
+                while h != first:
+                    around.append(vertices[ends[h]])
+                    h = cw[h]
+            rotation[v] = tuple(around)
+        return rotation
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """The faces in face-id order (see _walk)."""
+        vertices = self.vertices
+        corners, starts = self._walk
+        if not corners:  # an edgeless connected graph is one vertex: one face around it
+            return (Face(boundary=(), incident_vertices=tuple(vertices)),)
+        faces = []
+        for a, b in zip(starts, starts[1:]):
+            walk = [vertices[i] for i in corners[a:b]]
+            faces.append(Face(
+                boundary=tuple(zip(walk, walk[1:] + walk[:1])),
+                incident_vertices=tuple(dict.fromkeys(walk)),
+            ))
+        return tuple(faces)
+
+    def face_members(self, members: Iterable[VertexId]) -> list[tuple[int, tuple[VertexId, ...]]]:
+        """(face id, the members on it in first-encounter order) per face with two or more.
+
+        Faces come in face-id order, as in `faces`, which is not built;
+        ids that are not vertices of the embedding are ignored. The face
+        walk is scanned for member corners once, and only a face with two
+        or more of them is read.
+        """
+        vertices = self.vertices
+        marked = bytearray(len(vertices))
+        for v in members:
+            i = bisect_left(vertices, v)
+            if i < len(vertices) and vertices[i] == v:
+                marked[i] = 1
+        corners, starts = self._walk
+        hits = list(compress(range(len(corners)), map(marked.__getitem__, corners)))
+        out = []
+        a = 0  # hits[a:a + count] are this face's
+        for face, count in Counter(map(partial(bisect_right, starts), hits)).items():
+            if count > 1:
+                on_face = dict.fromkeys(map(corners.__getitem__, hits[a:a + count]))
+                if len(on_face) > 1:
+                    out.append((face - 1, tuple(map(vertices.__getitem__, on_face))))
+            a += count
+        return out
+
+    @cached_property
+    def _walk(self) -> tuple[list[int], list[int]]:
+        """The face walk: every half-edge's start vertex, face by face, and
+        where each face begins (one more entry, the total, at the end).
+
+        Faces are numbered in the order of their smallest dart (u, w), u
+        then w, and each walk begins at that dart; indices are monotone in
+        ids, so this is also the order of the darts' ids. The dart after h
+        along its face is cw[h ^ 1]. A dart at u that is unwalked when u
+        is reached lies on a face whose smallest vertex is u.
+        """
+        ends, cw = self.ends, self.cw
+        seen = bytearray(len(cw))
+        corners: list[int] = []
+        starts = [0]
+        for first in self.leftmost:
+            if first < 0:
+                continue
+            fresh = []  # the darts here on faces not walked yet
+            h = first
+            while True:
+                if not seen[h]:
+                    fresh.append(h)
+                h = cw[h]
+                if h == first:
+                    break
+            if len(fresh) > 1:
+                fresh.sort(key=ends.__getitem__)
+            for h0 in fresh:
+                if seen[h0]:
+                    continue
+                h = h0
+                while not seen[h]:
+                    seen[h] = 1
+                    r = h ^ 1
+                    corners.append(ends[r])
+                    h = cw[r]
+                if h != h0:
+                    raise AssertionError("face walk did not close on its starting edge")
+                starts.append(len(corners))
+        return corners, starts
 
 
 def embed(g: Graph) -> Embedding:
@@ -100,17 +219,13 @@ def embed(g: Graph) -> Embedding:
     """
     if g.n_vertices == 0:
         raise ValueError("cannot embed the empty graph")
-    rotation = _LRPlanarity(g).embedding()  # ValueError when disconnected
-    if rotation is None:
+    lr = _LRPlanarity(g)
+    halves = lr.embedding()  # ValueError when disconnected
+    if halves is None:
         raise NonPlanarGraphError(
             f"graph with {g.n_vertices} vertices / {g.n_edges} edges is not planar"
         )
-    return Embedding(
-        rotation=rotation,
-        faces=_trace_faces(_successors(rotation), list(rotation)),  # ids ascending
-        n_vertices=g.n_vertices,
-        n_edges=g.n_edges,
-    )
+    return Embedding(lr.vertices, *halves)
 
 
 def is_planar(g: Graph) -> bool:
@@ -123,41 +238,8 @@ def is_planar(g: Graph) -> bool:
 
 
 def enumerate_faces(e: Embedding) -> list[Face]:
-    """Re-derive the face list from the rotation system."""
-    return list(_trace_faces(_successors(e.rotation), sorted(e.rotation)))
-
-
-def _successors(rotation: dict[VertexId, tuple[VertexId, ...]]) -> Successors:
-    return {v: dict(zip(rot, rot[1:] + rot[:1])) for v, rot in rotation.items()}
-
-
-def _trace_faces(succ: Successors, vertices: list[VertexId]) -> tuple[Face, ...]:
-    """Faces in the order of their smallest starting dart (u, w), u then w."""
-    if not any(succ[v] for v in vertices):
-        # Edgeless connected graph is a single vertex: one face around it.
-        return (Face(boundary=(), incident_vertices=tuple(vertices)),)
-
-    faces = []
-    visited: set[Edge] = set()
-    for u0 in vertices:
-        for w0 in sorted(succ[u0]):
-            if (u0, w0) in visited:
-                continue
-            walk = []
-            seen: set[VertexId] = set()
-            first: list[VertexId] = []
-            dart = (u0, w0)
-            while dart not in visited:
-                visited.add(dart)
-                walk.append(dart)
-                u, v = dart
-                if u not in seen:
-                    seen.add(u)
-                    first.append(u)
-                dart = (v, succ[v][u])
-            assert dart == (u0, w0), "face walk did not close on its starting edge"
-            faces.append(Face(boundary=tuple(walk), incident_vertices=tuple(first)))
-    return tuple(faces)
+    """The face list of e, as a list."""
+    return list(e.faces)
 
 
 def check_embedding(e: Embedding) -> None:
@@ -186,8 +268,8 @@ class _LRPlanarity:
 
     is_planar() is the decision half: the orientation and testing passes.
     embedding() adds the build half: sign resolution, the embedding pass
-    and the rotation system. Both run on dense indices. Vertices are
-    0..n-1 in ascending id order, and each edge gets the next integer id
+    and the rotation system on half-edges. Both run on dense indices.
+    Vertices are 0..n-1 in ascending id order, and each edge gets the next integer id
     when the DFS orients it, from tail[e] to head[e]; out[v] lists the
     edges oriented away from v in orientation order. Every per-vertex and
     per-edge quantity is a list entry, with -1 for "none". A conflict
@@ -225,8 +307,10 @@ class _LRPlanarity:
             self._orient()
         return self._test()
 
-    def embedding(self) -> dict[VertexId, tuple[VertexId, ...]] | None:
-        """Run the test, then build: the rotation system if planar, else None.
+    def embedding(self) -> tuple[list[int], list[int], list[int]] | None:
+        """Run the test, then build: the half-edges if planar, else None.
+
+        Returns Embedding's ends, cw and leftmost lists, on indices.
 
         Raises ValueError on a disconnected graph, which the orientation
         pass shows by starting more than one DFS tree, before any verdict.
@@ -254,22 +338,10 @@ class _LRPlanarity:
                 for a, b in zip(halves, halves[1:] + halves[:1]):
                     cw[a], ccw[b] = b, a
         self._dfs_embedding(cw, ccw, leftmost)
-
-        vertices = self.vertices
         ends = [0] * (2 * m)
-        ends[0::2] = [vertices[w] for w in self.head]
-        ends[1::2] = [vertices[v] for v in self.tail]
-        rotation = {}
-        for v, first in enumerate(leftmost):
-            around = []
-            if first >= 0:
-                around.append(ends[first])
-                h = cw[first]
-                while h != first:
-                    around.append(ends[h])
-                    h = cw[h]
-            rotation[vertices[v]] = tuple(around)
-        return rotation
+        ends[0::2] = self.head
+        ends[1::2] = self.tail
+        return ends, cw, leftmost
 
     def _orient(self) -> None:
         """Orient the graph by DFS from each root, compute lowpoints and nesting depths."""

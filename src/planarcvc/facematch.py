@@ -6,8 +6,12 @@ possible, an auxiliary graph over pendant owners is built (edges =
 co-faciality, a union of per-face cliques), a maximum matching of it is
 computed, and the matching is rearranged face by face into consecutive,
 hence non-crossing, pairs of equal total count before the merges are
-performed, in time linear in the total face size. undo_identification
-reverses one merge when a solution is lifted back through the journal.
+performed. Both the aux graph and the rearrangement read the faces off
+the embedding's half-edge face walk (Embedding.face_members): one scan
+of the walk for the owners' corners, then work only on the faces with
+two or more owners; no Face list or rotation dict is built.
+undo_identification reverses one merge when a solution is lifted back
+through the journal.
 """
 
 from __future__ import annotations
@@ -61,10 +65,8 @@ def pendant_owners(g: Graph) -> list[VertexId]:
 def build_aux_graph(g1: Graph, e: Embedding) -> AuxGraph:
     """Union of per-face cliques on the pendant owners incident to each face."""
     owners = pendant_owners(g1)
-    owner_set = set(owners)
     edges: set[tuple[VertexId, VertexId]] = set()
-    for face in e.faces:
-        members = [v for v in face.incident_vertices if v in owner_set]
+    for _, members in e.face_members(owners):
         for i, u in enumerate(members):
             for w in members[i + 1:]:
                 edges.add((min(u, w), max(u, w)))
@@ -78,20 +80,22 @@ def planarize_matching(m0: Matching, e: Embedding) -> PlanarizedMatching:
     the first face containing both its endpoints. Inside one face the
     matched vertices are re-paired consecutively along the face order, so
     the new pairs can be drawn inside the face without crossings, and the
-    total count never changes. The unassigned edges live in a partner
-    map, so a face costs its size.
+    total count never changes. Only the faces with two or more matched
+    vertices are read, and the unassigned edges live in a partner map.
+    A matched pair with no common face raises AssertionError.
     """
     partner: dict[VertexId, VertexId] = {}
     for u, w in m0.edges:
         partner[u], partner[w] = w, u
     pairs: list[tuple[VertexId, VertexId, int]] = []
-    for face_id, face in enumerate(e.faces):
-        members = set(face.incident_vertices)
-        ordered = [v for v in face.incident_vertices if partner.get(v) in members]
+    for face_id, members in e.face_members(partner):
+        on_face = set(members)
+        ordered = [v for v in members if partner.get(v) in on_face]
         for v in ordered:
             del partner[v]
         pairs.extend((ordered[i], ordered[i + 1], face_id) for i in range(0, len(ordered), 2))
-    assert not partner, "matched pair without a common face"
+    if partner:
+        raise AssertionError(f"matched pair {min(partner)}, {partner[min(partner)]} without a common face")
     return PlanarizedMatching(pairs=tuple(pairs))
 
 

@@ -14,6 +14,9 @@ second sort after relabelling, one json.dumps per record, a sorted scan
 of every edge), kept as the references the rewrites are compared with.
 reference_maximum_matching is the blossom matcher before its searches
 became local to their trees; the matchings must be equal, edge for edge.
+reference_faces is the face tracer on vertex ids and successor dicts
+that embed used before faces were walked on half-edges; the face lists
+must be equal, face for face.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
+from planarcvc.embedding import Face
 from planarcvc.fileio import GraphParseError
 from planarcvc.graph import Graph, VertexId
 from planarcvc.matching import Matching
@@ -355,3 +359,39 @@ def reference_verify_cvc(g: Graph, s: set[VertexId] | frozenset[VertexId]) -> bo
         if u not in s and w not in s:
             return False
     return g.induced_is_connected(s)
+
+
+def reference_faces(rotation: dict[VertexId, tuple[VertexId, ...]]) -> tuple[Face, ...]:
+    """Faces in the order of their smallest starting dart (u, w), u then w.
+
+    The edge after (u, v) on a face is (v, w), w the successor of u in
+    the rotation at v.
+    """
+    succ = {v: dict(zip(rot, rot[1:] + rot[:1])) for v, rot in rotation.items()}
+    vertices = sorted(rotation)
+    if not any(succ[v] for v in vertices):
+        # Edgeless connected graph is a single vertex: one face around it.
+        return (Face(boundary=(), incident_vertices=tuple(vertices)),)
+
+    faces = []
+    visited: set[tuple[VertexId, VertexId]] = set()
+    for u0 in vertices:
+        for w0 in sorted(succ[u0]):
+            if (u0, w0) in visited:
+                continue
+            walk = []
+            seen: set[VertexId] = set()
+            first: list[VertexId] = []
+            dart = (u0, w0)
+            while dart not in visited:
+                visited.add(dart)
+                walk.append(dart)
+                u, v = dart
+                if u not in seen:
+                    seen.add(u)
+                    first.append(u)
+                dart = (v, succ[v][u])
+            if dart != (u0, w0):
+                raise AssertionError("face walk did not close on its starting edge")
+            faces.append(Face(boundary=tuple(walk), incident_vertices=tuple(first)))
+    return tuple(faces)

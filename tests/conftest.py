@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +14,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from planarcvc.graph import Graph, graph_from_edges
 from planarcvc.generators import gen_random_planar
+
+
+def run_python(args: list[str], env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh process that imports planarcvc from this
+    checkout's src; env adds to (or, with "", clears) environment variables."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **(env or {})}, timeout=60, **kwargs
+    )
 
 
 def make_path(n: int) -> Graph:

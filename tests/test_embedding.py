@@ -2,7 +2,10 @@
 
 The left-right test is checked against networkx (the code it was ported
 from), which is a test-only dependency: verdicts and rotation tuples,
-first neighbor included, must be identical.
+first neighbor included, must be identical. The faces, walked on the
+half-edges, are checked against the vertex-id tracer in brute.py run on
+the same rotation system, face for face, and so are the per-face member
+sequences that Phase 2 reads without building the faces.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarcvc.embedding import (
+    Embedding,
     Face,
     NonPlanarGraphError,
     check_embedding,
@@ -22,10 +26,12 @@ from planarcvc.embedding import (
     enumerate_faces,
     is_planar,
 )
+from planarcvc.facematch import pendant_owners
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.graph import Graph, graph_from_edges
 from planarcvc.reductions import run_phase1
 
+from brute import reference_faces
 from conftest import make_complete, make_complete_bipartite, make_cycle, make_path
 from strategies import small_graphs
 
@@ -162,6 +168,71 @@ def test_enumerate_faces_matches_embed():
     assert sorted(f.boundary for f in redone) == sorted(f.boundary for f in e.faces)
 
 
+def _members_by_reference(faces: tuple[Face, ...], members: set[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The faces filtered to members, keeping those with two or more."""
+    out = []
+    for face_id, face in enumerate(faces):
+        on_face = tuple(v for v in face.incident_vertices if v in members)
+        if len(on_face) >= 2:
+            out.append((face_id, on_face))
+    return out
+
+
+def _assert_walk_matches_reference(e: Embedding, rng: random.Random, owners: tuple[int, ...] = ()) -> None:
+    """Faces and face_members equal what the reference tracer gives on e.rotation.
+
+    The member sets: none, every vertex, the given owners, and random
+    subsets (with one id that is not a vertex, which is ignored). The
+    rotation itself is compared with networkx's by the tests below.
+    """
+    expected = reference_faces(e.rotation)
+    vertices = sorted(e.rotation)
+    subsets = [set(), set(vertices), set(owners)]
+    subsets += [set(rng.sample(vertices, rng.randint(0, len(vertices)))) for _ in range(3)]
+    for members in subsets:
+        assert e.face_members(members | {vertices[-1] + 1}) == _members_by_reference(expected, members)
+    assert e.faces == expected
+
+
+def _component_graphs(g: Graph) -> list[Graph]:
+    return [graph_from_edges(((u, w) for u, w in g.edges() if u in c), vertices=c)
+            for c in g.connected_components()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_walk_matches_reference_on_small_graphs(g, rng):
+    # ids sampled up to 2**40, one check per planar component
+    g = _renamed(g, sorted(rng.sample(range(1, 2**40), g.n_vertices)))
+    for component in _component_graphs(g):
+        if is_planar(component):
+            _assert_walk_matches_reference(embed(component), rng)
+
+
+def test_walk_matches_reference_on_triangulations_up_to_1000():
+    rng = random.Random(41)
+    for n in (3, 4, 5, 10, 50, 200, 500, 1000):
+        for seed in range(2):
+            _assert_walk_matches_reference(embed(gen_random_planar(n, 1.0, seed)), rng)
+
+
+def test_walk_matches_reference_on_ring_family_and_fixpoints():
+    rng = random.Random(42)
+    for ell in range(3, 25):
+        g = gen_tightness(ell)
+        fixpoint = run_phase1(g.copy(), 3 * ell + 2).graph
+        for h in (g, fixpoint):
+            _assert_walk_matches_reference(embed(h), rng, tuple(pendant_owners(h)))
+
+
+def test_walk_matches_reference_on_single_vertex():
+    g = Graph()
+    g.add_named_vertex(7)
+    e = embed(g)
+    assert e.faces == reference_faces(e.rotation) == (Face(boundary=(), incident_vertices=(7,)),)
+    assert e.face_members([7]) == e.face_members([]) == []
+
+
 def test_euler_and_double_cover_on_random_corpus():
     for i in range(40):
         n = 4 + (i * 3) % 20
@@ -248,8 +319,11 @@ def test_matches_networkx_with_extra_edges():
 
 def test_long_path_and_cycle_do_not_recurse():
     n = 20_000
-    assert len(embed(make_path(n)).faces) == 1
-    assert len(embed(make_cycle(n)).faces) == 2
+    rng = random.Random(43)
+    for g, n_faces in ((make_path(n), 1), (make_cycle(n), 2)):
+        e = embed(g)
+        assert len(e.faces) == n_faces
+        _assert_walk_matches_reference(e, rng)
 
 
 def test_embed_leaves_no_cyclic_garbage():

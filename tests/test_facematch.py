@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from planarcvc.embedding import embed, is_planar
+from pathlib import Path
+
+import pytest
+
+from planarcvc.embedding import Embedding, embed, is_planar
 from planarcvc.facematch import (
     apply_identification,
     build_aux_graph,
@@ -16,7 +20,7 @@ from planarcvc.matching import Matching, maximum_matching
 from planarcvc.oracle import decide_cvc
 from planarcvc.reductions import RuleId, run_phase1
 
-from conftest import make_cycle, small_planar_corpus
+from conftest import make_cycle, run_python, small_planar_corpus
 
 
 def test_aux_graph_without_pendants_is_empty():
@@ -76,6 +80,45 @@ def test_planarize_uncrosses_within_a_face():
     order = [v for v in face.incident_vertices if v in {1, 3, 5, 7}]
     expected = {frozenset(order[0:2]), frozenset(order[2:4])}
     assert {frozenset((u, w)) for u, w, _ in out.pairs} == expected
+
+
+def _poles_matched_on_octahedron():
+    # Poles 1 and 9 around the equator 2-3-4-5: every face is a triangle
+    # through one pole, so the poles share no face.
+    octahedron = graph_from_edges([(2, 3), (3, 4), (4, 5), (5, 2)] + [(p, q) for p in (1, 9) for q in (2, 3, 4, 5)])
+    planarize_matching(Matching(edges=frozenset({(1, 9)})), embed(octahedron))
+
+
+def _open_face_walk():
+    # A star at 1 whose half-edge 1 -> 4 points into the rotation
+    # 1 -> 2, 1 -> 3 without lying on it: the walk from 4 -> 1 goes on
+    # along 1 -> 2, which an earlier face has taken, and never returns.
+    Embedding([1, 2, 3, 4], ends=[1, 0, 2, 0, 3, 0], cw=[2, 1, 0, 3, 0, 5], leftmost=[0, 1, 3, 5]).faces
+
+
+_BROKEN_INPUTS = [
+    (_poles_matched_on_octahedron, "matched pair 1, 9 without a common face"),
+    (_open_face_walk, "face walk did not close on its starting edge"),
+]
+
+
+@pytest.mark.parametrize("broken, message", _BROKEN_INPUTS, ids=["no-common-face", "open-walk"])
+def test_broken_input_raises(broken, message):
+    with pytest.raises(AssertionError, match=message):
+        broken()
+
+
+def test_broken_input_raises_under_python_O():
+    # Explicit raises, not asserts: under `python -O` a matched pair with
+    # no common face must not be dropped, nor an open face walk accepted.
+    calls = "".join(
+        f"try:\n    test_facematch.{broken.__name__}()\nexcept AssertionError as exc:\n    print(exc)\n"
+        for broken, _ in _BROKEN_INPUTS
+    )
+    proc = run_python(["-O", "-c", "import test_facematch\n" + calls],
+                      cwd=Path(__file__).parent, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [message for _, message in _BROKEN_INPUTS]
 
 
 def test_planarize_preserves_count_on_random_fixpoints():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from planarcvc.oracle import verify_cvc
 from planarcvc.pipeline import Instance, Kernel, kernelize, replay_journal
 
 from brute import dfs_tree_cover
-from conftest import make_path
+from conftest import make_path, run_python
 
 
 def test_parse_single_edge():
@@ -170,6 +169,36 @@ def test_cli_kernelize_unwritable_journal_exit_code(tmp_path, capsys, where):
     assert "Traceback" not in captured.err
 
 
+def _kernelize_into_closed_pipe(tmp_path, journal: str, unbuffered: str) -> subprocess.CompletedProcess:
+    """`planarcvc kernelize` of ring l = 3 at k = 11 with a stdout whose reader is gone."""
+    graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(gen_tightness(3)))
+    argv = ["-m", "planarcvc.cli", "kernelize", "--input", graph_file, "--k", "11", "--journal", journal]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_python(argv, env={"PYTHONUNBUFFERED": unbuffered}, stdout=write_end,
+                          stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_cli_closed_stdout_is_not_an_input_error(tmp_path, unbuffered):
+    # A YES kernel piped into a reader that has gone (`| head -c 1`):
+    # exit 141, not the input-error code 2, and nothing on stderr, whether
+    # the write fails inside the command or at the final flush.
+    proc = _kernelize_into_closed_pipe(tmp_path, str(tmp_path / "j.jsonl"), unbuffered)
+    assert (proc.returncode, proc.stderr) == (141, "")
+    assert (tmp_path / "j.jsonl").read_text().count('"rule": "R8"') == 3
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+def test_cli_journal_into_closed_pipe_is_an_input_error(tmp_path):
+    # The same closed pipe named as --journal: the journal is unwritable.
+    proc = _kernelize_into_closed_pipe(tmp_path, "/dev/stdout", "1")
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -197,12 +226,7 @@ def test_cli_lift_malformed_journal_record_exit_code(tmp_path, capsys, record):
 
 def _main_optimized(argv: list[str]) -> tuple[int, str]:
     """Exit code and stderr of `python -O -m planarcvc.cli ARGV`."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "planarcvc.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python(["-O", "-m", "planarcvc.cli", *argv], capture_output=True, text=True)
     return proc.returncode, proc.stderr
 
 
@@ -450,15 +474,16 @@ def test_cli_input_errors_exit_2_optimized(input_error_dir, row):
 
 def test_cli_round_trip_without_networkx():
     # networkx is a test-only dependency: generate -> kernelize -> solve
-    # -> lift -> verify must run with every import of it blocked, and an
-    # input error and a non-planar K5 must exit 2 from the entry point.
+    # -> lift -> verify must run with every import of it blocked, the
+    # ring's kernel must keep all three merges, and an input error and a
+    # non-planar K5 must exit 2 from the entry point.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
-    assert steps == ["generate", "kernelize", "solve", "lift", "verify", "input-error", "nonplanar"]
+    assert steps == ["generate", "kernelize", "ring-merges", "solve", "lift", "verify", "input-error", "nonplanar"]
 
 
 def test_cli_solve_and_verify(tmp_path, capsys):

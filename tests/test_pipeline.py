@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -146,34 +147,44 @@ def test_kernelize_nonplanar_fixed_graphs():
 
 
 def _count_embedding_builds(monkeypatch) -> dict[str, int]:
-    """Count rotation systems and face lists built from now on."""
-    calls = {"rotation": 0, "faces": 0}
-    build, trace = embedding._LRPlanarity.embedding, embedding._trace_faces
+    """Count half-edge embeddings, rotation dicts and Face lists built from now on."""
+    calls = {"half_edges": 0, "rotation": 0, "faces": 0}
+    build = embedding._LRPlanarity.embedding
 
     def counted_build(self):
-        calls["rotation"] += 1
+        calls["half_edges"] += 1
         return build(self)
 
-    def counted_trace(*args):
-        calls["faces"] += 1
-        return trace(*args)
-
     monkeypatch.setattr(embedding._LRPlanarity, "embedding", counted_build)
-    monkeypatch.setattr(embedding, "_trace_faces", counted_trace)
+    for name in ("rotation", "faces"):
+        def counted(self, built=vars(embedding.Embedding)[name].func, name=name):
+            calls[name] += 1
+            return built(self)
+
+        lazy = functools.cached_property(counted)
+        lazy.__set_name__(embedding.Embedding, name)
+        monkeypatch.setattr(embedding.Embedding, name, lazy)
     return calls
 
 
 def test_kernelize_embeds_only_with_two_owners(monkeypatch):
+    # Phase 2 reads faces off the half-edges: kernelize builds neither
+    # the rotation dict nor the Face list, and embeds only with two owners.
     calls = _count_embedding_builds(monkeypatch)
     triangulation = gen_random_planar(60, 1.0, 7)
     assert pendant_owners(run_phase1(triangulation.copy(), 60).graph) == []
     assert isinstance(kernelize(Instance(triangulation, 60)), Kernel)
-    assert calls == {"rotation": 0, "faces": 0}
+    assert calls == {"half_edges": 0, "rotation": 0, "faces": 0}
 
     ring = gen_tightness(3)
     assert len(pendant_owners(run_phase1(ring.copy(), 11).graph)) >= 2
     assert isinstance(kernelize(Instance(ring, 11)), Kernel)
-    assert calls == {"rotation": 1, "faces": 1}
+    assert calls == {"half_edges": 1, "rotation": 0, "faces": 0}
+
+    # the hooks see every build, and each is built once per embedding
+    e = embedding.embed(ring)
+    assert e.faces is e.faces and e.rotation is e.rotation
+    assert calls == {"half_edges": 2, "rotation": 1, "faces": 1}
 
 
 def _k5_with(extra: list[tuple[int, int]]) -> Graph:
