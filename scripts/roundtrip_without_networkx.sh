@@ -3,7 +3,9 @@
 # (l = 3), kernelize it, solve the kernel, lift the solution back and
 # verify it. The kernel must have 11l + 2 = 35 vertices and the journal
 # exactly l = 3 R8 (pendant merge) records, so a Phase 2 that loses
-# merges fails here. Every step runs planarcvc.cli.main in a fresh
+# merges fails here. The kernel's non-leaf cover, which holds each
+# merged 2-vertex with both its owners, is lifted and verified too.
+# Every step runs planarcvc.cli.main in a fresh
 # Python process in which `import networkx` raises ImportError, and
 # fails if any networkx module got loaded anyway. Then one input error, a graph file
 # with a self-loop, must exit 2 with a single `error:` line on stderr,
@@ -50,6 +52,12 @@ planarcvc solve --input "$work/kernel.cvc" --limit "$k" > "$work/kernel.sol"
 planarcvc lift --input "$work/ring.cvc" --journal "$work/ring.journal" \
   --solution "$work/kernel.sol" > "$work/lifted.sol"
 planarcvc verify --input "$work/ring.cvc" --solution "$work/lifted.sol"
+awk '$1 == "e" { d[$2]++; d[$3]++ } END { for (v in d) if (d[v] > 1) print v }' \
+  "$work/kernel.cvc" | sort -n > "$work/nonleaf.sol"
+run lift --input "$work/ring.cvc" --journal "$work/ring.journal" \
+  --solution "$work/nonleaf.sol" > "$work/nonleaf-lifted.sol"
+run verify --input "$work/ring.cvc" --solution "$work/nonleaf-lifted.sol"
+echo "ok nonleaf-lift" >&2
 
 printf 'p cvc 2 1\ne 1 1\n' > "$work/loop.cvc"
 code=0

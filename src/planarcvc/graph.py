@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
 
 VertexId = int
@@ -197,31 +197,30 @@ class Graph:
                 comps.append(comp)
         return comps
 
-    def is_cut_vertex(self, v: VertexId) -> bool:
-        """True iff deleting v disconnects the graph. Requires a connected graph.
+    def split_side(
+        self, a: VertexId, b: VertexId, keep: Callable[[VertexId], bool]
+    ) -> set[VertexId] | None:
+        """None iff a and b are joined in the subgraph that a, b and keep induce.
 
-        One traversal of G - v: a BFS from v's first neighbor that reaches
-        every other vertex settles "no". Otherwise the search continues
-        from v's unreached neighbors; vertices still unreached after that
-        lie outside v's component, so the graph was disconnected.
+        Searches from a and b (distinct) at once, each round growing the
+        smaller side by one vertex, so the work is bounded by the smaller
+        side. Returns None when the sides meet; otherwise the side that
+        runs out first, a whole component of the induced subgraph.
         """
-        rest = len(self._adj) - 1
-        nbrs = iter(self._adj[v])
-        first = next(nbrs, None)
-        if first is None:
-            if rest:
-                raise ValueError("is_cut_vertex requires a connected graph")
-            return False
-        skip = frozenset((v,))
-        reached = self._bfs_reach(first, skip)
-        if len(reached) == rest:
-            return False
-        for w in nbrs:
-            if w not in reached:
-                reached |= self._bfs_reach(w, skip)
-        if len(reached) != rest:
-            raise ValueError("is_cut_vertex requires a connected graph")
-        return True
+        adj = self._adj
+        sides = ({a}, {b})
+        queues = (deque((a,)), deque((b,)))
+        while True:
+            i = len(sides[0]) > len(sides[1])
+            side, other, queue = sides[i], sides[not i], queues[i]
+            if not queue:
+                return side
+            for y in adj[queue.popleft()]:
+                if y in other:
+                    return None
+                if y not in side and keep(y):
+                    side.add(y)
+                    queue.append(y)
 
     def is_connected_without(self, removed: Iterable[VertexId]) -> bool:
         """Connectivity of the graph with `removed` vertices deleted."""

@@ -305,9 +305,12 @@ def _lift_identification(
 ) -> set[VertexId]:
     """Undo one pendant identification (the inverse of the 2-vertex rules).
 
-    The merged 2-vertex c has neighbors u and v. When the solution leans
-    on c for connectivity, one replacement vertex adjacent to both halves
-    always exists because c is not a cut vertex of the merged graph
+    The merged 2-vertex c has neighbors u and v. When the solution holds
+    c and both owners, dropping c leaves at most two parts, u's and v's;
+    split_side finds whether they are apart, searching only as far as
+    the smaller part. If so, the smallest non-cover vertex z != c next
+    to the returned part with a cover neighbor outside it rejoins them.
+    One always exists because c is not a cut vertex of the merged graph
     (replay_journal checked connectivity before the first R8 step).
     """
     u, v, c = step.site["u"], step.site["v"], step.site["c"]
@@ -325,21 +328,17 @@ def _lift_identification(
         sol.add(v if u_in else u)
         return sol
 
-    comps = post.induced_components(sol)
-    if len(comps) <= 1:
+    side = post.split_side(u, v, sol.__contains__)
+    if side is None:
         return sol
-    assert len(comps) == 2, "a 2-vertex splits its cover into at most two parts"
-    comp_u = comps[0] if u in comps[0] else comps[1]
-    comp_v = comps[0] if v in comps[0] else comps[1]
-    assert comp_u is not comp_v
-    for z in post.vertices():
-        if z == c or z in sol:
-            continue
-        nbrs = post.neighbor_set(z)
-        if nbrs & comp_u and nbrs & comp_v:
-            sol.add(z)
-            return sol
-    raise AssertionError("no reconnecting vertex found; upstream bug")
+    adj = post.adjacency()
+    rim = {z for x in side for z in adj[x] if z not in sol}
+    rim.discard(c)
+    joins = [z for z in rim if any(w in sol and w not in side for w in adj[z])]
+    if not joins:
+        raise AssertionError("no reconnecting vertex found; upstream bug")
+    sol.add(min(joins))
+    return sol
 
 
 # ----------------------------------------------------------------------

@@ -240,7 +240,8 @@ def _apply_r3(g: Graph, site: dict) -> ReductionStep:
     _require(v in g and g.degree(v) == 2, f"R3: {v} is not a 2-vertex")
     _require(set(g.neighbors(v)) == {u, w}, "R3: neighborhood mismatch")
     _require(not g.has_edge(u, w), "R3: uw must not be an edge")
-    cut = g.is_cut_vertex(v)
+    # v cuts its component iff its two neighbors are apart in G - v.
+    cut = g.split_side(u, w, v.__ne__) is not None
     _require(cut == bool(site.get("cut", cut)), "R3: cut flag does not match the graph")
     rec = dict(site, cut=cut)
     if cut:

@@ -5,7 +5,10 @@ bitmask DP over vertex subsets, the cover search enumerates subsets in
 increasing size, and the rule detector finds R1-R5 by rescanning the
 sorted vertex and edge lists once per rule, so agreement with the
 library is meaningful. dfs_tree_cover is a polynomial-time connected
-vertex cover for checks beyond the exact solver's reach.
+vertex cover for checks beyond the exact solver's reach; non_leaf_cover
+is a larger one that holds every merged 2-vertex with both its owners.
+reference_is_cut_vertex is the whole-graph cut-vertex test that R3 used
+before it asked Graph.split_side, kept as that primitive's reference.
 
 The reference_* text-format and verifier functions are the package's
 parse_graph, serialize_graph, serialize_journal and verify_cvc as they
@@ -104,6 +107,46 @@ def dfs_tree_cover(g: Graph) -> set[VertexId]:
         else:
             stack.pop()
     return inner
+
+
+def non_leaf_cover(g: Graph) -> set[VertexId]:
+    """Every vertex of degree at least 2 of a connected graph.
+
+    A connected vertex cover: removing leaves keeps a graph connected,
+    and a leaf's one edge ends at a non-leaf, except on a single edge,
+    where the smaller end is taken. On a kernel that holds merged
+    2-vertices it takes each of them together with both its owners, so
+    lifting it asks, at every merge, whether the owners stay joined
+    without the merged vertex.
+    """
+    adj = g.adjacency()
+    inner = {v for v, nbrs in adj.items() if len(nbrs) > 1}
+    return inner if inner or not adj else {min(adj)}
+
+
+def reference_is_cut_vertex(g: Graph, v: VertexId) -> bool:
+    """True iff deleting v disconnects g; ValueError when g is disconnected.
+
+    Two BFS over the sorted neighbor lists, neither entering v: from v
+    it reaches v's component of g, and from any other vertex its
+    component of g - v.
+    """
+
+    def reach(start: VertexId) -> set[VertexId]:
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for y in g.neighbors(queue.popleft()):
+                if y != v and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return seen
+
+    verts = g.vertices()
+    rest = [x for x in verts if x != v]
+    if len(reach(v)) != len(verts):
+        raise ValueError("reference_is_cut_vertex requires a connected graph")
+    return bool(rest) and len(reach(rest[0])) != len(rest)
 
 
 def reference_maximum_matching(g: Graph) -> Matching:

@@ -237,6 +237,13 @@ def _main_optimized(argv: list[str]) -> tuple[int, str]:
 _TWO_PATHS = "p cvc 6 4\ne 1 2\ne 2 3\ne 4 5\ne 5 6\n"
 _R8_ACROSS = {"step_index": 0, "rule": "R8", "created": [7], "removed": [1, 4], "k_delta": 0,
               "site": {"u": 2, "v": 5, "xu": 1, "xv": 4, "c": 7, "face": 0}}
+# Paths 1-2-3 and 4-5, and one R3 record at v = 2 with its cut flag set:
+# 1 and 3 are apart in G - 2, so the contraction of 1-2 into 6 replays on
+# the disconnected input, but the kernel {3-6, 4-5} has no connected
+# vertex cover, so lifting {3, 4, 6} (labels 1, 2, 4) fails there.
+_R3_SPLIT = "p cvc 5 3\ne 1 2\ne 2 3\ne 4 5\n"
+_R3_CUT = {"step_index": 0, "rule": "R3", "created": [6], "removed": [1, 2], "k_delta": -1,
+           "site": {"v": 2, "u": 1, "w": 3, "cut": True, "c": 6}}
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["in-process", "python-O"])
@@ -380,6 +387,10 @@ _INPUT_ERROR_ROWS = {
         "lift --input {d}/paths.cvc --journal {d}/across.jsonl --solution {d}/across.sol",
         "journal does not replay at step 0: R8 on a disconnected graph",
     ),
+    "lift-r3-cut-across-components": (
+        "lift --input {d}/split.cvc --journal {d}/r3cut.jsonl --solution {d}/r3cut.sol",
+        "kernel solution is not a connected vertex cover",
+    ),
     "lift-unknown-label": (_LIFT + " --solution {d}/label99.sol", "solution label 99 is not a kernel vertex"),
     "lift-not-a-cover": (
         _LIFT + " --solution {d}/label1.sol", "kernel solution is not a connected vertex cover",
@@ -430,6 +441,9 @@ def input_error_dir(tmp_path_factory):
         "paths.cvc": _TWO_PATHS,
         "across.jsonl": json.dumps(_R8_ACROSS) + "\n",
         "across.sol": "1\n3\n5\n",
+        "split.cvc": _R3_SPLIT,
+        "r3cut.jsonl": json.dumps(_R3_CUT) + "\n",
+        "r3cut.sol": "1\n2\n4\n",
     }
     for name, text in files.items():
         (d / name).write_text(text)
@@ -464,7 +478,11 @@ def test_cli_input_errors_exit_2(input_error_dir, capsys, row):
 
 
 @pytest.mark.parametrize(
-    "row", ["kernelize-nonplanar", "lift-not-a-cover", "verify-unknown-label", "generate-density-nan"]
+    "row",
+    [
+        "kernelize-nonplanar", "lift-not-a-cover", "lift-r3-cut-across-components",
+        "verify-unknown-label", "generate-density-nan",
+    ],
 )
 def test_cli_input_errors_exit_2_optimized(input_error_dir, row):
     # The same boundary in a fresh `python -O` process, where asserts are gone.
@@ -475,15 +493,18 @@ def test_cli_input_errors_exit_2_optimized(input_error_dir, row):
 def test_cli_round_trip_without_networkx():
     # networkx is a test-only dependency: generate -> kernelize -> solve
     # -> lift -> verify must run with every import of it blocked, the
-    # ring's kernel must keep all three merges, and an input error and a
-    # non-planar K5 must exit 2 from the entry point.
+    # ring's kernel must keep all three merges, its non-leaf cover must
+    # lift to a cover too, and an input error and a non-planar K5 must
+    # exit 2 from the entry point.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
-    assert steps == ["generate", "kernelize", "ring-merges", "solve", "lift", "verify", "input-error", "nonplanar"]
+    assert steps == [
+        "generate", "kernelize", "ring-merges", "solve", "lift", "verify", "nonleaf-lift", "input-error", "nonplanar",
+    ]
 
 
 def test_cli_solve_and_verify(tmp_path, capsys):

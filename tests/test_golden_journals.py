@@ -6,8 +6,11 @@ rule order, the smallest-site tie-break or the fresh-id allocation shows
 up here as a digest mismatch. golden_lifts.json holds, for the same
 corpus, the sha256 of the sorted lifted cover of the kernel's DFS-tree
 cover (brute.dfs_tree_cover), so a refactor of replay or lifting that
-changes a lifted cover shows up too. Re-record only for an intended
-journal or lift change:
+changes a lifted cover shows up too. golden_nonleaf_lifts.json holds the
+same digest for the kernel's non-leaf cover (brute.non_leaf_cover),
+which takes every merged 2-vertex with both its owners, so lifting it
+asks at every merge whether the owners stay joined without the merged
+vertex. Re-record only for an intended journal or lift change:
 
     PYTHONPATH=src python tests/test_golden_journals.py
 """
@@ -33,10 +36,11 @@ from planarcvc.pipeline import (
 )
 from planarcvc.reductions import RuleId
 
-from brute import dfs_tree_cover
+from brute import dfs_tree_cover, non_leaf_cover
 
 GOLDEN = Path(__file__).with_name("golden_journals.json")
 GOLDEN_LIFTS = Path(__file__).with_name("golden_lifts.json")
+GOLDEN_NONLEAF_LIFTS = Path(__file__).with_name("golden_nonleaf_lifts.json")
 
 
 def golden_corpus():
@@ -69,10 +73,10 @@ def journal_digests() -> dict[str, str]:
     }
 
 
-def lift_digests() -> dict[str, str]:
+def lift_digests(make_cover=dfs_tree_cover) -> dict[str, str]:
     digests = {}
     for label, outcome in golden_kernels():
-        cover = dfs_tree_cover(outcome.instance.graph)
+        cover = make_cover(outcome.instance.graph)
         lifted = lift_solution(outcome.journal, cover)
         digests[label] = _sha256(json.dumps(sorted(lifted)))
     return digests
@@ -86,6 +90,23 @@ def test_journals_match_golden_digests():
 def test_lifts_match_golden_digests():
     expected = json.loads(GOLDEN_LIFTS.read_text())
     assert lift_digests() == expected
+
+
+def test_nonleaf_lifts_match_golden_digests():
+    expected = json.loads(GOLDEN_NONLEAF_LIFTS.read_text())
+    assert lift_digests(non_leaf_cover) == expected
+
+
+def test_nonleaf_covers_hold_every_merge_with_both_owners():
+    merges = 0
+    for label, outcome in golden_kernels():
+        cover = non_leaf_cover(outcome.instance.graph)
+        for step in outcome.journal.steps:
+            if step.rule is RuleId.R8:
+                site = step.site
+                assert {site["u"], site["v"], site["c"]} <= cover, label
+                merges += 1
+    assert merges >= 3 + 6 + 12
 
 
 def test_kernel_vertex_ids_match_the_kernel():
@@ -118,4 +139,5 @@ def test_r8_undo_restores_every_pre_graph():
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(journal_digests(), indent=1) + "\n")
     GOLDEN_LIFTS.write_text(json.dumps(lift_digests(), indent=1) + "\n")
+    GOLDEN_NONLEAF_LIFTS.write_text(json.dumps(lift_digests(non_leaf_cover), indent=1) + "\n")
     sys.exit(0)

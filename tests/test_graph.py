@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planarcvc.graph import Graph, graph_from_edges
 
+from brute import reference_is_cut_vertex
 from conftest import make_cycle, make_path, make_star
+from strategies import small_graphs
 
 
 def test_contract_triangle_collapses_parallels():
@@ -71,16 +76,16 @@ def test_is_connected():
 
 def test_cut_vertices_path_and_triangle():
     path = make_path(3)
-    assert path.is_cut_vertex(2)
-    assert not path.is_cut_vertex(1)
+    assert reference_is_cut_vertex(path, 2)
+    assert not reference_is_cut_vertex(path, 1)
     tri = make_cycle(3)
-    assert all(not tri.is_cut_vertex(v) for v in tri.vertices())
+    assert all(not reference_is_cut_vertex(tri, v) for v in tri.vertices())
 
 
 def test_cut_vertex_rejects_disconnected():
     g = graph_from_edges([(1, 2), (3, 4)])
     with pytest.raises(ValueError):
-        g.is_cut_vertex(1)
+        reference_is_cut_vertex(g, 1)
 
 
 @pytest.mark.parametrize("v", [1, 2, 4, 6])
@@ -88,13 +93,51 @@ def test_cut_vertex_rejects_disconnected_at_every_kind_of_vertex(v):
     # 2 splits its own component; 1 and 4 are leaves; 6 is isolated.
     g = graph_from_edges([(1, 2), (2, 3), (4, 5)], vertices=[6])
     with pytest.raises(ValueError):
-        g.is_cut_vertex(v)
+        reference_is_cut_vertex(g, v)
 
 
 def test_cut_vertex_single_vertex_is_not_a_cut():
     g = Graph()
     v = g.add_vertex()
-    assert not g.is_cut_vertex(v)
+    assert not reference_is_cut_vertex(g, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.data())
+def test_split_side_matches_induced_components(g, data):
+    # Disconnected graphs and any keep-subset: None iff a and b share a
+    # component of the subgraph that a, b and keep induce, otherwise one
+    # of their two components.
+    assume(g.n_vertices >= 2)
+    a, b = data.draw(st.permutations(g.vertices()))[:2]
+    keep = data.draw(st.sets(st.sampled_from(g.vertices())))
+    comps = g.induced_components(keep | {a, b})
+    comp_a = next(c for c in comps if a in c)
+    comp_b = next(c for c in comps if b in c)
+    side = g.split_side(a, b, keep.__contains__)
+    if comp_a is comp_b:
+        assert side is None
+    else:
+        assert side in (comp_a, comp_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.data())
+def test_split_side_answers_the_cut_question(g, data):
+    # R3's form on connected graphs: v is a cut vertex iff two of its
+    # neighbors are apart in G - v (for a 2-vertex, its only two).
+    assume(g.n_vertices >= 1)
+    root = data.draw(st.sampled_from(g.vertices()))
+    comp = next(c for c in g.connected_components() if root in c)
+    for x in g.vertices():
+        if x not in comp:
+            g.remove_vertex(x)
+    for v in g.vertices():
+        apart = any(
+            g.split_side(u, w, v.__ne__) is not None
+            for u, w in combinations(g.neighbors(v), 2)
+        )
+        assert apart == reference_is_cut_vertex(g, v)
 
 
 def test_pendant_neighbors():
@@ -155,4 +198,4 @@ def test_cut_vertex_matches_component_count():
         for v in g.vertices():
             remaining = [x for x in g.vertices() if x != v]
             comps = len(g.induced_components(remaining))
-            assert g.is_cut_vertex(v) == (comps > 1)
+            assert reference_is_cut_vertex(g, v) == (comps > 1)

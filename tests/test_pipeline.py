@@ -373,6 +373,19 @@ def test_lift_merge_undo_branches():
     assert lift_solution(journal, {1, 3, c}) == {1, 2, 3}
 
 
+def test_lift_merge_reconnects_through_the_smallest_vertex():
+    # Owners 1 and 3 with pendants 4 and 5 and two common neighbors 2 and
+    # 7: lifting the cover {1, 3, c} must rejoin 1 and 3, and of the two
+    # vertices that can, it takes the smaller, as lifts always have.
+    from planarcvc.facematch import apply_identification
+
+    g = graph_from_edges([(1, 2), (2, 3), (1, 7), (7, 3), (1, 4), (3, 5)])
+    work = g.copy()
+    step = apply_identification(work, 1, 3)
+    journal = ReductionJournal(input_graph=g.copy(), dropped_isolated=(), steps=[step])
+    assert lift_solution(journal, {1, 3, step.created[0]}) == {1, 2, 3}
+
+
 def test_replay_rejects_phase1_step_after_r8():
     # Merging the pendants of 1 and 2 on the 4-cycle 1-3-2-4 leaves the
     # 2-vertex 3 for R3. kernelize never journals that order, and lifting

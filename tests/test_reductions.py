@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from planarcvc.embedding import is_planar
-from planarcvc.generators import gen_exception_graph, gen_tightness
+from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
 from planarcvc.graph import Graph, graph_from_edges
 from planarcvc.oracle import decide_cvc
+from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, replay_journal
 from planarcvc.reductions import (
     RuleApplicationError,
     RuleId,
@@ -171,6 +174,19 @@ def test_apply_site_mismatch_rejected():
         apply_rule(g, 2, RuleId.R2, {"v": 1, "u": 2, "w": 4})  # uw not an edge
     with pytest.raises(RuleApplicationError):
         apply_rule(g, 2, RuleId.R3, {"v": 1, "u": 2, "w": 4, "cut": True})
+
+
+@pytest.mark.parametrize("cut", [True, False], ids=["cut", "non-cut"])
+def test_replay_rejects_a_flipped_r3_cut_flag(cut):
+    # The recorded flag is untrusted: replay asks the cut question again.
+    out = kernelize(Instance(gen_random_planar(100, 0.35, 1), 100))
+    assert isinstance(out, Kernel)
+    steps = list(out.journal.steps)
+    idx = next(i for i, s in enumerate(steps) if s.rule is RuleId.R3 and s.site["cut"] is cut)
+    steps[idx] = replace(steps[idx], site=dict(steps[idx].site, cut=not cut))
+    journal = ReductionJournal(out.journal.input_graph, out.journal.dropped_isolated, steps)
+    with pytest.raises(ValueError, match=f"at step {idx}: RuleApplicationError.*cut flag"):
+        replay_journal(journal)
 
 
 def test_rule_equivalence_against_oracle():
