@@ -146,22 +146,21 @@ def undo_identification(g: Graph, step: ReductionStep) -> None:
         g.add_edge(owner, pendant)
 
 
-def run_phase2(g: Graph, e: Embedding | None = None) -> list[ReductionStep]:
+def run_phase2(g: Graph) -> list[ReductionStep]:
     """Apply R8 a maximum number of times, mutating g; returns the steps.
 
-    The embedding is computed once here when not supplied; the merges
-    themselves never consult it again, since consecutive pairs inside a
-    face are realizable without re-embedding. With fewer than two pendant
-    owners there is nothing to pair, so only planarity is decided and no
+    The embedding is computed once here; the merges themselves never
+    consult it again, since consecutive pairs inside a face are
+    realizable without re-embedding. With fewer than two pendant owners
+    there is nothing to pair, so only planarity is decided and no
     embedding is built. A non-planar g raises NonPlanarGraphError either
     way.
     """
     if g.n_vertices == 0:
         return []
-    if e is None:
-        if len(pendant_owners(g)) < 2 and is_planar(g):
-            return []
-        e = embed(g)  # raises NonPlanarGraphError for a non-planar g
+    if len(pendant_owners(g)) < 2 and is_planar(g):
+        return []
+    e = embed(g)  # raises NonPlanarGraphError for a non-planar g
     aux = build_aux_graph(g, e)
     if not aux.edges:
         return []

@@ -132,7 +132,7 @@ def gen_random_planar(n: int, density: float, seed: int) -> Graph:
         for u, w in g.edges():
             if rng.random() < 1.0 - density:
                 g.remove_edge(u, w)
-                if not g.is_connected():
+                if g.split_side(u, w, lambda _: True) is not None:
                     g.add_edge(u, w)  # bridge: keep it
     return g
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Container, Iterable, Iterator, Mapping
 
 
 VertexId = int
@@ -169,33 +169,46 @@ class Graph:
     # connectivity
     # ------------------------------------------------------------------
 
-    def _bfs_reach(self, start: VertexId, skip: frozenset[VertexId]) -> set[VertexId]:
+    def component(self, start: VertexId, within: Container[VertexId]) -> set[VertexId]:
+        """start's component in the subgraph that start and `within` induce.
+
+        A breadth-first search that enters a vertex w only when
+        `w in within` holds, so `within` should answer that in O(1).
+        """
+        adj = self._adj
         seen = {start}
-        queue = deque([start])
+        queue = deque((start,))
         while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if w not in seen and w not in skip:
+            for w in adj[queue.popleft()]:
+                if w not in seen and w in within:
                     seen.add(w)
                     queue.append(w)
         return seen
 
-    def is_connected(self) -> bool:
-        """True iff the graph has at most one connected component."""
-        if len(self._adj) <= 1:
-            return True
-        start = next(iter(self._adj))
-        return len(self._bfs_reach(start, frozenset())) == len(self._adj)
+    def components(self, subset: AbstractSet[VertexId] | None = None) -> list[set[VertexId]]:
+        """Components of the subgraph that subset induces, by smallest vertex.
 
-    def connected_components(self) -> list[set[VertexId]]:
-        comps = []
+        None stands for the whole graph.
+        """
+        within = self._adj.keys() if subset is None else subset
+        comps: list[set[VertexId]] = []
         seen: set[VertexId] = set()
-        for v in sorted(self._adj):
+        for v in sorted(within):
             if v not in seen:
-                comp = self._bfs_reach(v, frozenset())
+                comp = self.component(v, within)
                 seen |= comp
                 comps.append(comp)
         return comps
+
+    def is_connected(self, subset: AbstractSet[VertexId] | None = None) -> bool:
+        """True iff the subgraph that subset induces has at most one component.
+
+        None stands for the whole graph.
+        """
+        within = self._adj.keys() if subset is None else subset
+        if len(within) <= 1:
+            return True
+        return len(self.component(next(iter(within)), within)) == len(within)
 
     def split_side(
         self, a: VertexId, b: VertexId, keep: Callable[[VertexId], bool]
@@ -221,49 +234,6 @@ class Graph:
                 if y not in side and keep(y):
                     side.add(y)
                     queue.append(y)
-
-    def is_connected_without(self, removed: Iterable[VertexId]) -> bool:
-        """Connectivity of the graph with `removed` vertices deleted."""
-        skip = frozenset(removed)
-        rest = [w for w in self._adj if w not in skip]
-        if len(rest) <= 1:
-            return True
-        return len(self._bfs_reach(rest[0], skip)) == len(rest)
-
-    def induced_is_connected(self, subset: Iterable[VertexId]) -> bool:
-        """Connectivity of the subgraph induced by `subset` (empty: True)."""
-        sub = set(subset)
-        if len(sub) <= 1:
-            return True
-        start = next(iter(sub))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if w in sub and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(sub)
-
-    def induced_components(self, subset: Iterable[VertexId]) -> list[set[VertexId]]:
-        sub = set(subset)
-        comps = []
-        seen: set[VertexId] = set()
-        for v in sorted(sub):
-            if v in seen:
-                continue
-            comp = {v}
-            queue = deque([v])
-            while queue:
-                x = queue.popleft()
-                for w in self._adj[x]:
-                    if w in sub and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
 
     # ------------------------------------------------------------------
     # misc

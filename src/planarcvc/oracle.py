@@ -48,7 +48,7 @@ def verify_cvc(g: Graph, s: set[VertexId] | frozenset[VertexId]) -> bool:
     for v, nbrs in adj.items():
         if v not in s and not nbrs <= s:
             return False
-    return g.induced_is_connected(s)
+    return g.is_connected(s)
 
 
 def minimum_cvc(g: Graph, limit: int) -> CoverCertificate | None:
@@ -61,7 +61,7 @@ def minimum_cvc(g: Graph, limit: int) -> CoverCertificate | None:
     """
     if limit < 0:
         return None
-    edgeful = [c for c in g.connected_components() if len(c) > 1]
+    edgeful = [c for c in g.components() if len(c) > 1]
     if not edgeful:
         return CoverCertificate(frozenset())
     if len(edgeful) > 1:
@@ -78,7 +78,7 @@ def decide_cvc(g: Graph, k: int) -> bool:
     """True iff g has a connected vertex cover of size at most k."""
     if k < 0:
         return False
-    edgeful = [c for c in g.connected_components() if len(c) > 1]
+    edgeful = [c for c in g.components() if len(c) > 1]
     if not edgeful:
         return True
     if len(edgeful) > 1:
@@ -146,8 +146,8 @@ def _branch_and_bound(
                     return True
             return False
 
-        comps = g.induced_components(chosen) if chosen else []
-        if len(comps) <= 1:
+        comp = g.component(min(chosen), chosen)
+        if len(comp) == len(chosen):
             best[0] = set(chosen)
             best_size[0] = len(chosen)
             return True
@@ -155,7 +155,6 @@ def _branch_and_bound(
         # neighbor), so only a +1 bound is sound here.
         if len(chosen) + 1 >= best_size[0]:
             return False
-        comp = min(comps, key=min)
         frontier = sorted({w for v in comp for w in adj[v]} - chosen)
         for z in frontier:
             chosen.add(z)

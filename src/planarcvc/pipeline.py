@@ -59,7 +59,9 @@ class ReductionJournal:
 
     Replaying: strip the isolated vertices of the input, then apply the
     steps in order. Fresh ids allocated during replay coincide with the
-    recorded ones because allocation is deterministic.
+    recorded ones because allocation is deterministic. input_graph is
+    the input graph itself, not a copy: replay and lift only read it, so
+    it must not be mutated while the journal is in use.
     """
 
     input_graph: Graph
@@ -103,9 +105,7 @@ def kernelize(inst: Instance) -> KernelOutcome:
     for v in dropped:
         work.remove_vertex(v)
 
-    journal = ReductionJournal(
-        input_graph=inst.graph.copy(), dropped_isolated=dropped
-    )
+    journal = ReductionJournal(input_graph=inst.graph, dropped_isolated=dropped)
     if work.n_vertices == 0:
         return Kernel(Instance(work, inst.k), journal)
     if not work.is_connected():

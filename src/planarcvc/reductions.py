@@ -157,12 +157,14 @@ def _find_r6(g: Graph) -> dict[str, int | bool] | None:
         if len(twins) >= 2
     )
     for a, b, (x, v, y) in candidates:
-        if all(
-            not g.is_connected_without(pair)
-            for pair in ((x, v), (x, y), (v, y))
-        ):
+        if all(_separates(g, pair) for pair in ((x, v), (x, y), (v, y))):
             return {"a": a, "b": b, "x": x, "v": v, "y": y}
     return None
+
+
+def _separates(g: Graph, pair: tuple[VertexId, VertexId]) -> bool:
+    """True iff deleting both vertices of pair disconnects g."""
+    return not g.is_connected(g.adjacency().keys() - pair)
 
 
 def _find_r7(g: Graph) -> dict[str, int | bool] | None:
@@ -288,10 +290,7 @@ def _apply_r6(g: Graph, site: dict) -> ReductionStep:
         _require(t in g and g.degree(t) == 3, f"R6: {t} is not a 3-vertex")
         _require(set(g.neighbors(t)) == {x, v, y}, "R6: neighborhood mismatch")
     for pair in ((x, v), (x, y), (v, y)):
-        _require(
-            not g.is_connected_without(pair),
-            f"R6: removing {pair} leaves the graph connected",
-        )
+        _require(_separates(g, pair), f"R6: removing {pair} leaves the graph connected")
     g.remove_vertex(a)
     rec = dict(site)
     created = []

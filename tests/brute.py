@@ -9,6 +9,8 @@ vertex cover for checks beyond the exact solver's reach; non_leaf_cover
 is a larger one that holds every merged 2-vertex with both its owners.
 reference_is_cut_vertex is the whole-graph cut-vertex test that R3 used
 before it asked Graph.split_side, kept as that primitive's reference.
+reference_is_connected joins the ends of each induced edge by union-find,
+so the cover checks here do not lean on Graph's breadth-first search.
 
 The reference_* text-format and verifier functions are the package's
 parse_graph, serialize_graph, serialize_journal and verify_cvc as they
@@ -76,10 +78,30 @@ def brute_minimum_cvc(g: Graph) -> int | None:
         for subset in combinations(verts, size):
             chosen = set(subset)
             if all(u in chosen or w in chosen for u, w in edges) and (
-                g.induced_is_connected(chosen)
+                reference_is_connected(g, chosen)
             ):
                 return size
     return None
+
+
+def reference_is_connected(g: Graph, subset: set[VertexId] | frozenset[VertexId]) -> bool:
+    """True iff subset induces a connected subgraph of g (empty: True).
+
+    Union-find over the edges with both ends in subset: connected iff
+    the unions leave one root.
+    """
+    parent = {v: v for v in subset}
+
+    def root(v: VertexId) -> VertexId:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, w in g.edges():
+        if u in parent and w in parent:
+            parent[root(u)] = root(w)
+    return len({root(v) for v in subset}) <= 1
 
 
 def dfs_tree_cover(g: Graph) -> set[VertexId]:
@@ -401,7 +423,7 @@ def reference_verify_cvc(g: Graph, s: set[VertexId] | frozenset[VertexId]) -> bo
     for u, w in g.edges():
         if u not in s and w not in s:
             return False
-    return g.induced_is_connected(s)
+    return reference_is_connected(g, s)
 
 
 def reference_faces(rotation: dict[VertexId, tuple[VertexId, ...]]) -> tuple[Face, ...]:

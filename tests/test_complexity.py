@@ -13,7 +13,8 @@ versions.
 The inputs are budgeted at the size of their DFS-tree cover (ring
 family: 3l + 2), so every one kernelizes. Lift rows lift the kernel's
 DFS-tree cover or its non-leaf cover, which holds every merged
-2-vertex with both its owners.
+2-vertex with both its owners. The generate row counts building the
+input itself, whose bridge test runs once per dropped edge.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ COVERS = {"lift-dfs": dfs_tree_cover, "lift-nonleaf": non_leaf_cover}
 
 def layer_call(layer: str, family: str, size: int):
     """One run of the layer on one rung, its input built outside the count."""
+    if layer == "generate":
+        return lambda: FAMILIES[family](size)
     if layer == "kernelize":
         inst = _instance(family, size)
         return lambda: kernelize(inst)
@@ -69,6 +72,7 @@ def layer_call(layer: str, family: str, size: int):
 SPARSE = (200, 400, 800)
 RING = (16, 33, 66)
 ROWS = [
+    ("generate", "sparse", SPARSE, 1.2),
     ("replay", "sparse", SPARSE, 1.2),
     ("lift-dfs", "sparse", SPARSE, 1.2),
     ("lift-nonleaf", "ring", RING, 1.2),

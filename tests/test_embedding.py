@@ -157,7 +157,7 @@ def test_is_planar_iff_every_component_embeds(g):
             return False
         return True
 
-    components = [c for c in g.connected_components() if len(c) > 1]
+    components = [c for c in g.components() if len(c) > 1]
     assert is_planar(g) == all(embeds(c) for c in components)
 
 
@@ -196,7 +196,7 @@ def _assert_walk_matches_reference(e: Embedding, rng: random.Random, owners: tup
 
 def _component_graphs(g: Graph) -> list[Graph]:
     return [graph_from_edges(((u, w) for u, w in g.edges() if u in c), vertices=c)
-            for c in g.connected_components()]
+            for c in g.components()]
 
 
 @settings(max_examples=100, deadline=None)

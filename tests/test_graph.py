@@ -104,14 +104,29 @@ def test_cut_vertex_single_vertex_is_not_a_cut():
 
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(), st.data())
-def test_split_side_matches_induced_components(g, data):
+def test_components_match_networkx(g, data):
+    # Random subsets, the empty one included, and the whole graph (None).
+    nx = pytest.importorskip("networkx")
+    subset = data.draw(st.sets(st.sampled_from(g.vertices())) if g.n_vertices else st.just(set()))
+    for sub in (subset, None):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices() if sub is None else sub)
+        h.add_edges_from((u, w) for u, w in g.edges() if u in h and w in h)
+        expected = sorted({tuple(sorted(nx.node_connected_component(h, v))) for v in h})
+        assert [tuple(sorted(c)) for c in g.components(sub)] == expected
+        assert g.is_connected(sub) == (h.number_of_nodes() <= 1 or nx.is_connected(h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.data())
+def test_split_side_matches_components(g, data):
     # Disconnected graphs and any keep-subset: None iff a and b share a
     # component of the subgraph that a, b and keep induce, otherwise one
     # of their two components.
     assume(g.n_vertices >= 2)
     a, b = data.draw(st.permutations(g.vertices()))[:2]
     keep = data.draw(st.sets(st.sampled_from(g.vertices())))
-    comps = g.induced_components(keep | {a, b})
+    comps = g.components(keep | {a, b})
     comp_a = next(c for c in comps if a in c)
     comp_b = next(c for c in comps if b in c)
     side = g.split_side(a, b, keep.__contains__)
@@ -128,7 +143,7 @@ def test_split_side_answers_the_cut_question(g, data):
     # neighbors are apart in G - v (for a 2-vertex, its only two).
     assume(g.n_vertices >= 1)
     root = data.draw(st.sampled_from(g.vertices()))
-    comp = next(c for c in g.connected_components() if root in c)
+    comp = next(c for c in g.components() if root in c)
     for x in g.vertices():
         if x not in comp:
             g.remove_vertex(x)
@@ -196,6 +211,6 @@ def test_cut_vertex_matches_component_count():
             if not g.has_edge(u, w):
                 g.add_edge(u, w)
         for v in g.vertices():
-            remaining = [x for x in g.vertices() if x != v]
-            comps = len(g.induced_components(remaining))
+            remaining = {x for x in g.vertices() if x != v}
+            comps = len(g.components(remaining))
             assert reference_is_cut_vertex(g, v) == (comps > 1)

@@ -386,6 +386,62 @@ def test_lift_merge_reconnects_through_the_smallest_vertex():
     assert lift_solution(journal, {1, 3, step.created[0]}) == {1, 2, 3}
 
 
+def _independent_set_cover(g: Graph, protected: set[int], seed: int) -> set[int]:
+    """V - I, I a seeded maximal independent set of g outside protected."""
+    free = [v for v in g.vertices() if v not in protected]
+    random.Random(seed).shuffle(free)
+    adj = g.adjacency()
+    indep: set[int] = set()
+    for v in free:
+        if not adj[v] & indep:
+            indep.add(v)
+    return set(adj) - indep
+
+
+def test_lift_reconnects_merge_owners_on_generated_kernels(monkeypatch):
+    # Covers V - I of generated kernels, I a seeded maximal independent
+    # set that keeps every merged 2-vertex c and both its owners in the
+    # cover. Where I cuts the owners apart without c, the R8 lift must
+    # add a reconnecting vertex; the random inputs are ones where it does.
+    from planarcvc import pipeline
+
+    lift_identification = pipeline._lift_identification
+    reconnecting = []
+
+    def counted(step, post, sol):
+        before = set(sol)
+        lifted = lift_identification(step, post, sol)
+        reconnecting.extend(lifted - before - {step.site["u"], step.site["v"]})
+        return lifted
+
+    monkeypatch.setattr(pipeline, "_lift_identification", counted)
+    inputs = [(gen_tightness(ell), 3 * ell + 2) for ell in range(3, 13)]
+    for n, density, seed in ((150, 0.55, 19), (150, 0.6, 9), (400, 0.6, 11)):
+        g = gen_random_planar(n, density, seed)
+        inputs.append((g, len(dfs_tree_cover(g))))
+    lifts = 0
+    for g, k in inputs:
+        out = kernelize(Instance(g, k))
+        assert isinstance(out, Kernel)
+        kernel = out.instance.graph
+        protected = {
+            x
+            for s in out.journal.steps
+            if s.rule is RuleId.R8
+            for x in (s.site["u"], s.site["v"], s.created[0])
+        }
+        assert protected
+        for seed in range(32):
+            cover = _independent_set_cover(kernel, protected, seed)
+            if not verify_cvc(kernel, cover):
+                continue
+            lifted = lift_solution(out.journal, cover)
+            assert verify_cvc(g, lifted)
+            assert len(lifted) <= len(cover) + out.journal.k_spent
+            lifts += 1
+    assert lifts and reconnecting, (lifts, reconnecting)
+
+
 def test_replay_rejects_phase1_step_after_r8():
     # Merging the pendants of 1 and 2 on the 4-cycle 1-3-2-4 leaves the
     # 2-vertex 3 for R3. kernelize never journals that order, and lifting
@@ -410,7 +466,7 @@ def test_r8_connectivity_checks_do_not_grow_with_the_ring(monkeypatch, target):
     # while the ring family's merges grow from 12 to 48.
     from planarcvc.facematch import run_phase2
 
-    bfs_reach = Graph._bfs_reach
+    component = Graph.component
     counts = []
     for ell in (12, 48):
         g = gen_tightness(ell)
@@ -418,7 +474,7 @@ def test_r8_connectivity_checks_do_not_grow_with_the_ring(monkeypatch, target):
         assert isinstance(out, Kernel)
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(Graph, "_bfs_reach", lambda self, *a: calls.append(a) or bfs_reach(self, *a))
+            m.setattr(Graph, "component", lambda self, *a: calls.append(a) or component(self, *a))
             if target == "run_phase2":
                 steps = run_phase2(g)
             else:
