@@ -9,9 +9,8 @@ hence non-crossing, pairs of equal total count before the merges are
 performed. Both the aux graph and the rearrangement read the faces off
 the embedding's half-edge face walk (Embedding.face_members): one scan
 of the walk for the owners' corners, then work only on the faces with
-two or more owners; no Face list or rotation dict is built.
-undo_identification reverses one merge when a solution is lifted back
-through the journal.
+two or more owners; no Face list or rotation dict is built. The merges
+themselves are R8 steps, applied and undone by reductions.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from .embedding import Embedding, embed, is_planar
 from .graph import Graph, VertexId
 from .matching import Matching, maximum_matching
-from .reductions import ReductionStep, RuleApplicationError, RuleId
+from .reductions import ReductionStep, apply_identification
 
 
 @dataclass(frozen=True)
@@ -97,53 +96,6 @@ def planarize_matching(m0: Matching, e: Embedding) -> PlanarizedMatching:
     if partner:
         raise AssertionError(f"matched pair {min(partner)}, {partner[min(partner)]} without a common face")
     return PlanarizedMatching(pairs=tuple(pairs))
-
-
-def apply_identification(
-    g: Graph, u: VertexId, v: VertexId, face_id: int = -1
-) -> ReductionStep:
-    """Merge the pendants of u and v into one fresh 2-vertex (R8).
-
-    The owners must be distinct and non-adjacent (guaranteed for Phase 1
-    fixpoints because R4 removed adjacent pendant-owner pairs). A site
-    that breaks this, as a tampered journal may, raises
-    RuleApplicationError before the graph changes. In a connected graph
-    c is never a cut vertex (u and v stay joined), so none is checked.
-    """
-    if u not in g or v not in g:
-        raise RuleApplicationError(f"R8 owners {u}, {v} must be vertices")
-    if u == v or g.has_edge(u, v):
-        raise RuleApplicationError(f"R8 owners {u}, {v} must be distinct and non-adjacent")
-    pu = sorted(g.pendant_neighbors(u))
-    pv = sorted(g.pendant_neighbors(v))
-    if not pu or not pv:
-        raise RuleApplicationError(f"R8 owners {u}, {v} must both own a pendant")
-    xu, xv = pu[0], pv[0]
-    g.remove_vertex(xu)
-    g.remove_vertex(xv)
-    c = g.add_vertex()
-    g.add_edge(u, c)
-    g.add_edge(v, c)
-    site: dict[str, int | bool] = {
-        "u": u, "v": v, "xu": xu, "xv": xv, "c": c, "face": face_id,
-    }
-    return ReductionStep(RuleId.R8, site, (c,), (xu, xv), 0)
-
-
-def undo_identification(g: Graph, step: ReductionStep) -> None:
-    """The inverse of apply_identification, in place.
-
-    g must be the graph right after the R8 step: the merged 2-vertex c
-    is removed and the pendants xu and xv hang on u and v again under
-    their recorded ids.
-    """
-    site = step.site
-    u, v, c = site["u"], site["v"], site["c"]
-    assert g.neighbor_set(c) == {u, v}, "R8 undo needs the merged 2-vertex"
-    g.remove_vertex(c)
-    for owner, pendant in ((u, site["xu"]), (v, site["xv"])):
-        g.add_named_vertex(pendant)
-        g.add_edge(owner, pendant)
 
 
 def run_phase2(g: Graph) -> list[ReductionStep]:

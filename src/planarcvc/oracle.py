@@ -59,33 +59,27 @@ def minimum_cvc(g: Graph, limit: int) -> CoverCertificate | None:
     every limit. Raises TooLargeError instead of attempting instances
     where the exhaustive search would be unreasonable.
     """
-    if limit < 0:
-        return None
-    edgeful = [c for c in g.components() if len(c) > 1]
-    if not edgeful:
-        return CoverCertificate(frozenset())
-    if len(edgeful) > 1:
-        return None
-    core = sorted(edgeful[0])
-    _guard_size(len(core), limit)
-    best = _branch_and_bound(g, core, min(limit, len(core)), first_hit=False)
-    if best is None:
-        return None
-    return CoverCertificate(frozenset(best))
+    best = _solve(g, limit, first_hit=False)
+    return None if best is None else CoverCertificate(frozenset(best))
 
 
 def decide_cvc(g: Graph, k: int) -> bool:
     """True iff g has a connected vertex cover of size at most k."""
-    if k < 0:
-        return False
+    return _solve(g, k, first_hit=True) is not None
+
+
+def _solve(g: Graph, limit: int, first_hit: bool) -> set[VertexId] | None:
+    """A connected vertex cover of size <= limit (a smallest one unless first_hit), or None."""
+    if limit < 0:
+        return None
     edgeful = [c for c in g.components() if len(c) > 1]
     if not edgeful:
-        return True
+        return set()
     if len(edgeful) > 1:
-        return False
+        return None
     core = sorted(edgeful[0])
-    _guard_size(len(core), k)
-    return _branch_and_bound(g, core, min(k, len(core)), first_hit=True) is not None
+    _guard_size(len(core), limit)
+    return _branch_and_bound(g, core, min(limit, len(core)), first_hit)
 
 
 def _guard_size(n: int, budget: int) -> None:

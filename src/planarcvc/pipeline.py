@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .embedding import NonPlanarGraphError
-from .facematch import apply_identification, run_phase2, undo_identification
+from .facematch import run_phase2
 from .graph import Graph, VertexId
 from .oracle import verify_cvc
-from .reductions import ReductionStep, RuleId, apply_rule, run_phase1
+from .reductions import ReductionStep, RuleId, apply_rule, run_phase1, undo_identification
 
 
 class NonPlanarInputError(Exception):
@@ -158,7 +158,7 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
         elif fixpoint is not None:
             raise ValueError(f"journal does not replay at step {idx}: Phase 1 step after an R8 step")
         try:
-            realized = _replay_step(g, step)
+            realized = apply_rule(g, step.rule, step.site)
         except Exception as exc:  # noqa: BLE001 - a record's site is untrusted input
             raise ValueError(f"journal does not replay at step {idx}: {exc!r}") from exc
         if realized != step:
@@ -178,15 +178,6 @@ def kernel_vertex_ids(journal: ReductionJournal) -> set[VertexId]:
         ids.difference_update(step.removed)
         ids.update(step.created)
     return ids
-
-
-def _replay_step(g: Graph, step: ReductionStep) -> ReductionStep:
-    if step.rule is RuleId.R8:
-        return apply_identification(
-            g, step.site["u"], step.site["v"], step.site["face"]
-        )
-    _, realized = apply_rule(g, 0, step.rule, step.site)
-    return realized
 
 
 # ----------------------------------------------------------------------

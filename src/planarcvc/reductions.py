@@ -1,9 +1,10 @@
-"""Phase 1 reduction rules (R1-R7) with journaled application.
+"""Reduction rules R1-R8 with journaled application, and Phase 1.
 
 Rules are detected in strict priority order: rule i is only reported when
 no rule j < i matches anywhere in the graph. Among the sites of one rule
 the lexicographically smallest tuple of role vertices wins, which makes
-journals reproducible. Every application is recorded as a ReductionStep
+journals reproducible. Every application, by Phase 1, Phase 2 or journal
+replay, goes through apply_rule and is recorded as a ReductionStep
 carrying the matched roles, created/removed ids and the budget change,
 which is exactly the data the solution lift needs later.
 
@@ -28,6 +29,9 @@ Rule summary (v is always the pattern's center):
   R7  3-vertex a, N(a)={x,v,y}, v a 4-vertex with pendant q and
       N(v)={x,a,y,q}: remove a, v, q, add xy if missing, hang fresh
       pendants on x and y, k -= 1.
+  R8  non-adjacent u, v, each owning a pendant: merge the two pendants
+      into one fresh 2-vertex c. Phase 2 (facematch) picks the pairs;
+      undo_identification reverses one merge when a solution is lifted.
 """
 
 from __future__ import annotations
@@ -190,28 +194,36 @@ def _find_r7(g: Graph) -> dict[str, int | bool] | None:
 # ----------------------------------------------------------------------
 
 
-def apply_rule(
-    g: Graph,
-    k: int,
-    rule: RuleId,
-    site: dict[str, int | bool],
-) -> tuple[int, ReductionStep]:
-    """Apply one rule in place, returning the new budget and its record.
+def apply_rule(g: Graph, rule: RuleId, site: dict[str, int | bool]) -> ReductionStep:
+    """Apply one rule of R1-R8 in place and return its record.
 
     The site is re-validated against the current graph first, so replaying
     a journal against the wrong graph fails loudly instead of corrupting it.
     """
-    applier = _APPLIERS.get(rule)
-    if applier is None:
-        raise RuleApplicationError(f"{rule.name} is not a Phase 1 rule")
-    step = applier(g, site)
-    new_k = k + step.k_delta
-    return new_k, step
+    return _APPLIERS[rule](g, site)
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise RuleApplicationError(message)
+
+
+def _require_neighbors(g: Graph, v: VertexId, roles: tuple[VertexId, ...], rule: str) -> None:
+    """Require N(v) to be exactly the given roles, no two of them equal."""
+    nbrs = g.adjacency().get(v)
+    if nbrs is None or len(nbrs) != len(roles) or nbrs != set(roles):
+        raise RuleApplicationError(f"{rule}: the neighbors of {v} are not {roles}")
+
+
+def _hang_pendants(
+    g: Graph, rec: dict, roles: tuple[tuple[str, VertexId], ...]
+) -> tuple[VertexId, ...]:
+    """Hang a fresh pendant on each parent, in order, recording it under its role."""
+    for role, parent in roles:
+        p = g.add_vertex()
+        g.add_edge(parent, p)
+        rec[role] = p
+    return tuple(rec[role] for role, _ in roles)
 
 
 def _apply_r1(g: Graph, site: dict) -> ReductionStep:
@@ -228,8 +240,7 @@ def _apply_r1(g: Graph, site: dict) -> ReductionStep:
 
 def _apply_r2(g: Graph, site: dict) -> ReductionStep:
     v, u, w = site["v"], site["u"], site["w"]
-    _require(v in g and g.degree(v) == 2, f"R2: {v} is not a 2-vertex")
-    _require(set(g.neighbors(v)) == {u, w}, "R2: neighborhood mismatch")
+    _require_neighbors(g, v, (u, w), "R2")
     _require(g.has_edge(u, w), "R2: uw is not an edge")
     c = g.contract_edge(u, w)
     rec = dict(site)
@@ -239,8 +250,7 @@ def _apply_r2(g: Graph, site: dict) -> ReductionStep:
 
 def _apply_r3(g: Graph, site: dict) -> ReductionStep:
     v, u, w = site["v"], site["u"], site["w"]
-    _require(v in g and g.degree(v) == 2, f"R3: {v} is not a 2-vertex")
-    _require(set(g.neighbors(v)) == {u, w}, "R3: neighborhood mismatch")
+    _require_neighbors(g, v, (u, w), "R3")
     _require(not g.has_edge(u, w), "R3: uw must not be an edge")
     # v cuts its component iff its two neighbors are apart in G - v.
     cut = g.split_side(u, w, v.__ne__) is not None
@@ -251,13 +261,8 @@ def _apply_r3(g: Graph, site: dict) -> ReductionStep:
         rec["c"] = c
         return ReductionStep(RuleId.R3, rec, (c,), (u, v), -1)
     g.remove_vertex(v)
-    pu = g.add_vertex()
-    g.add_edge(u, pu)
-    pw = g.add_vertex()
-    g.add_edge(w, pw)
-    rec["pu"] = pu
-    rec["pw"] = pw
-    return ReductionStep(RuleId.R3, rec, (pu, pw), (v,), 0)
+    created = _hang_pendants(g, rec, (("pu", u), ("pw", w)))
+    return ReductionStep(RuleId.R3, rec, created, (v,), 0)
 
 
 def _apply_r4(g: Graph, site: dict) -> ReductionStep:
@@ -275,8 +280,7 @@ def _apply_r4(g: Graph, site: dict) -> ReductionStep:
 
 def _apply_r5(g: Graph, site: dict) -> ReductionStep:
     v, x, y, z = site["v"], site["x"], site["y"], site["z"]
-    _require(v in g and g.degree(v) == 3, f"R5: {v} is not a 3-vertex")
-    _require(set(g.neighbors(v)) == {x, y, z}, "R5: neighborhood mismatch")
+    _require_neighbors(g, v, (x, y, z), "R5")
     _require(z in g.pendant_neighbors(v), f"R5: {z} is not a pendant")
     g.remove_vertex(v)
     g.remove_vertex(z)
@@ -286,41 +290,81 @@ def _apply_r5(g: Graph, site: dict) -> ReductionStep:
 
 def _apply_r6(g: Graph, site: dict) -> ReductionStep:
     a, b, x, v, y = site["a"], site["b"], site["x"], site["v"], site["y"]
+    _require(a != b, f"R6: the twins must be two vertices, got {a} twice")
     for t in (a, b):
-        _require(t in g and g.degree(t) == 3, f"R6: {t} is not a 3-vertex")
-        _require(set(g.neighbors(t)) == {x, v, y}, "R6: neighborhood mismatch")
+        _require_neighbors(g, t, (x, v, y), "R6")
     for pair in ((x, v), (x, y), (v, y)):
         _require(_separates(g, pair), f"R6: removing {pair} leaves the graph connected")
     g.remove_vertex(a)
     rec = dict(site)
-    created = []
-    for role, parent in (("px", x), ("pv", v), ("py", y)):
-        p = g.add_vertex()
-        g.add_edge(parent, p)
-        rec[role] = p
-        created.append(p)
-    return ReductionStep(RuleId.R6, rec, tuple(created), (a,), 0)
+    created = _hang_pendants(g, rec, (("px", x), ("pv", v), ("py", y)))
+    return ReductionStep(RuleId.R6, rec, created, (a,), 0)
 
 
 def _apply_r7(g: Graph, site: dict) -> ReductionStep:
     a, v, q, x, y = site["a"], site["v"], site["q"], site["x"], site["y"]
-    _require(a in g and g.degree(a) == 3, f"R7: {a} is not a 3-vertex")
-    _require(set(g.neighbors(a)) == {x, v, y}, "R7: neighborhood of a mismatch")
-    _require(v in g and g.degree(v) == 4, f"R7: {v} is not a 4-vertex")
-    _require(set(g.neighbors(v)) == {x, a, y, q}, "R7: neighborhood of v mismatch")
+    _require_neighbors(g, a, (x, v, y), "R7")
+    _require_neighbors(g, v, (x, a, y, q), "R7")
     _require(q in g.pendant_neighbors(v), f"R7: {q} is not a pendant of {v}")
     g.remove_vertex(a)
     g.remove_vertex(v)
     g.remove_vertex(q)
     g.ensure_edge(x, y)
     rec = dict(site)
-    created = []
-    for role, parent in (("px", x), ("py", y)):
-        p = g.add_vertex()
-        g.add_edge(parent, p)
-        rec[role] = p
-        created.append(p)
-    return ReductionStep(RuleId.R7, rec, tuple(created), (a, v, q), -1)
+    created = _hang_pendants(g, rec, (("px", x), ("py", y)))
+    return ReductionStep(RuleId.R7, rec, created, (a, v, q), -1)
+
+
+def apply_identification(
+    g: Graph, u: VertexId, v: VertexId, face_id: int = -1
+) -> ReductionStep:
+    """Merge the pendants of u and v into one fresh 2-vertex (R8).
+
+    The owners must be distinct and non-adjacent (guaranteed for Phase 1
+    fixpoints because R4 removed adjacent pendant-owner pairs). A site
+    that breaks this, as a tampered journal may, raises
+    RuleApplicationError before the graph changes. In a connected graph
+    c is never a cut vertex (u and v stay joined), so none is checked.
+    face_id, the face Phase 2 found the pair on, is only recorded.
+    """
+    if u not in g or v not in g:
+        raise RuleApplicationError(f"R8 owners {u}, {v} must be vertices")
+    if u == v or g.has_edge(u, v):
+        raise RuleApplicationError(f"R8 owners {u}, {v} must be distinct and non-adjacent")
+    pu = sorted(g.pendant_neighbors(u))
+    pv = sorted(g.pendant_neighbors(v))
+    if not pu or not pv:
+        raise RuleApplicationError(f"R8 owners {u}, {v} must both own a pendant")
+    xu, xv = pu[0], pv[0]
+    g.remove_vertex(xu)
+    g.remove_vertex(xv)
+    c = g.add_vertex()
+    g.add_edge(u, c)
+    g.add_edge(v, c)
+    site: dict[str, int | bool] = {
+        "u": u, "v": v, "xu": xu, "xv": xv, "c": c, "face": face_id,
+    }
+    return ReductionStep(RuleId.R8, site, (c,), (xu, xv), 0)
+
+
+def _apply_r8(g: Graph, site: dict) -> ReductionStep:
+    return apply_identification(g, site["u"], site["v"], site["face"])
+
+
+def undo_identification(g: Graph, step: ReductionStep) -> None:
+    """The inverse of apply_identification, in place.
+
+    g must be the graph right after the R8 step: the merged 2-vertex c
+    is removed and the pendants xu and xv hang on u and v again under
+    their recorded ids.
+    """
+    site = step.site
+    u, v, c = site["u"], site["v"], site["c"]
+    assert g.neighbor_set(c) == {u, v}, "R8 undo needs the merged 2-vertex"
+    g.remove_vertex(c)
+    for owner, pendant in ((u, site["xu"]), (v, site["xv"])):
+        g.add_named_vertex(pendant)
+        g.add_edge(owner, pendant)
 
 
 _APPLIERS = {
@@ -331,6 +375,7 @@ _APPLIERS = {
     RuleId.R5: _apply_r5,
     RuleId.R6: _apply_r6,
     RuleId.R7: _apply_r7,
+    RuleId.R8: _apply_r8,
 }
 
 
@@ -340,31 +385,18 @@ _APPLIERS = {
 
 
 def run_phase1(g: Graph, k: int) -> Phase1Result:
-    """Apply R1-R7 exhaustively on a copy of g.
+    """Apply R1-R7 exhaustively to g, in place.
 
     The scan restarts from R1 after every application. Stops early with
     early_no=True as soon as the budget becomes negative, since no graph
     has a connected vertex cover of negative size.
     """
-    work = g.copy()
     steps: list[ReductionStep] = []
-    budget = k
-    while True:
-        if budget < 0:
-            return Phase1Result(work, budget, steps, early_no=True)
-        found = detect_rule(work)
+    while k >= 0:
+        found = detect_rule(g)
         if found is None:
-            return Phase1Result(work, budget, steps)
-        rule, site = found
-        budget, step = apply_rule(work, budget, rule, site)
+            return Phase1Result(g, k, steps)
+        step = apply_rule(g, *found)
+        k += step.k_delta
         steps.append(step)
-
-
-def is_phase1_fixpoint(g: Graph) -> bool:
-    """Structural check: no 2-vertices and at most one pendant per vertex."""
-    for v in g.vertices():
-        if g.degree(v) == 2:
-            return False
-        if len(g.pendant_neighbors(v)) > 1:
-            return False
-    return True
+    return Phase1Result(g, k, steps, early_no=True)

@@ -38,4 +38,4 @@ def test_detect_rule_matches_reference_at_every_phase1_step(corpus_small):
             assert found == reference_detect_rule(work)
             if found is None:
                 break
-            apply_rule(work, 0, *found)
+            apply_rule(work, *found)

@@ -172,7 +172,7 @@ def test_phase2_single_owner_unchanged():
 
 def test_phase2_steps_consume_valid_pendant_pairs(corpus_small):
     for g in corpus_small[:40]:
-        fixed = run_phase1(g, g.n_vertices).graph
+        fixed = run_phase1(g.copy(), g.n_vertices).graph
         before = fixed.copy()
         steps = run_phase2(fixed)
         for step in steps:
@@ -184,7 +184,7 @@ def test_phase2_steps_consume_valid_pendant_pairs(corpus_small):
 
 def test_phase2_preserves_decision(corpus_small):
     for g in corpus_small[:25]:
-        fixed = run_phase1(g, g.n_vertices).graph
+        fixed = run_phase1(g.copy(), g.n_vertices).graph
         before = fixed.copy()
         run_phase2(fixed)
         for k in range(0, before.n_vertices + 1):

@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from planarcvc.facematch import apply_identification, undo_identification
+from planarcvc.facematch import apply_identification
 from planarcvc.fileio import serialize_journal
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.pipeline import (
@@ -34,7 +34,7 @@ from planarcvc.pipeline import (
     lift_solution,
     replay_journal,
 )
-from planarcvc.reductions import RuleId
+from planarcvc.reductions import RuleId, undo_identification
 
 from brute import dfs_tree_cover, non_leaf_cover
 

@@ -268,7 +268,7 @@ def test_lift_r1_pendant_solution_swaps_to_parent():
 def test_lift_r5_adds_center_back():
     g = r5_example()
     work = g.copy()
-    _, step = apply_rule(work, 3, RuleId.R5, {"v": 1, "x": 2, "y": 3, "z": 4})
+    step = apply_rule(work, RuleId.R5, {"v": 1, "x": 2, "y": 3, "z": 4})
     journal = ReductionJournal(
         input_graph=g.copy(), dropped_isolated=(), steps=[step]
     )
@@ -451,7 +451,7 @@ def test_replay_rejects_phase1_step_after_r8():
     g = graph_from_edges([(1, 3), (3, 2), (2, 4), (4, 1), (1, 5), (2, 6)])
     work = g.copy()
     merge = apply_identification(work, 1, 2)
-    _, r3 = apply_rule(work, 0, RuleId.R3, {"v": 3, "u": 1, "w": 2, "cut": False})
+    r3 = apply_rule(work, RuleId.R3, {"v": 3, "u": 1, "w": 2, "cut": False})
     journal = ReductionJournal(
         input_graph=g.copy(), dropped_isolated=(), steps=[merge, r3]
     )
@@ -594,7 +594,7 @@ def test_partition_bound_on_reduced_corpus(corpus_small):
     from planarcvc.facematch import run_phase2
 
     for g in corpus_small[:20]:
-        g1 = run_phase1(g, g.n_vertices).graph
+        g1 = run_phase1(g.copy(), g.n_vertices).graph
         if g1.n_vertices == 0:
             continue
         cover = minimum_cvc(g1, g1.n_vertices)

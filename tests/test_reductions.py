@@ -14,13 +14,13 @@ from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, re
 from planarcvc.reductions import (
     RuleApplicationError,
     RuleId,
+    apply_identification,
     apply_rule,
     detect_rule,
-    is_phase1_fixpoint,
     run_phase1,
 )
 
-from brute import brute_minimum_cvc
+from brute import brute_minimum_cvc, reference_detect_rule
 from conftest import make_cycle, make_path, make_star, small_planar_corpus
 
 
@@ -85,7 +85,7 @@ def test_detect_path_is_r3():
     rule, site = detect_rule(g)
     assert rule is RuleId.R3
     assert site == {"v": 2, "u": 1, "w": 3}
-    _, step = apply_rule(g, 4, rule, site)
+    step = apply_rule(g, rule, site)
     assert step.site["cut"] is True
 
 
@@ -93,7 +93,7 @@ def test_detect_c4_is_r3_noncut():
     g = make_cycle(4)
     rule, site = detect_rule(g)
     assert rule is RuleId.R3
-    _, step = apply_rule(g, 4, rule, site)
+    step = apply_rule(g, rule, site)
     assert step.site["cut"] is False
 
 
@@ -118,7 +118,7 @@ def test_r6_rejected_when_a_pair_keeps_graph_connected():
     # The exception graph has the twins but G - {x, y} stays connected.
     g = gen_exception_graph()
     with pytest.raises(RuleApplicationError):
-        apply_rule(g, 3, RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6})
+        apply_rule(g, RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6})
 
 
 # ----------------------------------------------------------------------
@@ -128,23 +128,23 @@ def test_r6_rejected_when_a_pair_keeps_graph_connected():
 
 def test_apply_r2_on_triangle():
     g = make_cycle(3)
-    k, step = apply_rule(g, 2, RuleId.R2, {"v": 1, "u": 2, "w": 3})
-    assert k == 1 and step.k_delta == -1
+    step = apply_rule(g, RuleId.R2, {"v": 1, "u": 2, "w": 3})
+    assert step.k_delta == -1
     assert g.n_vertices == 2 and g.n_edges == 1
 
 
 def test_apply_r5_example():
     g = r5_example()
-    k, step = apply_rule(g, 3, RuleId.R5, {"v": 1, "x": 2, "y": 3, "z": 4})
-    assert k == 2
+    step = apply_rule(g, RuleId.R5, {"v": 1, "x": 2, "y": 3, "z": 4})
+    assert step.k_delta == -1
     assert g.edges() == [(2, 3), (2, 5), (3, 5)]
     assert step.removed == (1, 4)
 
 
 def test_apply_r7_example():
     g = r7_example()
-    k, step = apply_rule(g, 5, RuleId.R7, {"a": 1, "v": 2, "q": 3, "x": 4, "y": 5})
-    assert k == 4
+    step = apply_rule(g, RuleId.R7, {"a": 1, "v": 2, "q": 3, "x": 4, "y": 5})
+    assert step.k_delta == -1
     assert 1 not in g and 2 not in g and 3 not in g
     assert g.has_edge(4, 5)
     px, py = step.site["px"], step.site["py"]
@@ -153,10 +153,8 @@ def test_apply_r7_example():
 
 def test_apply_r6_example():
     g = r6_example()
-    k, step = apply_rule(
-        g, 3, RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6}
-    )
-    assert k == 3 and step.k_delta == 0
+    step = apply_rule(g, RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6})
+    assert step.k_delta == 0
     assert 3 not in g and 4 in g
     for role, parent in (("px", 1), ("pv", 5), ("py", 6)):
         assert step.site[role] in g.pendant_neighbors(parent)
@@ -165,15 +163,57 @@ def test_apply_r6_example():
 def test_apply_r4_site_must_be_proper():
     g = make_path(2)
     with pytest.raises(RuleApplicationError):
-        apply_rule(g, 1, RuleId.R4, {"u": 1, "v": 2, "pu": 2, "pv": 1})
+        apply_rule(g, RuleId.R4, {"u": 1, "v": 2, "pu": 2, "pv": 1})
 
 
 def test_apply_site_mismatch_rejected():
     g = make_cycle(4)
     with pytest.raises(RuleApplicationError):
-        apply_rule(g, 2, RuleId.R2, {"v": 1, "u": 2, "w": 4})  # uw not an edge
+        apply_rule(g, RuleId.R2, {"v": 1, "u": 2, "w": 4})  # uw not an edge
     with pytest.raises(RuleApplicationError):
-        apply_rule(g, 2, RuleId.R3, {"v": 1, "u": 2, "w": 4, "cut": True})
+        apply_rule(g, RuleId.R3, {"v": 1, "u": 2, "w": 4, "cut": True})
+
+
+@pytest.mark.parametrize(
+    "g, rule, site, message",
+    [
+        (make_path(3), RuleId.R5, {"v": 2, "x": 1, "y": 1, "z": 3}, "neighbors of 2"),
+        (make_path(2), RuleId.R2, {"v": 1, "u": 2, "w": 2}, "neighbors of 1"),
+        (make_path(2), RuleId.R3, {"v": 1, "u": 2, "w": 2}, "neighbors of 1"),
+        (r6_example(), RuleId.R6, {"a": 3, "b": 3, "x": 1, "v": 5, "y": 6}, "twins"),
+    ],
+    ids=["R5 x=y", "R2 u=w", "R3 u=w", "R6 a=b"],
+)
+def test_apply_rejects_a_repeated_role(g, rule, site, message):
+    # Each site would pass a check on the set of its roles alone.
+    before = g.copy()
+    with pytest.raises(RuleApplicationError, match=message):
+        apply_rule(g, rule, site)
+    assert g.edges() == before.edges()
+
+
+def _owners_with_pendants(owners):
+    g = make_cycle(4)
+    for owner in owners:
+        g.add_edge(owner, g.add_vertex())
+    return g
+
+
+def test_apply_rule_r8_is_apply_identification():
+    g = _owners_with_pendants((1, 3))
+    expected = g.copy()
+    step = apply_rule(g, RuleId.R8, {"u": 1, "v": 3, "face": 7})
+    assert step == apply_identification(expected, 1, 3, 7)
+    assert step.k_delta == 0
+    assert (g.vertices(), g.edges()) == (expected.vertices(), expected.edges())
+
+
+def test_apply_rule_r8_rejects_adjacent_owners():
+    g = _owners_with_pendants((1, 2))
+    before = g.copy()
+    with pytest.raises(RuleApplicationError, match="non-adjacent"):
+        apply_rule(g, RuleId.R8, {"u": 1, "v": 2, "face": -1})
+    assert g.edges() == before.edges()
 
 
 @pytest.mark.parametrize("cut", [True, False], ids=["cut", "non-cut"])
@@ -200,7 +240,7 @@ def test_rule_equivalence_against_oracle():
     for g, rule, site in cases:
         for k in range(0, g.n_vertices + 1):
             work = g.copy()
-            new_k, _ = apply_rule(work, k, rule, site)
+            new_k = k + apply_rule(work, rule, site).k_delta
             assert decide_cvc(g, k) == (new_k >= 0 and decide_cvc(work, new_k)), (
                 rule, k
             )
@@ -221,9 +261,10 @@ def test_phase1_triangle():
 
 def test_phase1_exception_graph_unchanged():
     g = gen_exception_graph()
+    before = g.copy()
     result = run_phase1(g, 3)
     assert result.steps == [] and result.k == 3
-    assert result.graph.edges() == g.edges()
+    assert result.graph.edges() == before.edges()
 
 
 def test_phase1_budget_underflow():
@@ -240,14 +281,14 @@ def test_phase1_star_keeps_one_pendant():
 
 def test_phase1_fixpoint_structure(corpus_small):
     for g in corpus_small:
-        result = run_phase1(g, g.n_vertices)
+        result = run_phase1(g.copy(), g.n_vertices)
         assert not result.early_no
-        assert is_phase1_fixpoint(result.graph)
+        assert reference_detect_rule(result.graph) is None
 
 
 def test_phase1_preserves_planarity(corpus_small):
     for g in corpus_small[:40]:
-        result = run_phase1(g, g.n_vertices)
+        result = run_phase1(g.copy(), g.n_vertices)
         assert is_planar(result.graph)
 
 
@@ -255,7 +296,7 @@ def test_phase1_oracle_equivalence():
     for g in small_planar_corpus(40, max_n=12, seed=515):
         mini = brute_minimum_cvc(g)
         for k in range(0, g.n_vertices + 1):
-            result = run_phase1(g, k)
+            result = run_phase1(g.copy(), k)
             if result.early_no:
                 got = False
             else:
@@ -280,7 +321,7 @@ def test_phase1_termination_potential(corpus_small):
             if found is None:
                 break
             rule, site = found
-            k, _ = apply_rule(work, k, rule, site)
+            apply_rule(work, rule, site)
             cur = potential(work)
             assert cur < prev, f"{rule} did not decrease the potential"
             prev = cur
