@@ -5,6 +5,8 @@
 # exactly l = 3 R8 (pendant merge) records, so a Phase 2 that loses
 # merges fails here. The kernel's non-leaf cover, which holds each
 # merged 2-vertex with both its owners, is lifted and verified too.
+# `kernelize --stats` on the same ring (fixpoint replay, exact solver,
+# partition) must report that the partition bound holds.
 # Every step runs planarcvc.cli.main in a fresh
 # Python process in which `import networkx` raises ImportError, and
 # fails if any networkx module got loaded anyway. Then one input error, a graph file
@@ -58,6 +60,13 @@ run lift --input "$work/ring.cvc" --journal "$work/ring.journal" \
   --solution "$work/nonleaf.sol" > "$work/nonleaf-lifted.sol"
 run verify --input "$work/ring.cvc" --solution "$work/nonleaf-lifted.sol"
 echo "ok nonleaf-lift" >&2
+run kernelize --input "$work/ring.cvc" --k 11 --stats > /dev/null 2> "$work/stats.err"
+if ! grep -qx 'stats partition-bound holds' "$work/stats.err"; then
+  echo "kernelize --stats: want 'stats partition-bound holds' on stderr, got:" >&2
+  cat "$work/stats.err" >&2
+  exit 1
+fi
+echo "ok stats" >&2
 
 printf 'p cvc 2 1\ne 1 1\n' > "$work/loop.cvc"
 code=0

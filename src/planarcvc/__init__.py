@@ -1,6 +1,6 @@
 """11/3k kernelization for Connected Vertex Cover on planar graphs."""
 
-from .embedding import Embedding, Face, NonPlanarGraphError, embed, enumerate_faces
+from .embedding import Embedding, Face, NonPlanarGraphError, embed
 from .facematch import AuxGraph, PlanarizedMatching, build_aux_graph, planarize_matching, run_phase2
 from .generators import (
     gen_exception_graph,
@@ -31,6 +31,7 @@ from .reductions import (
     RuleId,
     apply_rule,
     detect_rule,
+    lift_rule,
     run_phase1,
 )
 
@@ -61,7 +62,6 @@ __all__ = [
     "decide_cvc",
     "detect_rule",
     "embed",
-    "enumerate_faces",
     "gen_exception_graph",
     "gen_random_planar",
     "gen_tightness",
@@ -69,6 +69,7 @@ __all__ = [
     "kernelize",
     "partition_bound_holds",
     "matching_bound_holds",
+    "lift_rule",
     "lift_solution",
     "maximum_matching",
     "minimum_cvc",

@@ -8,7 +8,7 @@ Commands raise on bad input; main alone turns that into one `error:` line
 on stderr and exit 2.
 
 Commands:
-  kernelize --input FILE --k INT [--journal FILE] [--stats] [--with-oracle]
+  kernelize --input FILE --k INT [--journal FILE] [--stats]
   solve     --input FILE [--limit INT]
   lift      --input FILE --journal FILE --solution FILE
   generate  {tightness --l INT | exception | random --n INT --density F --seed S}
@@ -84,6 +84,8 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
         return EXIT_NO
 
     kernel = outcome.instance
+    # the stats may fail (past the exact solver's window): before any output
+    stats = _stats_lines(outcome) if args.stats else []
     if args.journal:
         try:
             Path(args.journal).write_text(fileio.serialize_journal(outcome.journal))
@@ -91,27 +93,27 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
             raise InputError(str(exc)) from exc
     sys.stdout.write(fileio.serialize_graph(kernel.graph))
     print(f"c kernel-k {kernel.k}")
-    if args.stats:
-        _print_stats(outcome, with_oracle=args.with_oracle)
+    for line in stats:
+        print(line, file=sys.stderr)
     return EXIT_YES
 
 
-def _print_stats(outcome: Kernel, with_oracle: bool) -> None:
-    """Partition of the Phase 1 fixpoint wrt its minimum cover, on stderr."""
+def _stats_lines(outcome: Kernel) -> list[str]:
+    """Partition of the Phase 1 fixpoint wrt its minimum cover, and the bound."""
     journal = outcome.journal
     m_star = sum(1 for s in journal.steps if s.rule is RuleId.R8)
     g1, _ = replay_journal(journal)
     cert = minimum_cvc(g1, g1.n_vertices)
     if cert is None:
         raise InputError("--stats: fixpoint has no connected vertex cover")
-    part = partition_stats(g1, set(cert.vertices))
-    print(f"stats minimum-cover {cert.size}", file=sys.stderr)
-    for name, size in part.sizes().items():
-        print(f"stats {name} {size}", file=sys.stderr)
-    print(f"stats M* {m_star}", file=sys.stderr)
-    if with_oracle:
-        verdict = partition_bound_holds(g1, set(cert.vertices), m_star)
-        print(f"stats partition-bound {'holds' if verdict else 'VIOLATED'}", file=sys.stderr)
+    cover = set(cert.vertices)
+    verdict = "holds" if partition_bound_holds(g1, cover, m_star) else "VIOLATED"
+    return [
+        f"stats minimum-cover {cert.size}",
+        *(f"stats {name} {size}" for name, size in partition_stats(g1, cover).sizes().items()),
+        f"stats M* {m_star}",
+        f"stats partition-bound {verdict}",
+    ]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -168,8 +170,7 @@ def _kernelize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--journal", help="write the reduction journal here")
-    p.add_argument("--stats", action="store_true", help="partition sizes on stderr")
-    p.add_argument("--with-oracle", action="store_true", help="add the partition-bound check")
+    p.add_argument("--stats", action="store_true", help="partition sizes and bound on stderr")
 
 
 def _solve_arguments(p: argparse.ArgumentParser) -> None:

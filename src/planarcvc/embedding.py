@@ -237,11 +237,6 @@ def is_planar(g: Graph) -> bool:
     return _LRPlanarity(g).is_planar()
 
 
-def enumerate_faces(e: Embedding) -> list[Face]:
-    """The face list of e, as a list."""
-    return list(e.faces)
-
-
 def check_embedding(e: Embedding) -> None:
     """Euler formula and face double-cover checks; raises AssertionError."""
     total = sum(len(f.boundary) for f in e.faces)

@@ -8,8 +8,8 @@ graph modification is journaled. replay_journal rebuilds the Phase 1
 fixpoint and the kernel on one working graph; lift_solution walks the
 journal in reverse on that kernel as an undo log, mapping a connected
 vertex cover of the kernel back to one of the original instance without
-exceeding the spent budget. R1-R7 lift from their recorded sites alone;
-only R8 reads the graph, which is undone in place step by step.
+exceeding the spent budget. Neither has per-rule code: reductions
+applies and lifts every rule (apply_rule, lift_rule).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .embedding import NonPlanarGraphError
 from .facematch import run_phase2
 from .graph import Graph, VertexId
 from .oracle import verify_cvc
-from .reductions import ReductionStep, RuleId, apply_rule, run_phase1, undo_identification
+from .reductions import ReductionStep, RuleId, apply_rule, lift_rule, run_phase1
 
 
 class NonPlanarInputError(Exception):
@@ -190,145 +190,20 @@ def lift_solution(
 ) -> set[VertexId]:
     """Map a connected vertex cover of the kernel back to the input graph.
 
-    Replays the journal once, then undoes its steps in reverse order on
-    the kernel graph, applying one lift map per rule. R1-R7 lift from
-    their site data alone. An R8 step lifts on the current graph, which
-    is then that step's post-graph, and undo_identification turns it into
-    the pre-graph for the steps before it. The result grows by at most
-    the budget each step spent, i.e. |result| <= |kernel_solution| + sum
-    of -k_delta over the steps.
+    Replays the journal once, then lifts the cover across its steps in
+    reverse order on the kernel graph with lift_rule; the R8 steps, the
+    journal's tail, undo their merges on it as they go. The result grows
+    by at most the budget each step spent, i.e. |result| <=
+    |kernel_solution| + sum of -k_delta over the steps.
     """
     _, g = replay_journal(journal)
     sol = set(kernel_solution)
     if not verify_cvc(g, sol):
         raise ValueError("kernel solution is not a connected vertex cover")
-
     for step in reversed(journal.steps):
-        if step.rule is RuleId.R8:
-            sol = _lift_identification(step, g, sol)
-            undo_identification(g, step)
-        else:
-            sol = _lift_step(step, sol)
-
+        lift_rule(g, step, sol)
     if not verify_cvc(journal.input_graph, sol):
         raise AssertionError("lifted solution failed verification; lift map bug")
-    return sol
-
-
-def _normalize_pendant(
-    sol: set[VertexId], pendant: VertexId, parent: VertexId
-) -> None:
-    """Replace a pendant in the solution by its parent.
-
-    Safe because a pendant is a leaf of the induced subgraph (dropping it
-    keeps connectivity) and its parent dominates it (covers a superset of
-    edges, including the pendant edge itself).
-    """
-    if pendant in sol:
-        sol.discard(pendant)
-        sol.add(parent)
-
-
-def _lift_step(step: ReductionStep, sol: set[VertexId]) -> set[VertexId]:
-    """Lift one R1-R7 step; none of them reads the graph."""
-    site = step.site
-    rule = step.rule
-
-    if rule is RuleId.R1:
-        # Extra pendants reappear; the parent covers all of them.
-        _normalize_pendant(sol, site["keep"], site["v"])
-        return sol
-
-    if rule is RuleId.R2:
-        # Undo the uw contraction; u-w is an edge, so both sides reconnect.
-        _normalize_pendant(sol, site["v"], site["c"])
-        assert site["c"] in sol
-        sol.discard(site["c"])
-        sol.update((site["u"], site["w"]))
-        return sol
-
-    if rule is RuleId.R3:
-        if site["cut"]:
-            # Undo the uv contraction; v rejoins u to the w side.
-            if site["c"] in sol:
-                sol.discard(site["c"])
-                sol.update((site["u"], site["v"]))
-            else:
-                sol.add(site["v"])
-            return sol
-        # Non-cut branch: the fresh pendants forced u and w into the cover.
-        _normalize_pendant(sol, site["pu"], site["u"])
-        _normalize_pendant(sol, site["pw"], site["w"])
-        assert site["u"] in sol and site["w"] in sol
-        return sol
-
-    if rule is RuleId.R4:
-        _normalize_pendant(sol, site["pv"], site["c"])
-        assert site["c"] in sol
-        sol.discard(site["c"])
-        sol.update((site["u"], site["v"]))
-        return sol
-
-    if rule is RuleId.R5:
-        # v reconnects x and y even when the helper edge xy vanishes.
-        sol.add(site["v"])
-        return sol
-
-    if rule is RuleId.R6:
-        _normalize_pendant(sol, site["px"], site["x"])
-        _normalize_pendant(sol, site["pv"], site["v"])
-        _normalize_pendant(sol, site["py"], site["y"])
-        assert {site["x"], site["v"], site["y"]} <= sol
-        return sol
-
-    if rule is RuleId.R7:
-        _normalize_pendant(sol, site["px"], site["x"])
-        _normalize_pendant(sol, site["py"], site["y"])
-        assert site["x"] in sol and site["y"] in sol
-        sol.add(site["v"])
-        return sol
-
-    raise AssertionError(f"unknown rule {rule}")
-
-
-def _lift_identification(
-    step: ReductionStep, post: Graph, sol: set[VertexId]
-) -> set[VertexId]:
-    """Undo one pendant identification (the inverse of the 2-vertex rules).
-
-    The merged 2-vertex c has neighbors u and v. When the solution holds
-    c and both owners, dropping c leaves at most two parts, u's and v's;
-    split_side finds whether they are apart, searching only as far as
-    the smaller part. If so, the smallest non-cover vertex z != c next
-    to the returned part with a cover neighbor outside it rejoins them.
-    One always exists because c is not a cut vertex of the merged graph
-    (replay_journal checked connectivity before the first R8 step).
-    """
-    u, v, c = step.site["u"], step.site["v"], step.site["c"]
-    if c not in sol:
-        assert u in sol and v in sol
-        return sol
-
-    sol.discard(c)
-    u_in, v_in = u in sol, v in sol
-    if not u_in and not v_in:
-        raise AssertionError("merged 2-vertex alone cannot be a cover of a connected graph")
-    if u_in != v_in:
-        # c was a leaf of the induced cover; re-cover the missing owner's
-        # pendant by taking the owner itself.
-        sol.add(v if u_in else u)
-        return sol
-
-    side = post.split_side(u, v, sol.__contains__)
-    if side is None:
-        return sol
-    adj = post.adjacency()
-    rim = {z for x in side for z in adj[x] if z not in sol}
-    rim.discard(c)
-    joins = [z for z in rim if any(w in sol and w not in side for w in adj[z])]
-    if not joins:
-        raise AssertionError("no reconnecting vertex found; upstream bug")
-    sol.add(min(joins))
     return sol
 
 

@@ -5,8 +5,10 @@ no rule j < i matches anywhere in the graph. Among the sites of one rule
 the lexicographically smallest tuple of role vertices wins, which makes
 journals reproducible. Every application, by Phase 1, Phase 2 or journal
 replay, goes through apply_rule and is recorded as a ReductionStep
-carrying the matched roles, created/removed ids and the budget change,
-which is exactly the data the solution lift needs later.
+carrying the matched roles, created/removed ids and the budget change.
+Each rule's lift, the exchange argument of its safety proof, sits next
+to its applier and reads those roles back: lift_rule maps a connected
+vertex cover of a step's post-graph to one of its pre-graph.
 
 Detection makes one pass over the adjacency per step. The pass indexes
 each 1-vertex under its single neighbor (its owner) and lists the
@@ -31,13 +33,14 @@ Rule summary (v is always the pattern's center):
       pendants on x and y, k -= 1.
   R8  non-adjacent u, v, each owning a pendant: merge the two pendants
       into one fresh 2-vertex c. Phase 2 (facematch) picks the pairs;
-      undo_identification reverses one merge when a solution is lifted.
+      the lift undoes the merge on the graph it lifts on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import Callable, NamedTuple
 
 from .graph import Graph, VertexId
 
@@ -190,7 +193,7 @@ def _find_r7(g: Graph) -> dict[str, int | bool] | None:
 
 
 # ----------------------------------------------------------------------
-# application
+# application and lifting
 # ----------------------------------------------------------------------
 
 
@@ -200,7 +203,19 @@ def apply_rule(g: Graph, rule: RuleId, site: dict[str, int | bool]) -> Reduction
     The site is re-validated against the current graph first, so replaying
     a journal against the wrong graph fails loudly instead of corrupting it.
     """
-    return _APPLIERS[rule](g, site)
+    return _RULES[rule].apply(g, site)
+
+
+def lift_rule(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    """Turn a connected vertex cover of step's post-graph into one of its pre-graph.
+
+    sol is edited in place and grows by at most -step.k_delta. R1-R7
+    lift from their recorded site alone and do not touch g. An R8 step
+    needs g to be its post-graph and turns it into the pre-graph; R8
+    steps are a journal's tail, so a journal lifts step by step in
+    reverse order on its kernel.
+    """
+    _RULES[step.rule].lift(g, step, sol)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -215,15 +230,42 @@ def _require_neighbors(g: Graph, v: VertexId, roles: tuple[VertexId, ...], rule:
         raise RuleApplicationError(f"{rule}: the neighbors of {v} are not {roles}")
 
 
-def _hang_pendants(
-    g: Graph, rec: dict, roles: tuple[tuple[str, VertexId], ...]
-) -> tuple[VertexId, ...]:
+# (fresh pendant role, parent role) of the rules that hang fresh pendants:
+# the applier hangs them in this order, the lift folds them into their parents.
+_Pendants = tuple[tuple[str, str], ...]
+_R3_PENDANTS = (("pu", "u"), ("pw", "w"))
+_R6_PENDANTS = (("px", "x"), ("pv", "v"), ("py", "y"))
+_R7_PENDANTS = (("px", "x"), ("py", "y"))
+
+
+def _hang_pendants(g: Graph, rec: dict, pendants: _Pendants) -> tuple[VertexId, ...]:
     """Hang a fresh pendant on each parent, in order, recording it under its role."""
-    for role, parent in roles:
+    for role, parent in pendants:
         p = g.add_vertex()
-        g.add_edge(parent, p)
+        g.add_edge(rec[parent], p)
         rec[role] = p
-    return tuple(rec[role] for role, _ in roles)
+    return tuple(rec[role] for role, _ in pendants)
+
+
+def _fold_pendants(sol: set[VertexId], site: dict, pendants: _Pendants) -> None:
+    """Replace each pendant in the solution by its parent.
+
+    Safe because a pendant is a leaf of the induced subgraph (dropping it
+    keeps connectivity) and its parent dominates it (covers a superset of
+    edges, including the pendant edge itself). One of the two covers that
+    edge, so the parent is in the solution afterwards.
+    """
+    for role, parent in pendants:
+        if site[role] in sol:
+            sol.discard(site[role])
+            sol.add(site[parent])
+        assert site[parent] in sol, f"pendant edge at {site[parent]} is not covered"
+
+
+def _uncontract(sol: set[VertexId], site: dict, a: str, b: str) -> None:
+    """Swap the contracted vertex c in the solution back for the ends a and b."""
+    sol.remove(site["c"])
+    sol.update((site[a], site[b]))
 
 
 def _apply_r1(g: Graph, site: dict) -> ReductionStep:
@@ -238,6 +280,11 @@ def _apply_r1(g: Graph, site: dict) -> ReductionStep:
     return ReductionStep(RuleId.R1, dict(site), (), dropped, 0)
 
 
+def _lift_r1(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    # Extra pendants reappear; the parent covers all of them.
+    _fold_pendants(sol, step.site, (("keep", "v"),))
+
+
 def _apply_r2(g: Graph, site: dict) -> ReductionStep:
     v, u, w = site["v"], site["u"], site["w"]
     _require_neighbors(g, v, (u, w), "R2")
@@ -246,6 +293,12 @@ def _apply_r2(g: Graph, site: dict) -> ReductionStep:
     rec = dict(site)
     rec["c"] = c
     return ReductionStep(RuleId.R2, rec, (c,), (u, w), -1)
+
+
+def _lift_r2(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    # Undo the uw contraction; u-w is an edge, so both sides reconnect.
+    _fold_pendants(sol, step.site, (("v", "c"),))
+    _uncontract(sol, step.site, "u", "w")
 
 
 def _apply_r3(g: Graph, site: dict) -> ReductionStep:
@@ -261,8 +314,22 @@ def _apply_r3(g: Graph, site: dict) -> ReductionStep:
         rec["c"] = c
         return ReductionStep(RuleId.R3, rec, (c,), (u, v), -1)
     g.remove_vertex(v)
-    created = _hang_pendants(g, rec, (("pu", u), ("pw", w)))
+    created = _hang_pendants(g, rec, _R3_PENDANTS)
     return ReductionStep(RuleId.R3, rec, created, (v,), 0)
+
+
+def _lift_r3(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    site = step.site
+    if not site["cut"]:
+        # The fresh pendants forced u and w into the cover.
+        _fold_pendants(sol, site, _R3_PENDANTS)
+    elif site["c"] in sol:
+        # Undo the uv contraction; v rejoins u to the w side.
+        _uncontract(sol, site, "u", "v")
+    else:
+        # c's neighbors, w among them, are all in the cover; v covers u's
+        # edge to it and joins w.
+        sol.add(site["v"])
 
 
 def _apply_r4(g: Graph, site: dict) -> ReductionStep:
@@ -278,6 +345,11 @@ def _apply_r4(g: Graph, site: dict) -> ReductionStep:
     return ReductionStep(RuleId.R4, rec, (c,), (pu, u, v), -1)
 
 
+def _lift_r4(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    _fold_pendants(sol, step.site, (("pv", "c"),))
+    _uncontract(sol, step.site, "u", "v")
+
+
 def _apply_r5(g: Graph, site: dict) -> ReductionStep:
     v, x, y, z = site["v"], site["x"], site["y"], site["z"]
     _require_neighbors(g, v, (x, y, z), "R5")
@@ -286,6 +358,11 @@ def _apply_r5(g: Graph, site: dict) -> ReductionStep:
     g.remove_vertex(z)
     g.ensure_edge(x, y)
     return ReductionStep(RuleId.R5, dict(site), (), (v, z), -1)
+
+
+def _lift_r5(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    # v reconnects x and y even when the helper edge xy vanishes.
+    sol.add(step.site["v"])
 
 
 def _apply_r6(g: Graph, site: dict) -> ReductionStep:
@@ -297,8 +374,12 @@ def _apply_r6(g: Graph, site: dict) -> ReductionStep:
         _require(_separates(g, pair), f"R6: removing {pair} leaves the graph connected")
     g.remove_vertex(a)
     rec = dict(site)
-    created = _hang_pendants(g, rec, (("px", x), ("pv", v), ("py", y)))
+    created = _hang_pendants(g, rec, _R6_PENDANTS)
     return ReductionStep(RuleId.R6, rec, created, (a,), 0)
+
+
+def _lift_r6(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    _fold_pendants(sol, step.site, _R6_PENDANTS)
 
 
 def _apply_r7(g: Graph, site: dict) -> ReductionStep:
@@ -311,8 +392,13 @@ def _apply_r7(g: Graph, site: dict) -> ReductionStep:
     g.remove_vertex(q)
     g.ensure_edge(x, y)
     rec = dict(site)
-    created = _hang_pendants(g, rec, (("px", x), ("py", y)))
+    created = _hang_pendants(g, rec, _R7_PENDANTS)
     return ReductionStep(RuleId.R7, rec, created, (a, v, q), -1)
+
+
+def _lift_r7(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    _fold_pendants(sol, step.site, _R7_PENDANTS)
+    sol.add(step.site["v"])
 
 
 def apply_identification(
@@ -367,15 +453,54 @@ def undo_identification(g: Graph, step: ReductionStep) -> None:
         g.add_edge(owner, pendant)
 
 
-_APPLIERS = {
-    RuleId.R1: _apply_r1,
-    RuleId.R2: _apply_r2,
-    RuleId.R3: _apply_r3,
-    RuleId.R4: _apply_r4,
-    RuleId.R5: _apply_r5,
-    RuleId.R6: _apply_r6,
-    RuleId.R7: _apply_r7,
-    RuleId.R8: _apply_r8,
+def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+    """Lift across one pendant identification on its post-graph g, then undo it.
+
+    The merged 2-vertex c has neighbors u and v. When the solution holds
+    c and both owners, dropping c leaves at most two parts, u's and v's;
+    split_side finds whether they are apart, searching only as far as
+    the smaller part. If so, the smallest non-cover vertex z != c next
+    to the returned part with a cover neighbor outside it rejoins them.
+    One always exists because c is not a cut vertex of the merged graph
+    (replay_journal checked connectivity before the first R8 step).
+    """
+    u, v, c = step.site["u"], step.site["v"], step.site["c"]
+    if c not in sol:
+        assert u in sol and v in sol
+    else:
+        sol.discard(c)
+        u_in, v_in = u in sol, v in sol
+        if not u_in and not v_in:
+            raise AssertionError("merged 2-vertex alone cannot be a cover of a connected graph")
+        if u_in != v_in:
+            # c was a leaf of the induced cover; re-cover the missing
+            # owner's pendant by taking the owner itself.
+            sol.add(v if u_in else u)
+        elif (side := g.split_side(u, v, sol.__contains__)) is not None:
+            adj = g.adjacency()
+            rim = {z for x in side for z in adj[x] if z not in sol}
+            rim.discard(c)
+            joins = [z for z in rim if any(w in sol and w not in side for w in adj[z])]
+            if not joins:
+                raise AssertionError("no reconnecting vertex found; upstream bug")
+            sol.add(min(joins))
+    undo_identification(g, step)
+
+
+class _Rule(NamedTuple):
+    apply: Callable[[Graph, dict], ReductionStep]
+    lift: Callable[[Graph, ReductionStep, set[VertexId]], None]
+
+
+_RULES = {
+    RuleId.R1: _Rule(_apply_r1, _lift_r1),
+    RuleId.R2: _Rule(_apply_r2, _lift_r2),
+    RuleId.R3: _Rule(_apply_r3, _lift_r3),
+    RuleId.R4: _Rule(_apply_r4, _lift_r4),
+    RuleId.R5: _Rule(_apply_r5, _lift_r5),
+    RuleId.R6: _Rule(_apply_r6, _lift_r6),
+    RuleId.R7: _Rule(_apply_r7, _lift_r7),
+    RuleId.R8: _Rule(_apply_r8, _lift_r8),
 }
 
 

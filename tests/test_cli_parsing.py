@@ -37,8 +37,8 @@ def _table() -> list[list[str]]:
         ]
     argvs += [
         ["kernelize", "--input", "g.cvc", "--k", "x"],
-        ["kernelize", "--inp", "g.cvc", "--k", "3", "--jour", "j", "--s", "--with"],  # abbreviated
-        ["kernelize", "--input=g.cvc", "--k=-3", "--journal=j", "--stats", "--with-oracle"],
+        ["kernelize", "--inp", "g.cvc", "--k", "3", "--jour", "j", "--s"],  # abbreviated
+        ["kernelize", "--input=g.cvc", "--k=-3", "--journal=j", "--stats"],
         ["kernelize", "--", "--input", "g.cvc"],
         ["solve", "--input", "g.cvc", "--limit", "1.5"],
         ["solve", "--inp", "g.cvc", "--lim", "4"],

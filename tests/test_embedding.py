@@ -23,7 +23,6 @@ from planarcvc.embedding import (
     NonPlanarGraphError,
     check_embedding,
     embed,
-    enumerate_faces,
     is_planar,
 )
 from planarcvc.facematch import pendant_owners
@@ -159,13 +158,6 @@ def test_is_planar_iff_every_component_embeds(g):
 
     components = [c for c in g.components() if len(c) > 1]
     assert is_planar(g) == all(embeds(c) for c in components)
-
-
-def test_enumerate_faces_matches_embed():
-    g = gen_random_planar(20, 0.8, 99)
-    e = embed(g)
-    redone = enumerate_faces(e)
-    assert sorted(f.boundary for f in redone) == sorted(f.boundary for f in e.faces)
 
 
 def _members_by_reference(faces: tuple[Face, ...], members: set[int]) -> list[tuple[int, tuple[int, ...]]]:

@@ -131,9 +131,7 @@ def test_cli_kernelize_rejects_nonplanar(tmp_path, capsys):
 
 def test_cli_kernelize_stats(tmp_path, capsys):
     graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(gen_tightness(3)))
-    code = main(
-        ["kernelize", "--input", graph_file, "--k", "11", "--stats", "--with-oracle"]
-    )
+    code = main(["kernelize", "--input", graph_file, "--k", "11", "--stats"])
     captured = capsys.readouterr()
     assert code == 0
     assert "stats S1 9" in captured.err
@@ -469,12 +467,12 @@ def _input_error_row(row: str, d: Path) -> tuple[list[str], str]:
 
 @pytest.mark.parametrize("row", list(_INPUT_ERROR_ROWS))
 def test_cli_input_errors_exit_2(input_error_dir, capsys, row):
-    # Every input error leaves main as exit 2 and exactly one `error:`
-    # line, whichever command meets it.
+    # Every input error leaves main as exit 2, exactly one `error:` line
+    # and nothing on stdout, whichever command meets it.
     argv, expected = _input_error_row(row, input_error_dir)
     code = main(argv)
     assert code == 2
-    assert capsys.readouterr().err == expected
+    assert capsys.readouterr() == ("", expected)
 
 
 @pytest.mark.parametrize(
@@ -494,8 +492,9 @@ def test_cli_round_trip_without_networkx():
     # networkx is a test-only dependency: generate -> kernelize -> solve
     # -> lift -> verify must run with every import of it blocked, the
     # ring's kernel must keep all three merges, its non-leaf cover must
-    # lift to a cover too, and an input error and a non-planar K5 must
-    # exit 2 from the entry point.
+    # lift to a cover too, `kernelize --stats` must find the partition
+    # bound holding, and an input error and a non-planar K5 must exit 2
+    # from the entry point.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
@@ -503,7 +502,8 @@ def test_cli_round_trip_without_networkx():
     assert proc.returncode == 0, proc.stderr
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
     assert steps == [
-        "generate", "kernelize", "ring-merges", "solve", "lift", "verify", "nonleaf-lift", "input-error", "nonplanar",
+        "generate", "kernelize", "ring-merges", "solve", "lift", "verify", "nonleaf-lift", "stats",
+        "input-error", "nonplanar",
     ]
 
 

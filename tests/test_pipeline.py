@@ -403,18 +403,17 @@ def test_lift_reconnects_merge_owners_on_generated_kernels(monkeypatch):
     # set that keeps every merged 2-vertex c and both its owners in the
     # cover. Where I cuts the owners apart without c, the R8 lift must
     # add a reconnecting vertex; the random inputs are ones where it does.
-    from planarcvc import pipeline
+    from planarcvc import reductions
 
-    lift_identification = pipeline._lift_identification
+    r8 = reductions._RULES[RuleId.R8]
     reconnecting = []
 
-    def counted(step, post, sol):
+    def counted(g, step, sol):
         before = set(sol)
-        lifted = lift_identification(step, post, sol)
-        reconnecting.extend(lifted - before - {step.site["u"], step.site["v"]})
-        return lifted
+        r8.lift(g, step, sol)
+        reconnecting.extend(sol - before - {step.site["u"], step.site["v"]})
 
-    monkeypatch.setattr(pipeline, "_lift_identification", counted)
+    monkeypatch.setitem(reductions._RULES, RuleId.R8, r8._replace(lift=counted))
     inputs = [(gen_tightness(ell), 3 * ell + 2) for ell in range(3, 13)]
     for n, density, seed in ((150, 0.55, 19), (150, 0.6, 9), (400, 0.6, 11)):
         g = gen_random_planar(n, density, seed)

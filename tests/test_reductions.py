@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from planarcvc.embedding import is_planar
 from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
 from planarcvc.graph import Graph, graph_from_edges
-from planarcvc.oracle import decide_cvc
+from planarcvc.oracle import decide_cvc, verify_cvc
 from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, replay_journal
 from planarcvc.reductions import (
     RuleApplicationError,
@@ -17,6 +18,7 @@ from planarcvc.reductions import (
     apply_identification,
     apply_rule,
     detect_rule,
+    lift_rule,
     run_phase1,
 )
 
@@ -229,21 +231,73 @@ def test_replay_rejects_a_flipped_r3_cut_flag(cut):
         replay_journal(journal)
 
 
-def test_rule_equivalence_against_oracle():
+# One single-step case (graph, rule, site) per branch of the lift maps.
+_STEP_CASES = {
+    "R1": (lambda: make_star(3), RuleId.R1, {"v": 1, "keep": 2}),
+    # a house: v=1 on the roof, u=2 and w=3 its eaves
+    "R2": (
+        lambda: graph_from_edges([(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)]),
+        RuleId.R2,
+        {"v": 1, "u": 2, "w": 3},
+    ),
+    # the path 1-7-4 into the triangle 4-5-6: the cover {4, 5} leaves out
+    # c, the contracted 1-7, and {c, 4, 5} holds it
+    "R3-cut": (
+        lambda: graph_from_edges([(1, 7), (7, 4), (4, 5), (5, 6), (4, 6)]),
+        RuleId.R3,
+        {"v": 7, "u": 1, "w": 4, "cut": True},
+    ),
+    "R3-non-cut": (lambda: make_cycle(5), RuleId.R3, {"v": 1, "u": 2, "w": 5, "cut": False}),
+    # the edge 1-2 with pendants 3 and 4, and the triangle 1-2-5 with a tail 6
+    "R4": (
+        lambda: graph_from_edges([(1, 2), (1, 3), (2, 4), (1, 5), (2, 5), (5, 6)]),
+        RuleId.R4,
+        {"u": 1, "v": 2, "pu": 3, "pv": 4},
+    ),
+    "R5": (r5_example, RuleId.R5, {"v": 1, "x": 2, "y": 3, "z": 4}),
+    "R6": (r6_example, RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6}),
+    "R7": (r7_example, RuleId.R7, {"a": 1, "v": 2, "q": 3, "x": 4, "y": 5}),
+    # the 4-cycle 1-2-3-4 with pendants on 1 and 3: the cover {1, 3, c}
+    # makes the lift add 2 to rejoin the owners
+    "R8": (lambda: _owners_with_pendants((1, 3)), RuleId.R8, {"u": 1, "v": 3, "face": -1}),
+}
+
+
+@pytest.mark.parametrize("case", list(_STEP_CASES))
+def test_rule_equivalence_against_oracle(case):
     # Each rule example transforms (G, k) into (G', k + k_delta); the
     # decision must be preserved for every budget.
-    cases = [
-        (r5_example(), RuleId.R5, {"v": 1, "x": 2, "y": 3, "z": 4}),
-        (r6_example(), RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6}),
-        (r7_example(), RuleId.R7, {"a": 1, "v": 2, "q": 3, "x": 4, "y": 5}),
+    make, rule, site = _STEP_CASES[case]
+    g = make()
+    for k in range(0, g.n_vertices + 1):
+        work = g.copy()
+        new_k = k + apply_rule(work, rule, site).k_delta
+        assert decide_cvc(g, k) == (new_k >= 0 and decide_cvc(work, new_k)), k
+
+
+@pytest.mark.parametrize("case", list(_STEP_CASES))
+def test_lift_rule_lifts_every_cover(case):
+    # Every connected vertex cover S of the post-graph lifts to one of the
+    # pre-graph with at most |S| - k_delta vertices; an R8 lift also turns
+    # the post-graph back into the pre-graph.
+    make, rule, site = _STEP_CASES[case]
+    pre = make()
+    post = pre.copy()
+    step = apply_rule(post, rule, site)
+    covers = [
+        set(s)
+        for size in range(post.n_vertices + 1)
+        for s in combinations(post.vertices(), size)
+        if verify_cvc(post, set(s))
     ]
-    for g, rule, site in cases:
-        for k in range(0, g.n_vertices + 1):
-            work = g.copy()
-            new_k = k + apply_rule(work, rule, site).k_delta
-            assert decide_cvc(g, k) == (new_k >= 0 and decide_cvc(work, new_k)), (
-                rule, k
-            )
+    assert covers
+    for cover in covers:
+        g, sol = post.copy(), set(cover)
+        lift_rule(g, step, sol)
+        assert sol <= set(pre.vertices()) and verify_cvc(pre, sol), (cover, sol)
+        assert len(sol) <= len(cover) - step.k_delta, (cover, sol)
+        expected = pre if rule is RuleId.R8 else post
+        assert (g.vertices(), g.edges()) == (expected.vertices(), expected.edges())
 
 
 # ----------------------------------------------------------------------
