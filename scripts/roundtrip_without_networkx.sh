@@ -7,6 +7,9 @@
 # merged 2-vertex with both its owners, is lifted and verified too.
 # `kernelize --stats` on the same ring (fixpoint replay, exact solver,
 # partition) must report that the partition bound holds.
+# The ring's Phase 1 makes no step, so a random planar graph (n = 120,
+# density 0.5) makes the same round trip through Phase 1's contractions:
+# its journal must hold at least one R2, one cut R3 and one R4 record.
 # Every step runs planarcvc.cli.main in a fresh
 # Python process in which `import networkx` raises ImportError, and
 # fails if any networkx module got loaded anyway. Then one input error, a graph file
@@ -67,6 +70,23 @@ if ! grep -qx 'stats partition-bound holds' "$work/stats.err"; then
   exit 1
 fi
 echo "ok stats" >&2
+
+run generate random --n 120 --density 0.5 --seed 1 > "$work/random.cvc"
+run kernelize --input "$work/random.cvc" --k 120 --journal "$work/random.journal" > "$work/random-kernel.out"
+r2=$(grep -c '"rule": "R2"' "$work/random.journal" || true)
+r3=$(grep -c '"cut": true' "$work/random.journal" || true)
+r4=$(grep -c '"rule": "R4"' "$work/random.journal" || true)
+if [ "$r2" -eq 0 ] || [ "$r3" -eq 0 ] || [ "$r4" -eq 0 ]; then
+  echo "random n = 120: want R2, cut R3 and R4 records, got $r2, $r3 and $r4" >&2
+  exit 1
+fi
+grep -v '^c ' "$work/random-kernel.out" > "$work/random-kernel.cvc"
+k=$(sed -n 's/^c kernel-k //p' "$work/random-kernel.out")
+run solve --input "$work/random-kernel.cvc" --limit "$k" > "$work/random-kernel.sol"
+run lift --input "$work/random.cvc" --journal "$work/random.journal" \
+  --solution "$work/random-kernel.sol" > "$work/random-lifted.sol"
+run verify --input "$work/random.cvc" --solution "$work/random-lifted.sol"
+echo "ok contraction-round-trip" >&2
 
 printf 'p cvc 2 1\ne 1 1\n' > "$work/loop.cvc"
 code=0

@@ -99,20 +99,34 @@ class Graph:
         del self._adj[v]
 
     def contract_edge(self, u: VertexId, w: VertexId) -> VertexId:
-        """Contract the edge u-w into a fresh vertex and return it.
+        """Contract the edge u-w into a fresh vertex, in place, and return it.
 
-        The new vertex inherits N(u) | N(w) minus the endpoints, so the
+        The new vertex c inherits N(u) | N(w) minus the endpoints, so the
         loop arising from u-w is dropped and parallel edges are merged.
-        Vertex count always drops by one; edge count never grows.
+        Vertex count always drops by one; edge count never grows. The
+        larger endpoint's neighbor set becomes c's, the smaller one is
+        merged into it, and each neighbor swaps u or w for c, so the work
+        is one pass over N(u) | N(w) with no per-edge checks.
         """
-        if u not in self._adj or w not in self._adj[u]:
+        adj = self._adj
+        if u not in adj or w not in adj[u]:
             raise ValueError(f"cannot contract absent edge ({u},{w})")
-        merged = (self._adj[u] | self._adj[w]) - {u, w}
-        self.remove_vertex(u)
-        self.remove_vertex(w)
+        if len(adj[u]) < len(adj[w]):
+            u, w = w, u
+        big, small = adj.pop(u), adj.pop(w)
+        lost = len(big) + len(small) - 1  # the edges at u or w, u-w once
+        big.discard(w)
+        small.discard(u)
+        for x in small:
+            adj[x].discard(w)
+        big |= small
         c = self.add_vertex()
-        for x in merged:
-            self.add_edge(c, x)
+        for x in big:
+            nbrs = adj[x]
+            nbrs.discard(u)
+            nbrs.add(c)
+        adj[c] = big
+        self._n_edges -= lost - len(big)
         return c
 
     # ------------------------------------------------------------------
@@ -154,7 +168,10 @@ class Graph:
         """Read-only live view: vertex -> neighbor set, in no particular order.
 
         For whole-graph passes that would otherwise sort and copy every
-        neighborhood; the sets must not be mutated.
+        neighborhood; the sets must not be mutated. They are live, and
+        contract_edge hands u's or w's set object on to the fresh vertex
+        c, so a set read for u before a contraction may be c's afterwards:
+        hold none across one.
         """
         return MappingProxyType(self._adj)
 

@@ -230,6 +230,12 @@ def _require_neighbors(g: Graph, v: VertexId, roles: tuple[VertexId, ...], rule:
         raise RuleApplicationError(f"{rule}: the neighbors of {v} are not {roles}")
 
 
+def _require_pendant(g: Graph, p: VertexId, parent: VertexId, rule: str) -> None:
+    """Require p to be a pendant of parent, i.e. N(p) == {parent}."""
+    if g.adjacency().get(p) != {parent}:
+        raise RuleApplicationError(f"{rule}: {p} is not a pendant of {parent}")
+
+
 # (fresh pendant role, parent role) of the rules that hang fresh pendants:
 # the applier hangs them in this order, the lift folds them into their parents.
 _Pendants = tuple[tuple[str, str], ...]
@@ -336,8 +342,8 @@ def _apply_r4(g: Graph, site: dict) -> ReductionStep:
     u, v, pu, pv = site["u"], site["v"], site["pu"], site["pv"]
     _require(g.has_edge(u, v), "R4: uv is not an edge")
     _require(len({u, v, pu, pv}) == 4, "R4: roles must be four distinct vertices")
-    _require(pu in g.pendant_neighbors(u), f"R4: {pu} is not a pendant of {u}")
-    _require(pv in g.pendant_neighbors(v), f"R4: {pv} is not a pendant of {v}")
+    _require_pendant(g, pu, u, "R4")
+    _require_pendant(g, pv, v, "R4")
     g.remove_vertex(pu)
     c = g.contract_edge(u, v)
     rec = dict(site)
@@ -353,7 +359,7 @@ def _lift_r4(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 def _apply_r5(g: Graph, site: dict) -> ReductionStep:
     v, x, y, z = site["v"], site["x"], site["y"], site["z"]
     _require_neighbors(g, v, (x, y, z), "R5")
-    _require(z in g.pendant_neighbors(v), f"R5: {z} is not a pendant")
+    _require_pendant(g, z, v, "R5")
     g.remove_vertex(v)
     g.remove_vertex(z)
     g.ensure_edge(x, y)
@@ -386,7 +392,7 @@ def _apply_r7(g: Graph, site: dict) -> ReductionStep:
     a, v, q, x, y = site["a"], site["v"], site["q"], site["x"], site["y"]
     _require_neighbors(g, a, (x, v, y), "R7")
     _require_neighbors(g, v, (x, a, y, q), "R7")
-    _require(q in g.pendant_neighbors(v), f"R7: {q} is not a pendant of {v}")
+    _require_pendant(g, q, v, "R7")
     g.remove_vertex(a)
     g.remove_vertex(v)
     g.remove_vertex(q)

@@ -9,6 +9,8 @@ vertex cover for checks beyond the exact solver's reach; non_leaf_cover
 is a larger one that holds every merged 2-vertex with both its owners.
 reference_is_cut_vertex is the whole-graph cut-vertex test that R3 used
 before it asked Graph.split_side, kept as that primitive's reference.
+reference_contract_edge is Graph.contract_edge as it was before it worked
+in place: remove both ends, then add every inherited edge one at a time.
 reference_is_connected joins the ends of each induced edge by union-find,
 so the cover checks here do not lean on Graph's breadth-first search.
 
@@ -169,6 +171,19 @@ def reference_is_cut_vertex(g: Graph, v: VertexId) -> bool:
     if len(reach(v)) != len(verts):
         raise ValueError("reference_is_cut_vertex requires a connected graph")
     return bool(rest) and len(reach(rest[0])) != len(rest)
+
+
+def reference_contract_edge(g: Graph, u: VertexId, w: VertexId) -> VertexId:
+    """Contract u-w into a fresh vertex through remove_vertex and add_edge."""
+    if not g.has_edge(u, w):
+        raise ValueError(f"cannot contract absent edge ({u},{w})")
+    merged = (g.neighbor_set(u) | g.neighbor_set(w)) - {u, w}
+    g.remove_vertex(u)
+    g.remove_vertex(w)
+    c = g.add_vertex()
+    for x in merged:
+        g.add_edge(c, x)
+    return c
 
 
 def reference_maximum_matching(g: Graph) -> Matching:

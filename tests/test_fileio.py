@@ -493,8 +493,9 @@ def test_cli_round_trip_without_networkx():
     # -> lift -> verify must run with every import of it blocked, the
     # ring's kernel must keep all three merges, its non-leaf cover must
     # lift to a cover too, `kernelize --stats` must find the partition
-    # bound holding, and an input error and a non-planar K5 must exit 2
-    # from the entry point.
+    # bound holding, a random graph's kernel, reached through R2, cut R3
+    # and R4 contractions, must lift to a cover, and an input error and a
+    # non-planar K5 must exit 2 from the entry point.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
@@ -503,7 +504,7 @@ def test_cli_round_trip_without_networkx():
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
     assert steps == [
         "generate", "kernelize", "ring-merges", "solve", "lift", "verify", "nonleaf-lift", "stats",
-        "input-error", "nonplanar",
+        "contraction-round-trip", "input-error", "nonplanar",
     ]
 
 

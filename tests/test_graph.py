@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from planarcvc.graph import Graph, graph_from_edges
 
-from brute import reference_is_cut_vertex
+from brute import reference_contract_edge, reference_is_cut_vertex
 from conftest import make_cycle, make_path, make_star
 from strategies import small_graphs
 
@@ -63,6 +63,42 @@ def test_contract_counts_random():
         g.validate()
         assert g.n_vertices == before_v - 1
         assert g.n_edges <= before_e
+
+
+def test_contract_matches_reference_on_a_growing_hub():
+    # Phase 1 contracts into one growing hub on sparse inputs: each graph
+    # has a hub of 30+ neighbors and random chords, so most contractions
+    # at the hub merge two neighborhoods with common neighbors.
+    rng = random.Random(17)
+    biggest_hub = common = 0
+    for trial in range(20):
+        n = rng.randint(40, 60)
+        g = Graph()
+        for _ in range(n):
+            g.add_vertex()
+        for x in range(2, rng.randint(32, n) + 1):
+            g.add_edge(1, x)
+        for u, w in combinations(range(2, n + 1), 2):
+            if rng.random() < 0.08:
+                g.add_edge(u, w)
+        ref = g.copy()
+        hub = 1
+        while g.n_edges:
+            edges = g.edges()
+            at_hub = [e for e in edges if hub in e]
+            u, w = rng.choice(at_hub if at_hub and rng.random() < 0.8 else edges)
+            biggest_hub = max(biggest_hub, g.degree(hub))
+            common += bool(g.neighbor_set(u) & g.neighbor_set(w))
+            c = g.contract_edge(u, w)
+            assert c == reference_contract_edge(ref, u, w)
+            assert dict(g.adjacency()) == dict(ref.adjacency())
+            assert g.n_edges == ref.n_edges
+            assert len({id(nbrs) for nbrs in g.adjacency().values()}) == g.n_vertices
+            g.validate()
+            if hub in (u, w):
+                hub = c
+        assert g.add_vertex() == ref.add_vertex()
+    assert biggest_hub >= 30 and common > 100
 
 
 def test_is_connected():

@@ -26,6 +26,11 @@ from brute import brute_minimum_cvc, reference_detect_rule
 from conftest import make_cycle, make_path, make_star, small_planar_corpus
 
 
+def r4_example() -> Graph:
+    # the edge 1-2 with pendants 3 and 4, and the triangle 1-2-5 with a tail 6
+    return graph_from_edges([(1, 2), (1, 3), (2, 4), (1, 5), (2, 5), (5, 6)])
+
+
 def r5_example() -> Graph:
     # v=1 sees x=2, y=3 and the pendant z=4; w=5 closes the square.
     return graph_from_edges([(1, 2), (1, 3), (1, 4), (2, 5), (3, 5)])
@@ -47,6 +52,11 @@ def r7_example() -> Graph:
         [(1, 4), (1, 2), (1, 5), (2, 4), (2, 5), (2, 3),
          (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
     )
+
+
+_R4_SITE = {"u": 1, "v": 2, "pu": 3, "pv": 4}
+_R5_SITE = {"v": 1, "x": 2, "y": 3, "z": 4}
+_R7_SITE = {"a": 1, "v": 2, "q": 3, "x": 4, "y": 5}
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +204,41 @@ def test_apply_rejects_a_repeated_role(g, rule, site, message):
     assert g.edges() == before.edges()
 
 
+# (example, extra edges, rule, tampered roles, message): each pendant role
+# of R4, R5 and R7 given a 2-vertex, another vertex's pendant and a missing
+# id. The pendant roles of R5 and R7 are also neighbors of their parent, so
+# the neighborhood check rejects the last two before the pendant check.
+@pytest.mark.parametrize(
+    "make, extra, rule, site, message",
+    [
+        (r4_example, [(3, 6)], RuleId.R4, _R4_SITE, "3 is not a pendant of 1"),
+        (r4_example, [], RuleId.R4, dict(_R4_SITE, pv=6), "6 is not a pendant of 2"),
+        (r4_example, [], RuleId.R4, dict(_R4_SITE, pu=9), "9 is not a pendant of 1"),
+        (r5_example, [(4, 5)], RuleId.R5, _R5_SITE, "4 is not a pendant of 1"),
+        (r5_example, [(5, 6)], RuleId.R5, dict(_R5_SITE, z=6), "neighbors of 1"),
+        (r5_example, [], RuleId.R5, dict(_R5_SITE, z=9), "neighbors of 1"),
+        (r7_example, [(3, 6)], RuleId.R7, _R7_SITE, "3 is not a pendant of 2"),
+        (r7_example, [(6, 8)], RuleId.R7, dict(_R7_SITE, q=8), "neighbors of 2"),
+        (r7_example, [], RuleId.R7, dict(_R7_SITE, q=9), "neighbors of 2"),
+    ],
+    ids=[
+        f"{rule} {kind}"
+        for rule in ("R4", "R5", "R7")
+        for kind in ("2-vertex", "pendant of another", "missing id")
+    ],
+)
+def test_apply_rejects_a_tampered_pendant(make, extra, rule, site, message):
+    g = make()
+    for u, w in extra:
+        if w not in g:
+            g.add_named_vertex(w)
+        g.add_edge(u, w)
+    before = g.copy()
+    with pytest.raises(RuleApplicationError, match=message):
+        apply_rule(g, rule, site)
+    assert g.edges() == before.edges()
+
+
 def _owners_with_pendants(owners):
     g = make_cycle(4)
     for owner in owners:
@@ -248,15 +293,10 @@ _STEP_CASES = {
         {"v": 7, "u": 1, "w": 4, "cut": True},
     ),
     "R3-non-cut": (lambda: make_cycle(5), RuleId.R3, {"v": 1, "u": 2, "w": 5, "cut": False}),
-    # the edge 1-2 with pendants 3 and 4, and the triangle 1-2-5 with a tail 6
-    "R4": (
-        lambda: graph_from_edges([(1, 2), (1, 3), (2, 4), (1, 5), (2, 5), (5, 6)]),
-        RuleId.R4,
-        {"u": 1, "v": 2, "pu": 3, "pv": 4},
-    ),
-    "R5": (r5_example, RuleId.R5, {"v": 1, "x": 2, "y": 3, "z": 4}),
+    "R4": (r4_example, RuleId.R4, _R4_SITE),
+    "R5": (r5_example, RuleId.R5, _R5_SITE),
     "R6": (r6_example, RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6}),
-    "R7": (r7_example, RuleId.R7, {"a": 1, "v": 2, "q": 3, "x": 4, "y": 5}),
+    "R7": (r7_example, RuleId.R7, _R7_SITE),
     # the 4-cycle 1-2-3-4 with pendants on 1 and 3: the cover {1, 3, c}
     # makes the lift add 2 to rejoin the owners
     "R8": (lambda: _owners_with_pendants((1, 3)), RuleId.R8, {"u": 1, "v": 3, "face": -1}),
