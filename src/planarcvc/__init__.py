@@ -6,11 +6,10 @@ from .generators import (
     gen_exception_graph,
     gen_random_planar,
     gen_tightness,
-    validate_tightness,
 )
-from .graph import Graph, VertexId, graph_from_edges
-from .matching import Matching, matching_bound_holds, maximum_matching
-from .oracle import CoverCertificate, TooLargeError, decide_cvc, minimum_cvc, verify_cvc
+from .graph import Graph, VertexId
+from .matching import Matching, maximum_matching
+from .oracle import CoverCertificate, TooLargeError, minimum_cvc, verify_cvc
 from .pipeline import (
     Instance,
     Kernel,
@@ -59,16 +58,13 @@ __all__ = [
     "apply_rule",
     "build_aux_graph",
     "check_size_bound",
-    "decide_cvc",
     "detect_rule",
     "embed",
     "gen_exception_graph",
     "gen_random_planar",
     "gen_tightness",
-    "graph_from_edges",
     "kernelize",
     "partition_bound_holds",
-    "matching_bound_holds",
     "lift_rule",
     "lift_solution",
     "maximum_matching",
@@ -77,6 +73,5 @@ __all__ = [
     "planarize_matching",
     "run_phase1",
     "run_phase2",
-    "validate_tightness",
     "verify_cvc",
 ]

@@ -12,7 +12,8 @@ edges added in sorted order, down to the first neighbour of every
 rotation. The faces are numbered by one walk over the half-edges;
 the rotation system and the face list in vertex ids are built from the
 half-edges only when asked for, and Phase 2 reads the faces it needs
-without either. The embedding sanity checks are implemented here too.
+without either. The checks of an embedding (Euler's formula, faces
+against an independent tracer) live with the tests.
 Face orientation follows one fixed convention: the edge after (u, v) on
 a boundary walk is (v, w) where w is the cyclic successor of u in the
 rotation at v. Only the consistency of this convention matters, not
@@ -235,22 +236,6 @@ def is_planar(g: Graph) -> bool:
     resolution, rotation system or face list is built.
     """
     return _LRPlanarity(g).is_planar()
-
-
-def check_embedding(e: Embedding) -> None:
-    """Euler formula and face double-cover checks; raises AssertionError."""
-    total = sum(len(f.boundary) for f in e.faces)
-    assert total == 2 * e.n_edges, (
-        f"double cover broken: boundary lengths sum to {total}, expected {2 * e.n_edges}"
-    )
-    euler = e.n_vertices - e.n_edges + len(e.faces)
-    assert euler == 2, f"Euler formula broken: V-E+F = {euler}"
-    darts = {(u, w) for u in e.rotation for w in e.rotation[u]}
-    covered = [d for f in e.faces for d in f.boundary]
-    assert len(covered) == len(set(covered)), "a directed edge lies on two faces"
-    assert set(covered) == darts or (not darts and len(e.faces) == 1), (
-        "face boundaries do not cover every directed edge"
-    )
 
 
 # ----------------------------------------------------------------------

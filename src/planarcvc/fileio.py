@@ -6,7 +6,8 @@ ignored anywhere. Serialization is canonical (vertices renumbered 1..n by
 ascending id, edges sorted), so parse-then-serialize is idempotent.
 
 Journal files hold one JSON object per line with the fields step_index,
-rule, site, created, removed and k_delta. Replaying a journal against its
+rule, site, created, removed and k_delta; ids and site values are JSON
+integers, except R3's cut flag, a boolean. Replaying a journal against its
 input file (after stripping isolated vertices) reproduces the kernel file
 byte for byte under canonical serialization.
 """
@@ -171,14 +172,30 @@ def parse_journal_steps(text: str) -> list[ReductionStep]:
             )
         except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise GraphParseError(f"bad journal record: {exc}", line_no) from None
-        if not all(type(v) is int for v in step.created + step.removed):
+        if not set(map(type, step.created + step.removed)) <= _INT:
             raise GraphParseError("bad journal record: created/removed ids must be integers", line_no)
+        if not _site_typed(step.rule, step.site):
+            raise GraphParseError("bad journal record: site values must be integers, R3's cut a bool", line_no)
         if index != len(steps):
             raise GraphParseError(
                 f"journal records out of order at index {index}", line_no
             )
         steps.append(step)
     return steps
+
+
+_INT = {int}
+
+
+def _site_typed(rule: RuleId, site: object) -> bool:
+    """True iff site maps roles to integers, except R3's cut flag, a bool."""
+    if type(site) is not dict:
+        return False
+    if rule is RuleId.R3 and "cut" in site:
+        site = dict(site)
+        if type(site.pop("cut")) is not bool:
+            return False
+    return set(map(type, site.values())) <= _INT
 
 
 def journal_for_input(g: Graph, steps: list[ReductionStep]) -> ReductionJournal:

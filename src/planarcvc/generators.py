@@ -4,26 +4,16 @@ graph, and seeded random planar graphs for the property-test corpus.
 The ring family witnesses that the 11/3 size analysis is sharp: for
 ``copies`` >= 3 it has 12*copies + 2 vertices, none of the Phase 1 rules
 apply, Phase 2 merges exactly ``copies`` pendant pairs, and the minimum
-connected vertex cover has 3*copies + 2 vertices.
+connected vertex cover has 3*copies + 2 vertices. The tests check these
+claims for copies 3..8 (the exact minimum for 3 and 4); nothing here
+validates a generated graph.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from .embedding import NonPlanarGraphError, embed
-from .facematch import pendant_owners
-from .graph import Graph, VertexId
-from .oracle import minimum_cvc, verify_cvc
-from .pipeline import (
-    Kernel,
-    Instance,
-    kernelize,
-    partition_bound_holds,
-    partition_stats,
-)
-from .reductions import RuleId, detect_rule
+from .graph import Graph
 
 
 def gen_tightness(copies: int) -> Graph:
@@ -67,17 +57,6 @@ def gen_tightness(copies: int) -> Graph:
             p = g.add_vertex()
             g.add_edge(owner, p)
     return g
-
-
-def tightness_cover(g: Graph) -> set[VertexId]:
-    """The canonical cover of a ring-family graph: pendant owners plus hubs.
-
-    The hubs are recovered structurally as the two highest-degree
-    vertices (degree 6*copies, far above every owner).
-    """
-    owners = set(pendant_owners(g))
-    hubs = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))[:2]
-    return owners | set(hubs)
 
 
 def gen_exception_graph() -> Graph:
@@ -135,123 +114,3 @@ def gen_random_planar(n: int, density: float, seed: int) -> Graph:
                 if g.split_side(u, w, lambda _: True) is not None:
                     g.add_edge(u, w)  # bridge: keep it
     return g
-
-
-# ----------------------------------------------------------------------
-# tightness validation
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class TightnessReport:
-    """Outcome of every ring-family check, one (name, passed, detail) row."""
-
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-    def record(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append((name, passed, detail))
-
-    def __str__(self) -> str:
-        lines = [
-            f"[{'pass' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else "")
-            for name, passed, detail in self.checks
-        ]
-        return "\n".join(lines)
-
-
-def validate_tightness(
-    g: Graph, copies: int, use_oracle: bool | None = None
-) -> TightnessReport:
-    """Check every claimed quantity of the ring family against g.
-
-    The exact-solver check is expensive, so by default it only runs for
-    copies <= 4; pass use_oracle explicitly to override.
-    """
-    if use_oracle is None:
-        use_oracle = copies <= 4
-    report = TightnessReport()
-    expected_cover = 3 * copies + 2
-
-    n = g.n_vertices
-    report.record(
-        "vertex-count", n == 12 * copies + 2, f"{n} vs {12 * copies + 2}"
-    )
-
-    try:
-        embed(g)
-        report.record("planar", True)
-    except (NonPlanarGraphError, ValueError) as exc:
-        report.record("planar", False, str(exc))
-
-    found = detect_rule(g)
-    report.record(
-        "phase1-silent", found is None, "" if found is None else f"{found[0].name} applies"
-    )
-
-    owners = pendant_owners(g)
-    report.record(
-        "s1-size", len(owners) == 3 * copies, f"{len(owners)} owners vs {3 * copies}"
-    )
-
-    cover = tightness_cover(g)
-    try:
-        cover_ok = verify_cvc(g, cover) and len(cover) == expected_cover
-        report.record(
-            "canonical-cover", cover_ok, f"size {len(cover)} vs {expected_cover}"
-        )
-    except KeyError as exc:
-        cover_ok = False
-        report.record("canonical-cover", False, str(exc))
-
-    if cover_ok:
-        try:
-            part = partition_stats(g, cover)
-            sizes = part.sizes()
-            want = {
-                "S1": 3 * copies,
-                "S>=3": 2,
-                "I1": 3 * copies,
-                "I3": 6 * copies,
-                "I>=4": 0,
-            }
-            report.record("partition", sizes == want, f"{sizes} vs {want}")
-        except ValueError as exc:
-            report.record("partition", False, str(exc))
-    else:
-        report.record("partition", False, "skipped: no canonical cover")
-
-    outcome = kernelize(Instance(g.copy(), expected_cover))
-    m_star = None
-    if isinstance(outcome, Kernel):
-        m_star = sum(1 for s in outcome.journal.steps if s.rule is RuleId.R8)
-        phase1_steps = len(outcome.journal.steps) - m_star
-        kernel_n = outcome.instance.graph.n_vertices
-        report.record(
-            "phase2-count",
-            phase1_steps == 0 and m_star == copies and kernel_n == 11 * copies + 2,
-            f"phase1 steps {phase1_steps}, merges {m_star}, kernel {kernel_n}",
-        )
-    else:
-        report.record("phase2-count", False, f"kernelize said {outcome.reason}")
-
-    if cover_ok and m_star is not None:
-        lhs = 3 * (2 + 0 + m_star)
-        rhs = expected_cover + 4
-        equality = lhs == rhs and partition_bound_holds(g, cover, m_star)
-        report.record("partition-bound", equality, f"3*(2+0+{m_star}) vs |S|+4={rhs}")
-    else:
-        report.record("partition-bound", False, "skipped: missing cover or merges")
-
-    if use_oracle:
-        cert = minimum_cvc(g, expected_cover)
-        ok = cert is not None and cert.size == expected_cover
-        report.record(
-            "oracle-minimum",
-            ok,
-            f"{'none' if cert is None else cert.size} vs {expected_cover}",
-        )
-    return report

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Container, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Container, Mapping
 
 
 VertexId = int
@@ -263,37 +263,6 @@ class Graph:
         g._n_edges = self._n_edges
         return g
 
-    def validate(self) -> None:
-        """Check the simple-graph invariants; raises AssertionError on breakage."""
-        count = 0
-        for v, adj in self._adj.items():
-            assert v not in adj, f"self-loop at {v}"
-            for w in adj:
-                assert w in self._adj, f"dangling neighbor {w} of {v}"
-                assert v in self._adj[w], f"asymmetric edge ({v},{w})"
-            count += len(adj)
-        assert count == 2 * self._n_edges, "edge count out of sync"
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n_vertices}, m={self.n_edges})"
 
-    def __iter__(self) -> Iterator[VertexId]:
-        return iter(sorted(self._adj))
-
-
-def graph_from_edges(
-    edges: Iterable[tuple[VertexId, VertexId]],
-    vertices: Iterable[VertexId] = (),
-) -> Graph:
-    """Build a graph from explicit edges plus optional extra vertices."""
-    g = Graph()
-    for v in vertices:
-        if v not in g:
-            g.add_named_vertex(v)
-    for u, w in edges:
-        if u not in g:
-            g.add_named_vertex(u)
-        if w not in g:
-            g.add_named_vertex(w)
-        g.add_edge(u, w)
-    return g

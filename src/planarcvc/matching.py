@@ -27,16 +27,6 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> set[VertexId]:
-        return {v for e in self.edges for v in e}
-
-    def validate(self, g: Graph) -> None:
-        seen: set[VertexId] = set()
-        for u, w in self.edges:
-            assert g.has_edge(u, w), f"matched pair ({u},{w}) is not an edge"
-            assert u not in seen and w not in seen, f"({u},{w}) shares an endpoint"
-            seen.update((u, w))
-
 
 def maximum_matching(g: Graph) -> Matching:
     """Compute a maximum cardinality matching of g."""
@@ -138,13 +128,3 @@ def maximum_matching(g: Graph) -> Matching:
     )
     return Matching(edges=pairs)
 
-
-def matching_bound_holds(g: Graph) -> bool:
-    """Checker for the planar matching bound: max matching >= ceil(n3 / 3).
-
-    n3 counts the vertices of degree at least 3; the bound is a theorem
-    for simple planar graphs, so a False here signals a matcher bug, not
-    a property of the input.
-    """
-    n3 = sum(1 for v in g.vertices() if g.degree(v) >= 3)
-    return 3 * maximum_matching(g).size >= n3

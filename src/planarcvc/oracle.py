@@ -59,27 +59,17 @@ def minimum_cvc(g: Graph, limit: int) -> CoverCertificate | None:
     every limit. Raises TooLargeError instead of attempting instances
     where the exhaustive search would be unreasonable.
     """
-    best = _solve(g, limit, first_hit=False)
-    return None if best is None else CoverCertificate(frozenset(best))
-
-
-def decide_cvc(g: Graph, k: int) -> bool:
-    """True iff g has a connected vertex cover of size at most k."""
-    return _solve(g, k, first_hit=True) is not None
-
-
-def _solve(g: Graph, limit: int, first_hit: bool) -> set[VertexId] | None:
-    """A connected vertex cover of size <= limit (a smallest one unless first_hit), or None."""
     if limit < 0:
         return None
     edgeful = [c for c in g.components() if len(c) > 1]
     if not edgeful:
-        return set()
+        return CoverCertificate(frozenset())
     if len(edgeful) > 1:
         return None
     core = sorted(edgeful[0])
     _guard_size(len(core), limit)
-    return _branch_and_bound(g, core, min(limit, len(core)), first_hit)
+    best = _branch_and_bound(g, core, min(limit, len(core)))
+    return None if best is None else CoverCertificate(frozenset(best))
 
 
 def _guard_size(n: int, budget: int) -> None:
@@ -93,7 +83,6 @@ def _branch_and_bound(
     g: Graph,
     core: list[VertexId],
     limit: int,
-    first_hit: bool,
 ) -> set[VertexId] | None:
     """Exhaustive search over connected vertex covers of the edgeful core.
 
@@ -120,9 +109,9 @@ def _branch_and_bound(
             count += 1
         return count
 
-    def search(chosen: set[VertexId]) -> bool:
+    def search(chosen: set[VertexId]) -> None:
         if len(chosen) >= best_size[0]:
-            return False
+            return
         uncovered = None
         for u, w in edges:
             if u not in chosen and w not in chosen:
@@ -130,33 +119,27 @@ def _branch_and_bound(
                 break
         if uncovered is not None:
             if len(chosen) + max(1, matching_lower_bound(chosen)) >= best_size[0]:
-                return False
-            u, w = uncovered
-            for pick in (u, w):
+                return
+            for pick in uncovered:
                 chosen.add(pick)
-                done = search(chosen)
+                search(chosen)
                 chosen.discard(pick)
-                if done and first_hit:
-                    return True
-            return False
+            return
 
         comp = g.component(min(chosen), chosen)
         if len(comp) == len(chosen):
             best[0] = set(chosen)
             best_size[0] = len(chosen)
-            return True
+            return
         # One more vertex may merge every component at once (a common
         # neighbor), so only a +1 bound is sound here.
         if len(chosen) + 1 >= best_size[0]:
-            return False
+            return
         frontier = sorted({w for v in comp for w in adj[v]} - chosen)
         for z in frontier:
             chosen.add(z)
-            done = search(chosen)
+            search(chosen)
             chosen.discard(z)
-            if done and first_hit:
-                return True
-        return False
 
     search(set())
     return best[0]

@@ -443,22 +443,6 @@ def _apply_r8(g: Graph, site: dict) -> ReductionStep:
     return apply_identification(g, site["u"], site["v"], site["face"])
 
 
-def undo_identification(g: Graph, step: ReductionStep) -> None:
-    """The inverse of apply_identification, in place.
-
-    g must be the graph right after the R8 step: the merged 2-vertex c
-    is removed and the pendants xu and xv hang on u and v again under
-    their recorded ids.
-    """
-    site = step.site
-    u, v, c = site["u"], site["v"], site["c"]
-    assert g.neighbor_set(c) == {u, v}, "R8 undo needs the merged 2-vertex"
-    g.remove_vertex(c)
-    for owner, pendant in ((u, site["xu"]), (v, site["xv"])):
-        g.add_named_vertex(pendant)
-        g.add_edge(owner, pendant)
-
-
 def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     """Lift across one pendant identification on its post-graph g, then undo it.
 
@@ -469,8 +453,11 @@ def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     to the returned part with a cover neighbor outside it rejoins them.
     One always exists because c is not a cut vertex of the merged graph
     (replay_journal checked connectivity before the first R8 step).
+    The undo removes c and hangs the pendants xu and xv on u and v again
+    under their recorded ids.
     """
-    u, v, c = step.site["u"], step.site["v"], step.site["c"]
+    site = step.site
+    u, v, c = site["u"], site["v"], site["c"]
     if c not in sol:
         assert u in sol and v in sol
     else:
@@ -490,7 +477,11 @@ def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
             if not joins:
                 raise AssertionError("no reconnecting vertex found; upstream bug")
             sol.add(min(joins))
-    undo_identification(g, step)
+    assert g.neighbor_set(c) == {u, v}, "R8 undo needs the merged 2-vertex"
+    g.remove_vertex(c)
+    for owner, pendant in ((u, site["xu"]), (v, site["xv"])):
+        g.add_named_vertex(pendant)
+        g.add_edge(owner, pendant)
 
 
 class _Rule(NamedTuple):

@@ -24,6 +24,14 @@ became local to their trees; the matchings must be equal, edge for edge.
 reference_faces is the face tracer on vertex ids and successor dicts
 that embed used before faces were walked on half-edges; the face lists
 must be equal, face for face.
+
+The helpers at the top have no caller in the package and only state
+what tests check: graph_from_edges builds a graph from an edge list,
+check_graph asserts Graph's simple-graph invariants, check_matching
+asserts that a Matching is one of its graph, and tightness_cover is the
+ring family's canonical cover (pendant owners plus the two hubs).
+Whether a graph has a connected vertex cover of size at most k is
+minimum_cvc(g, k) is not None.
 """
 
 from __future__ import annotations
@@ -32,13 +40,63 @@ import json
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
 
 from planarcvc.embedding import Face
+from planarcvc.facematch import pendant_owners
 from planarcvc.fileio import GraphParseError
 from planarcvc.graph import Graph, VertexId
 from planarcvc.matching import Matching
 from planarcvc.pipeline import ReductionJournal
 from planarcvc.reductions import RuleId, _find_r6, _find_r7
+
+
+def graph_from_edges(
+    edges: Iterable[tuple[VertexId, VertexId]],
+    vertices: Iterable[VertexId] = (),
+) -> Graph:
+    """Build a graph from explicit edges plus optional extra vertices."""
+    g = Graph()
+    for v in vertices:
+        if v not in g:
+            g.add_named_vertex(v)
+    for u, w in edges:
+        if u not in g:
+            g.add_named_vertex(u)
+        if w not in g:
+            g.add_named_vertex(w)
+        g.add_edge(u, w)
+    return g
+
+
+def check_graph(g: Graph) -> None:
+    """Assert the simple-graph invariants: no loop, symmetric, edge count in sync."""
+    adj = g.adjacency()
+    for v, nbrs in adj.items():
+        assert v not in nbrs, f"self-loop at {v}"
+        for w in nbrs:
+            assert w in adj, f"dangling neighbor {w} of {v}"
+            assert v in adj[w], f"asymmetric edge ({v},{w})"
+    assert sum(map(len, adj.values())) == 2 * g.n_edges, "edge count out of sync"
+
+
+def check_matching(m: Matching, g: Graph) -> None:
+    """Assert that m's pairs are edges of g and share no endpoint."""
+    seen: set[VertexId] = set()
+    for u, w in m.edges:
+        assert g.has_edge(u, w), f"matched pair ({u},{w}) is not an edge"
+        assert u not in seen and w not in seen, f"({u},{w}) shares an endpoint"
+        seen.update((u, w))
+
+
+def tightness_cover(g: Graph) -> set[VertexId]:
+    """The canonical cover of a ring-family graph: pendant owners plus hubs.
+
+    The hubs are recovered structurally as the two highest-degree
+    vertices (degree 6*copies, far above every owner).
+    """
+    hubs = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))[:2]
+    return set(pendant_owners(g)) | set(hubs)
 
 
 def brute_matching_size(g: Graph) -> int:

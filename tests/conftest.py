@@ -12,8 +12,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from planarcvc.graph import Graph, graph_from_edges
+from planarcvc.graph import Graph
 from planarcvc.generators import gen_random_planar
+
+from brute import graph_from_edges
 
 
 def run_python(args: list[str], env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:

@@ -8,15 +8,11 @@ from __future__ import annotations
 
 import pytest
 
-from planarcvc.embedding import NonPlanarGraphError, check_embedding, embed
-from planarcvc.generators import (
-    gen_random_planar,
-    gen_tightness,
-    tightness_cover,
-    validate_tightness,
-)
+from planarcvc.embedding import NonPlanarGraphError, embed
+from planarcvc.facematch import pendant_owners
+from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.matching import maximum_matching
-from planarcvc.oracle import decide_cvc, minimum_cvc, verify_cvc
+from planarcvc.oracle import minimum_cvc, verify_cvc
 from planarcvc.pipeline import (
     Instance,
     Kernel,
@@ -27,7 +23,7 @@ from planarcvc.pipeline import (
 )
 from planarcvc.reductions import RuleId, run_phase1
 
-from brute import brute_matching_size, reference_detect_rule
+from brute import brute_matching_size, check_matching, reference_detect_rule, tightness_cover
 from conftest import (
     make_complete,
     make_complete_bipartite,
@@ -58,10 +54,10 @@ def test_criterion_1_oracle_equivalence(corpus_with_minimums):
         instances += 1
         for k in range(0, g.n_vertices + 1):
             expected = k >= cert.size
-            assert decide_cvc(g, k) == expected
+            assert (minimum_cvc(g, k) is not None) == expected
             out = kernelize(Instance(g.copy(), k))
             if isinstance(out, Kernel):
-                got = decide_cvc(out.instance.graph, out.instance.k)
+                got = minimum_cvc(out.instance.graph, out.instance.k) is not None
             else:
                 got = False
             assert got == expected, f"mismatch at k={k} on {g.edges()}"
@@ -84,10 +80,11 @@ def test_criterion_2_kernel_size_bound(corpus_with_minimums):
 
 
 def test_criterion_3_tight_family_regression():
-    """Ring family: exact vertex counts, phase counts, oracle minimums."""
+    """Ring family: exact counts, canonical cover and partition, oracle minimums."""
     for copies in range(3, 9):
         g = gen_tightness(copies)
         assert g.n_vertices == 12 * copies + 2
+        assert len(pendant_owners(g)) == 3 * copies
         out = kernelize(Instance(g.copy(), 3 * copies + 2))
         assert isinstance(out, Kernel)
         phase1_steps = [s for s in out.journal.steps if s.rule is not RuleId.R8]
@@ -95,17 +92,16 @@ def test_criterion_3_tight_family_regression():
         assert phase1_steps == []
         assert len(merges) == copies
         assert out.instance.graph.n_vertices == 11 * copies + 2
-    for copies in (3, 4):
-        g = gen_tightness(copies)
-        cert = minimum_cvc(g, 3 * copies + 2)
-        assert cert is not None and cert.size == 3 * copies + 2
         cover = tightness_cover(g)
+        assert len(cover) == 3 * copies + 2 and verify_cvc(g, cover)
         part = partition_stats(g, cover)
-        m_star = copies
-        assert partition_bound_holds(g, cover, m_star)
-        lhs = 3 * (len(part.s_ge3) + len(part.i_ge4) + m_star)
+        assert part.sizes() == {"S1": 3 * copies, "S>=3": 2, "I1": 3 * copies, "I3": 6 * copies, "I>=4": 0}
+        assert partition_bound_holds(g, cover, len(merges))
+        lhs = 3 * (len(part.s_ge3) + len(part.i_ge4) + len(merges))
         assert lhs == len(cover) + 4  # equality with (|S| + 4) / 3
-        assert validate_tightness(g, copies).ok
+    for copies in (3, 4):
+        cert = minimum_cvc(gen_tightness(copies), 3 * copies + 2)
+        assert cert is not None and cert.size == 3 * copies + 2
     report("criterion 3 PASS: ring family exact for l in 3..8, oracle for l in 3..4")
 
 
@@ -117,7 +113,7 @@ def test_criterion_4_matching_bound_on_planar_graphs():
         density = (0.35, 0.55, 0.75, 1.0)[i % 4]
         g = gen_random_planar(n, density, 52000 + i)
         m = maximum_matching(g)
-        m.validate(g)
+        check_matching(m, g)
         n3 = sum(1 for v in g.vertices() if g.degree(v) >= 3)
         assert 3 * m.size >= n3, f"seed {52000 + i}"
         count += 1
@@ -165,7 +161,7 @@ def test_criterion_7_matching_exactness():
         graphs.append(make_random_graph(n, p, 91000 + i))
     for g in graphs:
         got = maximum_matching(g)
-        got.validate(g)
+        check_matching(got, g)
         assert got.size == brute_matching_size(g)
     report(f"criterion 7 PASS: blossom exact on {len(graphs)} graphs")
 
@@ -175,13 +171,13 @@ def test_criterion_8_embedding_soundness(corpus_acceptance):
     count = 0
     for g in corpus_acceptance[:250]:
         e = embed(g)
-        check_embedding(e)
         assert g.n_vertices - g.n_edges + len(e.faces) == 2
         assert sum(len(f.boundary) for f in e.faces) == 2 * g.n_edges
         count += 1
     for copies in range(3, 9):
         e = embed(gen_tightness(copies))
-        check_embedding(e)
+        assert e.n_vertices - e.n_edges + len(e.faces) == 2
+        assert sum(len(f.boundary) for f in e.faces) == 2 * e.n_edges
         count += 1
     with pytest.raises(NonPlanarGraphError):
         embed(make_complete(5))

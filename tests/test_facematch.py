@@ -15,11 +15,11 @@ from planarcvc.facematch import (
     run_phase2,
 )
 from planarcvc.generators import gen_exception_graph, gen_tightness
-from planarcvc.graph import graph_from_edges
 from planarcvc.matching import Matching, maximum_matching
-from planarcvc.oracle import decide_cvc
+from planarcvc.oracle import minimum_cvc
 from planarcvc.reductions import RuleId, run_phase1
 
+from brute import graph_from_edges
 from conftest import make_cycle, run_python, small_planar_corpus
 
 
@@ -188,4 +188,4 @@ def test_phase2_preserves_decision(corpus_small):
         before = fixed.copy()
         run_phase2(fixed)
         for k in range(0, before.n_vertices + 1):
-            assert decide_cvc(before, k) == decide_cvc(fixed, k)
+            assert (minimum_cvc(before, k) is None) == (minimum_cvc(fixed, k) is None)

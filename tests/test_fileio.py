@@ -381,6 +381,18 @@ _INPUT_ERROR_ROWS = {
         "lift --input {d}/ring.cvc --journal {d}/list.jsonl --solution {d}/ring.sol",
         "line 1: bad journal record: list indices must be integers or slices, not str",
     ),
+    "lift-float-site-id": (
+        "lift --input {d}/ring.cvc --journal {d}/float-ids.jsonl --solution {d}/ring.sol",
+        "line 1: bad journal record: site values must be integers, R3's cut a bool",
+    ),
+    "lift-bool-site-id": (
+        "lift --input {d}/rand.cvc --journal {d}/bool-id.jsonl --solution {d}/rand.sol",
+        "line 1: bad journal record: site values must be integers, R3's cut a bool",
+    ),
+    "lift-string-face": (
+        "lift --input {d}/ring.cvc --journal {d}/string-face.jsonl --solution {d}/ring.sol",
+        "line 1: bad journal record: site values must be integers, R3's cut a bool",
+    ),
     "lift-journal-does-not-replay": (
         "lift --input {d}/paths.cvc --journal {d}/across.jsonl --solution {d}/across.sol",
         "journal does not replay at step 0: R8 on a disconnected graph",
@@ -426,6 +438,18 @@ def input_error_dir(tmp_path_factory):
     out = kernelize(Instance(ring, 11))
     kernel = out.instance.graph
     labels = fileio.canonical_labels(kernel)
+    # Journals whose records replay by value but not by type: every ring
+    # site id a float, the first R8 face a string, and in a random
+    # graph's journal the first site id 1 written as true.
+    records = [json.loads(line) for line in fileio.serialize_journal(out.journal).splitlines()]
+    float_ids = [dict(r, site={role: float(v) for role, v in r["site"].items()}) for r in records]
+    string_face = [dict(records[0], site=dict(records[0]["site"], face="anything")), *records[1:]]
+    rand = gen_random_planar(14, 0.5, 0)
+    rand_out = kernelize(Instance(rand, 14))
+    rand_labels = fileio.canonical_labels(rand_out.instance.graph)
+    bool_id = [json.loads(line) for line in fileio.serialize_journal(rand_out.journal).splitlines()]
+    site = bool_id[0]["site"]
+    site[next(role for role, v in site.items() if v == 1 and role != "cut")] = True
     files = {
         "ring.cvc": fileio.serialize_graph(ring),
         "ring.jsonl": fileio.serialize_journal(out.journal),
@@ -442,6 +466,11 @@ def input_error_dir(tmp_path_factory):
         "split.cvc": _R3_SPLIT,
         "r3cut.jsonl": json.dumps(_R3_CUT) + "\n",
         "r3cut.sol": "1\n2\n4\n",
+        "float-ids.jsonl": "".join(json.dumps(r) + "\n" for r in float_ids),
+        "string-face.jsonl": "".join(json.dumps(r) + "\n" for r in string_face),
+        "rand.cvc": fileio.serialize_graph(rand),
+        "bool-id.jsonl": "".join(json.dumps(r) + "\n" for r in bool_id),
+        "rand.sol": fileio.serialize_solution({rand_labels[v] for v in dfs_tree_cover(rand_out.instance.graph)}),
     }
     for name, text in files.items():
         (d / name).write_text(text)

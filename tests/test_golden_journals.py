@@ -34,7 +34,7 @@ from planarcvc.pipeline import (
     lift_solution,
     replay_journal,
 )
-from planarcvc.reductions import RuleId, undo_identification
+from planarcvc.reductions import RuleId, lift_rule
 
 from brute import dfs_tree_cover, non_leaf_cover
 
@@ -130,7 +130,7 @@ def test_r8_undo_restores_every_pre_graph():
             site = step.site
             assert apply_identification(g, site["u"], site["v"], site["face"]) == step
         for step, pre in zip(reversed(merges), reversed(pre_graphs)):
-            undo_identification(g, step)
+            lift_rule(g, step, {step.site["u"], step.site["v"]})
             assert (g.vertices(), g.edges()) == pre, label
             undone += 1
     assert undone > 0

@@ -7,7 +7,7 @@ missing keys, values of the wrong type and plain garbage. Parsing must
 give a list of ReductionStep or a GraphParseError on the first line that
 does not continue the journal, which is the variant's line or, when the
 variant itself was accepted, the line after it. No other exception may
-escape.
+escape, and every accepted id is an integer (R3's cut flag a bool).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from planarcvc import fileio
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.pipeline import Instance, Kernel, kernelize
-from planarcvc.reductions import ReductionStep
+from planarcvc.reductions import ReductionStep, RuleId
 
 
 def _journal_lines(g, k) -> list[str]:
@@ -99,3 +99,8 @@ def test_parse_journal_steps_on_one_malformed_line(data, lines, insert):
     assert len(steps) == sum(bool(line.strip()) for line in new_lines)
     assert all(type(s) is ReductionStep for s in steps)
     assert all(type(v) is int for s in steps for v in s.created + s.removed)
+    assert all(type(s.site) is dict for s in steps)
+    assert all(
+        type(v) is (bool if role == "cut" and s.rule is RuleId.R3 else int)
+        for s in steps for role, v in s.site.items()
+    )

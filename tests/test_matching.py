@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from planarcvc.embedding import embed
 from planarcvc.facematch import build_aux_graph
 from planarcvc.generators import gen_random_planar, gen_tightness
-from planarcvc.matching import matching_bound_holds, maximum_matching
+from planarcvc.matching import maximum_matching
 from planarcvc.reductions import run_phase1
 
-from brute import brute_matching_size, reference_maximum_matching
+from brute import brute_matching_size, check_matching, reference_maximum_matching
 from conftest import (
     make_complete,
     make_complete_bipartite,
@@ -34,7 +34,7 @@ def test_petersen():
     g = make_petersen()
     assert brute_matching_size(g) == 5  # the frozen oracle value
     m = maximum_matching(g)
-    m.validate(g)
+    check_matching(m, g)
     assert m.size == 5
 
 
@@ -51,7 +51,7 @@ def test_specials_match_bruteforce():
         make_petersen(),
     ):
         m = maximum_matching(g)
-        m.validate(g)
+        check_matching(m, g)
         assert m.size == brute_matching_size(g)
 
 
@@ -61,8 +61,14 @@ def test_random_graphs_match_bruteforce():
         p = (0.15, 0.3, 0.5, 0.8)[i % 4]
         g = make_random_graph(n, p, 300 + i)
         m = maximum_matching(g)
-        m.validate(g)
+        check_matching(m, g)
         assert m.size == brute_matching_size(g), f"graph seed {300 + i}"
+
+
+def matching_bound_holds(g) -> bool:
+    """The planar matching bound: a maximum matching has >= n3 / 3 edges,
+    n3 the number of vertices of degree at least 3."""
+    return 3 * maximum_matching(g).size >= sum(1 for v in g.vertices() if g.degree(v) >= 3)
 
 
 def test_matching_bound_vacuous_on_paths():

@@ -5,15 +5,10 @@ from __future__ import annotations
 import pytest
 
 from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
-from planarcvc.graph import Graph, graph_from_edges
-from planarcvc.oracle import (
-    TooLargeError,
-    decide_cvc,
-    minimum_cvc,
-    verify_cvc,
-)
+from planarcvc.graph import Graph
+from planarcvc.oracle import TooLargeError, minimum_cvc, verify_cvc
 
-from brute import brute_minimum_cvc
+from brute import brute_minimum_cvc, graph_from_edges
 from conftest import make_cycle, make_path, make_random_graph
 
 
@@ -66,29 +61,28 @@ def test_minimum_respects_limit():
 def test_minimum_multi_component_none():
     g = graph_from_edges([(1, 2), (3, 4)])
     assert minimum_cvc(g, 4) is None
-    assert not decide_cvc(g, 4)
 
 
 def test_decide_triangle():
-    assert not decide_cvc(make_cycle(3), 1)
-    assert decide_cvc(make_cycle(3), 2)
+    assert minimum_cvc(make_cycle(3), 1) is None
+    assert minimum_cvc(make_cycle(3), 2) is not None
 
 
 def test_decide_tightness_l3():
     g = gen_tightness(3)
-    assert not decide_cvc(g, 10)
-    assert decide_cvc(g, 11)
+    assert minimum_cvc(g, 10) is None
+    assert minimum_cvc(g, 11) is not None
 
 
 def test_decide_edgeless():
     g = Graph()
     g.add_vertex()
-    assert decide_cvc(g, 0)
-    assert decide_cvc(Graph(), 0)
+    assert minimum_cvc(g, 0) is not None
+    assert minimum_cvc(Graph(), 0) is not None
 
 
 def test_decide_negative_budget():
-    assert not decide_cvc(make_path(2), -1)
+    assert minimum_cvc(make_path(2), -1) is None
 
 
 def test_minimum_always_verifies(corpus_small):
@@ -120,7 +114,7 @@ def test_decide_monotone(corpus_small):
     for g in corpus_small[:25]:
         previous = False
         for k in range(g.n_vertices + 1):
-            current = decide_cvc(g, k)
+            current = minimum_cvc(g, k) is not None
             assert current or not previous  # once true, stays true
             previous = current
 

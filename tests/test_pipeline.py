@@ -14,10 +14,9 @@ from planarcvc.generators import (
     gen_exception_graph,
     gen_random_planar,
     gen_tightness,
-    tightness_cover,
 )
-from planarcvc.graph import Graph, graph_from_edges
-from planarcvc.oracle import decide_cvc, minimum_cvc, verify_cvc
+from planarcvc.graph import Graph
+from planarcvc.oracle import minimum_cvc, verify_cvc
 from planarcvc.pipeline import (
     Instance,
     Kernel,
@@ -34,7 +33,7 @@ from planarcvc.pipeline import (
 )
 from planarcvc.reductions import RuleId, apply_rule, run_phase1
 
-from brute import brute_minimum_cvc, dfs_tree_cover
+from brute import brute_minimum_cvc, dfs_tree_cover, graph_from_edges, tightness_cover
 from conftest import (
     make_complete,
     make_complete_bipartite,
@@ -143,7 +142,7 @@ def test_kernelize_nonplanar_fixed_graphs():
     assert isinstance(kernelize(Instance(sub, 8)), No)
     for k in (9, 10, 11):
         out = kernelize(Instance(sub, k))
-        assert isinstance(out, Kernel) and decide_cvc(out.instance.graph, out.instance.k)
+        assert isinstance(out, Kernel) and minimum_cvc(out.instance.graph, out.instance.k) is not None
 
 
 def _count_embedding_builds(monkeypatch) -> dict[str, int]:
@@ -220,8 +219,8 @@ def test_kernelize_nonplanar_answers_match_oracle():
             if out is None:
                 continue
             answers += 1
-            got = isinstance(out, Kernel) and decide_cvc(out.instance.graph, out.instance.k)
-            assert got == decide_cvc(g, k), (g.edges(), k)
+            got = isinstance(out, Kernel) and minimum_cvc(out.instance.graph, out.instance.k) is not None
+            assert got == (minimum_cvc(g, k) is not None), (g.edges(), k)
     assert answers > 0
 
 
@@ -532,7 +531,7 @@ def test_end_to_end_equivalence_small():
         for k in range(0, g.n_vertices + 1):
             out = kernelize(Instance(g.copy(), k))
             if isinstance(out, Kernel):
-                got = decide_cvc(out.instance.graph, out.instance.k)
+                got = minimum_cvc(out.instance.graph, out.instance.k) is not None
             else:
                 got = False
             assert got == (k >= mini)

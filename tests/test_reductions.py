@@ -9,8 +9,8 @@ import pytest
 
 from planarcvc.embedding import is_planar
 from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
-from planarcvc.graph import Graph, graph_from_edges
-from planarcvc.oracle import decide_cvc, verify_cvc
+from planarcvc.graph import Graph
+from planarcvc.oracle import minimum_cvc, verify_cvc
 from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, replay_journal
 from planarcvc.reductions import (
     RuleApplicationError,
@@ -22,7 +22,7 @@ from planarcvc.reductions import (
     run_phase1,
 )
 
-from brute import brute_minimum_cvc, reference_detect_rule
+from brute import brute_minimum_cvc, graph_from_edges, reference_detect_rule
 from conftest import make_cycle, make_path, make_star, small_planar_corpus
 
 
@@ -312,7 +312,7 @@ def test_rule_equivalence_against_oracle(case):
     for k in range(0, g.n_vertices + 1):
         work = g.copy()
         new_k = k + apply_rule(work, rule, site).k_delta
-        assert decide_cvc(g, k) == (new_k >= 0 and decide_cvc(work, new_k)), k
+        assert (minimum_cvc(g, k) is None) == (minimum_cvc(work, new_k) is None), k
 
 
 @pytest.mark.parametrize("case", list(_STEP_CASES))
@@ -394,7 +394,7 @@ def test_phase1_oracle_equivalence():
             if result.early_no:
                 got = False
             else:
-                got = decide_cvc(result.graph, result.k)
+                got = minimum_cvc(result.graph, result.k) is not None
             assert got == (mini is not None and k >= mini), (g.edges(), k)
 
 

@@ -21,6 +21,7 @@ from planarcvc.oracle import verify_cvc
 from planarcvc.pipeline import Instance, Kernel, kernelize
 
 from brute import (
+    check_graph,
     reference_parse_graph,
     reference_serialize_graph,
     reference_serialize_journal,
@@ -42,7 +43,7 @@ def _parsed(parse, text: str):
     except fileio.GraphParseError as exc:
         return "error", str(exc), exc.line_no
     state = (dict(g.adjacency()), g.n_edges, g.vertices())
-    g.validate()
+    check_graph(g)
     return "ok", state, mapping, g.add_vertex()
 
 
