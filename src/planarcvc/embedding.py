@@ -61,10 +61,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, VertexId
 
@@ -73,8 +72,7 @@ class NonPlanarGraphError(Exception):
     """Raised when an embedding is requested for a non-planar graph."""
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One face of an embedding.
 
     boundary: the closed walk as a tuple of directed edges.
@@ -86,7 +84,6 @@ class Face:
     incident_vertices: tuple[VertexId, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Embedding:
     """A rotation system on half-edges, and the faces it induces.
 
@@ -95,13 +92,17 @@ class Embedding:
     is the half-edge after h around the vertex it leaves, and leftmost[i]
     is the first half-edge at vertex i (-1 when there is none). The
     rotation system and the face list, in vertex ids, are built on first
-    access; face_members reads faces without building either.
+    access; face_members reads faces without building either. Equality
+    is identity.
     """
 
-    vertices: list[VertexId]
-    ends: list[int]
-    cw: list[int]
-    leftmost: list[int]
+    def __init__(
+        self, vertices: list[VertexId], ends: list[int], cw: list[int], leftmost: list[int]
+    ) -> None:
+        self.vertices = vertices
+        self.ends = ends
+        self.cw = cw
+        self.leftmost = leftmost
 
     @property
     def n_vertices(self) -> int:

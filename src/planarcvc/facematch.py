@@ -15,7 +15,7 @@ themselves are R8 steps, applied and undone by reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embedding import Embedding, embed, is_planar
 from .graph import Graph, VertexId
@@ -23,8 +23,7 @@ from .matching import Matching, maximum_matching
 from .reductions import ReductionStep, apply_identification
 
 
-@dataclass(frozen=True)
-class AuxGraph:
+class AuxGraph(NamedTuple):
     """Co-faciality graph on the pendant-owning vertices of a graph."""
 
     vertices: tuple[VertexId, ...]
@@ -39,8 +38,7 @@ class AuxGraph:
         return g
 
 
-@dataclass(frozen=True)
-class PlanarizedMatching:
+class PlanarizedMatching(NamedTuple):
     """Matched owner pairs, each assigned to a face where they are consecutive."""
 
     pairs: tuple[tuple[VertexId, VertexId, int], ...]

@@ -6,10 +6,11 @@ ignored anywhere. Serialization is canonical (vertices renumbered 1..n by
 ascending id, edges sorted), so parse-then-serialize is idempotent.
 
 Journal files hold one JSON object per line with the fields step_index,
-rule, site, created, removed and k_delta; ids and site values are JSON
-integers, except R3's cut flag, a boolean. Replaying a journal against its
-input file (after stripping isolated vertices) reproduces the kernel file
-byte for byte under canonical serialization.
+rule, site, created, removed and k_delta; step_index, k_delta, ids and
+site values are JSON integers, except R3's cut flag, a boolean.
+Replaying a journal against its input file (after stripping isolated
+vertices) reproduces the kernel file byte for byte under canonical
+serialization.
 """
 
 from __future__ import annotations
@@ -172,6 +173,8 @@ def parse_journal_steps(text: str) -> list[ReductionStep]:
             )
         except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise GraphParseError(f"bad journal record: {exc}", line_no) from None
+        if type(index) is not int or type(step.k_delta) is not int:
+            raise GraphParseError("bad journal record: step_index and k_delta must be integers", line_no)
         if not set(map(type, step.created + step.removed)) <= _INT:
             raise GraphParseError("bad journal record: created/removed ids must be integers", line_no)
         if not _site_typed(step.rule, step.site):

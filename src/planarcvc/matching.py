@@ -12,16 +12,15 @@ tests.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import Graph, VertexId
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A set of vertex-disjoint edges, stored as (u, w) pairs with u < w."""
 
-    edges: frozenset[tuple[VertexId, VertexId]] = field(default_factory=frozenset)
+    edges: frozenset[tuple[VertexId, VertexId]] = frozenset()
 
     @property
     def size(self) -> int:

@@ -8,7 +8,7 @@ every lift map is validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, VertexId
 
@@ -23,8 +23,7 @@ class TooLargeError(Exception):
     """Instance outside the exact solver's declared comfort zone."""
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """A connected vertex cover witnessing the oracle's answer."""
 
     vertices: frozenset[VertexId]

@@ -14,8 +14,8 @@ applies and lifts every rule (apply_rule, lift_rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .embedding import NonPlanarGraphError
 from .facematch import run_phase2
@@ -35,16 +35,16 @@ class NonPlanarInputError(Exception):
     """
 
 
-@dataclass(frozen=True)
 class Instance:
     """A graph paired with the solution-size budget k."""
 
-    graph: Graph
-    k: int
+    __slots__ = ("graph", "k")
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"budget must be non-negative, got {self.k}")
+    def __init__(self, graph: Graph, k: int) -> None:
+        if k < 0:
+            raise ValueError(f"budget must be non-negative, got {k}")
+        self.graph = graph
+        self.k = k
 
 
 class NoReason(Enum):
@@ -53,7 +53,6 @@ class NoReason(Enum):
     MULTI_EDGE_COMPONENTS = "multi-edge-components"
 
 
-@dataclass
 class ReductionJournal:
     """Everything needed to replay the reduction and lift solutions back.
 
@@ -64,23 +63,29 @@ class ReductionJournal:
     it must not be mutated while the journal is in use.
     """
 
-    input_graph: Graph
-    dropped_isolated: tuple[VertexId, ...]
-    steps: list[ReductionStep] = field(default_factory=list)
+    __slots__ = ("input_graph", "dropped_isolated", "steps")
+
+    def __init__(
+        self,
+        input_graph: Graph,
+        dropped_isolated: tuple[VertexId, ...],
+        steps: list[ReductionStep] | None = None,
+    ) -> None:
+        self.input_graph = input_graph
+        self.dropped_isolated = dropped_isolated
+        self.steps = [] if steps is None else steps
 
     @property
     def k_spent(self) -> int:
         return -sum(s.k_delta for s in self.steps)
 
 
-@dataclass
-class Kernel:
+class Kernel(NamedTuple):
     instance: Instance
     journal: ReductionJournal
 
 
-@dataclass
-class No:
+class No(NamedTuple):
     reason: NoReason
 
 
@@ -139,8 +144,9 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
     steps in order, checking that each replayed step equals its record
     (rule, site, created and removed ids, budget change), so that lifting
     may trust the recorded sites. The fixpoint is copied once, before the
-    first R8 step, or at the end when there is none; the kernel is the
-    working graph itself. Raises ValueError naming the step index when
+    first R8 step; the kernel is the working graph itself. A journal with
+    no R8 step has the kernel as its fixpoint, and both elements are then
+    the same object. Raises ValueError naming the step index when
     the journal does not replay: a step fails on the graph, differs from
     its record, is an R1-R7 step after an R8 step, or is the first R8
     step on a disconnected graph, which lifting R8 steps relies on.
@@ -163,7 +169,7 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
             raise ValueError(f"journal does not replay at step {idx}: {exc!r}") from exc
         if realized != step:
             raise ValueError(f"journal does not replay at step {idx}: replayed {realized}")
-    return (g.copy() if fixpoint is None else fixpoint), g
+    return (g if fixpoint is None else fixpoint), g
 
 
 def kernel_vertex_ids(journal: ReductionJournal) -> set[VertexId]:
@@ -212,8 +218,7 @@ def lift_solution(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """The (S1, S>=3, I1, I3, I>=4) decomposition relative to a cover."""
 
     s1: frozenset[VertexId]

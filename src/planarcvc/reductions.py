@@ -38,7 +38,6 @@ Rule summary (v is always the pattern's center):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, NamedTuple
 
@@ -62,8 +61,7 @@ class RuleApplicationError(Exception):
     """The requested rule does not match the graph at the given site."""
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One journaled rule application.
 
     site maps role names to vertex ids (plus the boolean 'cut' flag for
@@ -79,11 +77,10 @@ class ReductionStep:
     k_delta: int
 
 
-@dataclass
-class Phase1Result:
+class Phase1Result(NamedTuple):
     graph: Graph
     k: int
-    steps: list[ReductionStep] = field(default_factory=list)
+    steps: list[ReductionStep]
     early_no: bool = False
 
 

@@ -85,8 +85,8 @@ def total_calls(call) -> int:
     """Function calls that one run of call() makes, per cProfile.
 
     Summed over the raw profiler entries: pstats.Stats merges functions
-    that share (file, line, name), such as the generated __init__ of
-    every dataclass, and keeps only one of their counts.
+    that share (file, line, name), such as the generated constructor of
+    every NamedTuple, and keeps only one of their counts.
     """
     prof = cProfile.Profile()
     prof.runcall(call)

@@ -393,6 +393,18 @@ _INPUT_ERROR_ROWS = {
         "lift --input {d}/ring.cvc --journal {d}/string-face.jsonl --solution {d}/ring.sol",
         "line 1: bad journal record: site values must be integers, R3's cut a bool",
     ),
+    "lift-float-k-delta": (
+        "lift --input {d}/ring.cvc --journal {d}/float-k-delta.jsonl --solution {d}/ring.sol",
+        "line 1: bad journal record: step_index and k_delta must be integers",
+    ),
+    "lift-bool-k-delta": (
+        "lift --input {d}/ring.cvc --journal {d}/bool-k-delta.jsonl --solution {d}/ring.sol",
+        "line 1: bad journal record: step_index and k_delta must be integers",
+    ),
+    "lift-float-step-index": (
+        "lift --input {d}/ring.cvc --journal {d}/float-index.jsonl --solution {d}/ring.sol",
+        "line 1: bad journal record: step_index and k_delta must be integers",
+    ),
     "lift-journal-does-not-replay": (
         "lift --input {d}/paths.cvc --journal {d}/across.jsonl --solution {d}/across.sol",
         "journal does not replay at step 0: R8 on a disconnected graph",
@@ -439,11 +451,16 @@ def input_error_dir(tmp_path_factory):
     kernel = out.instance.graph
     labels = fileio.canonical_labels(kernel)
     # Journals whose records replay by value but not by type: every ring
-    # site id a float, the first R8 face a string, and in a random
-    # graph's journal the first site id 1 written as true.
+    # site id a float, the first R8 face a string, the first ring
+    # record's k_delta 0.0 or false and its step_index 0.0, and in a
+    # random graph's journal the first site id 1 written as true.
     records = [json.loads(line) for line in fileio.serialize_journal(out.journal).splitlines()]
     float_ids = [dict(r, site={role: float(v) for role, v in r["site"].items()}) for r in records]
     string_face = [dict(records[0], site=dict(records[0]["site"], face="anything")), *records[1:]]
+    assert records[0]["k_delta"] == records[0]["step_index"] == 0
+    float_k_delta = [dict(records[0], k_delta=0.0), *records[1:]]
+    bool_k_delta = [dict(records[0], k_delta=False), *records[1:]]
+    float_index = [dict(records[0], step_index=0.0), *records[1:]]
     rand = gen_random_planar(14, 0.5, 0)
     rand_out = kernelize(Instance(rand, 14))
     rand_labels = fileio.canonical_labels(rand_out.instance.graph)
@@ -468,6 +485,9 @@ def input_error_dir(tmp_path_factory):
         "r3cut.sol": "1\n2\n4\n",
         "float-ids.jsonl": "".join(json.dumps(r) + "\n" for r in float_ids),
         "string-face.jsonl": "".join(json.dumps(r) + "\n" for r in string_face),
+        "float-k-delta.jsonl": "".join(json.dumps(r) + "\n" for r in float_k_delta),
+        "bool-k-delta.jsonl": "".join(json.dumps(r) + "\n" for r in bool_k_delta),
+        "float-index.jsonl": "".join(json.dumps(r) + "\n" for r in float_index),
         "rand.cvc": fileio.serialize_graph(rand),
         "bool-id.jsonl": "".join(json.dumps(r) + "\n" for r in bool_id),
         "rand.sol": fileio.serialize_solution({rand_labels[v] for v in dfs_tree_cover(rand_out.instance.graph)}),

@@ -7,7 +7,8 @@ missing keys, values of the wrong type and plain garbage. Parsing must
 give a list of ReductionStep or a GraphParseError on the first line that
 does not continue the journal, which is the variant's line or, when the
 variant itself was accepted, the line after it. No other exception may
-escape, and every accepted id is an integer (R3's cut flag a bool).
+escape, and every accepted id, step_index and k_delta is an integer
+(R3's cut flag a bool).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ _BAD_VALUES = st.one_of(
     _DEPTHS.map(lambda d: "[" * d),
     st.integers(4000, 6000).map(lambda d: "9" * d),
     st.sampled_from([
-        "null", "true", "-1", "1.5", "1e999", "NaN", "Infinity", "10" + "0" * 99,
+        "null", "true", "false", "-1", "0.0", "1.5", "1e999", "NaN", "Infinity", "10" + "0" * 99,
         '"R9"', '"R8"', '"x"', "{}", "[]", "[true]", "[1.5]", '["1"]', "[[1]]", "[null]",
     ]),
 )
@@ -98,6 +99,8 @@ def test_parse_journal_steps_on_one_malformed_line(data, lines, insert):
         return
     assert len(steps) == sum(bool(line.strip()) for line in new_lines)
     assert all(type(s) is ReductionStep for s in steps)
+    assert all(type(json.loads(line)["step_index"]) is int for line in new_lines if line.strip())
+    assert all(type(s.k_delta) is int for s in steps)
     assert all(type(v) is int for s in steps for v in s.created + s.removed)
     assert all(type(s.site) is dict for s in steps)
     assert all(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -270,7 +269,7 @@ def test_replay_rejects_a_flipped_r3_cut_flag(cut):
     assert isinstance(out, Kernel)
     steps = list(out.journal.steps)
     idx = next(i for i, s in enumerate(steps) if s.rule is RuleId.R3 and s.site["cut"] is cut)
-    steps[idx] = replace(steps[idx], site=dict(steps[idx].site, cut=not cut))
+    steps[idx] = steps[idx]._replace(site=dict(steps[idx].site, cut=not cut))
     journal = ReductionJournal(out.journal.input_graph, out.journal.dropped_isolated, steps)
     with pytest.raises(ValueError, match=f"at step {idx}: RuleApplicationError.*cut flag"):
         replay_journal(journal)
