@@ -10,6 +10,8 @@
 # The ring's Phase 1 makes no step, so a random planar graph (n = 120,
 # density 0.5) makes the same round trip through Phase 1's contractions:
 # its journal must hold at least one R2, one cut R3 and one R4 record.
+# A larger one (n = 400, density 0.5, seed 16) makes it through the
+# rules that remove 3-vertices: at least one R5, one R6 and one R7 record.
 # Every step runs planarcvc.cli.main in a fresh
 # Python process in which `import networkx` raises ImportError, and
 # fails if any networkx module got loaded anyway. Then one input error, a graph file
@@ -71,22 +73,33 @@ if ! grep -qx 'stats partition-bound holds' "$work/stats.err"; then
 fi
 echo "ok stats" >&2
 
-run generate random --n 120 --density 0.5 --seed 1 > "$work/random.cvc"
-run kernelize --input "$work/random.cvc" --k 120 --journal "$work/random.journal" > "$work/random-kernel.out"
-r2=$(grep -c '"rule": "R2"' "$work/random.journal" || true)
-r3=$(grep -c '"cut": true' "$work/random.journal" || true)
-r4=$(grep -c '"rule": "R4"' "$work/random.journal" || true)
-if [ "$r2" -eq 0 ] || [ "$r3" -eq 0 ] || [ "$r4" -eq 0 ]; then
-  echo "random n = 120: want R2, cut R3 and R4 records, got $r2, $r3 and $r4" >&2
-  exit 1
-fi
-grep -v '^c ' "$work/random-kernel.out" > "$work/random-kernel.cvc"
-k=$(sed -n 's/^c kernel-k //p' "$work/random-kernel.out")
-run solve --input "$work/random-kernel.cvc" --limit "$k" > "$work/random-kernel.sol"
-run lift --input "$work/random.cvc" --journal "$work/random.journal" \
-  --solution "$work/random-kernel.sol" > "$work/random-lifted.sol"
-run verify --input "$work/random.cvc" --solution "$work/random-lifted.sol"
-echo "ok contraction-round-trip" >&2
+# Random planar graph of N vertices and density 0.5: kernelize at k = N,
+# require one journal record matching each PATTERN, then solve the
+# kernel at its kernel-k, lift and verify.
+#   random_round_trip NAME N SEED PATTERN...
+random_round_trip() {
+  local name=$1 n=$2 seed=$3 pattern k
+  local g="$work/$name"
+  shift 3
+  run generate random --n "$n" --density 0.5 --seed "$seed" > "$g.cvc"
+  run kernelize --input "$g.cvc" --k "$n" --journal "$g.journal" > "$g-kernel.out"
+  for pattern in "$@"; do
+    if ! grep -qF "$pattern" "$g.journal"; then
+      echo "random n = $n, seed $seed: want a journal record with $pattern" >&2
+      exit 1
+    fi
+  done
+  grep -v '^c ' "$g-kernel.out" > "$g-kernel.cvc"
+  k=$(sed -n 's/^c kernel-k //p' "$g-kernel.out")
+  run solve --input "$g-kernel.cvc" --limit "$k" > "$g-kernel.sol"
+  run lift --input "$g.cvc" --journal "$g.journal" \
+    --solution "$g-kernel.sol" > "$g-lifted.sol"
+  run verify --input "$g.cvc" --solution "$g-lifted.sol"
+  echo "ok $name" >&2
+}
+
+random_round_trip contraction-round-trip 120 1 '"rule": "R2"' '"cut": true' '"rule": "R4"'
+random_round_trip r5-r7-round-trip 400 16 '"rule": "R5"' '"rule": "R6"' '"rule": "R7"'
 
 printf 'p cvc 2 1\ne 1 1\n' > "$work/loop.cvc"
 code=0

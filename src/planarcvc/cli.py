@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
 
 from . import fileio
@@ -65,8 +64,13 @@ _INPUT_ERRORS = (
 )
 
 
+def _read_text(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _read_graph(path: str) -> Graph:
-    g, _ = fileio.parse_graph(Path(path).read_text())
+    g, _ = fileio.parse_graph(_read_text(path))
     return g
 
 
@@ -88,7 +92,8 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     stats = _stats_lines(outcome) if args.stats else []
     if args.journal:
         try:
-            Path(args.journal).write_text(fileio.serialize_journal(outcome.journal))
+            with open(args.journal, "w") as f:
+                f.write(fileio.serialize_journal(outcome.journal))
         except OSError as exc:  # a closed pipe included: that is the journal's, not stdout's
             raise InputError(str(exc)) from exc
     sys.stdout.write(fileio.serialize_graph(kernel.graph))
@@ -130,8 +135,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_lift(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    steps = fileio.parse_journal_steps(Path(args.journal).read_text())
-    kernel_labels = fileio.parse_solution(Path(args.solution).read_text())
+    steps = fileio.parse_journal_steps(_read_text(args.journal))
+    kernel_labels = fileio.parse_solution(_read_text(args.solution))
     journal = fileio.journal_for_input(g, steps)
     # the kernel file's labels, from the journal records; lift_solution
     # makes the only replay and rejects a journal that does not replay
@@ -156,7 +161,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    labels = fileio.parse_solution(Path(args.solution).read_text())
+    labels = fileio.parse_solution(_read_text(args.solution))
     by_label = {lab: v for v, lab in fileio.canonical_labels(g).items()}
     solution = _solution_vertices(labels, by_label, "a vertex")
     if verify_cvc(g, solution):

@@ -2,8 +2,10 @@
 
 Graph files: a header line ``p cvc <n> <m>`` followed by exactly m edge
 lines ``e <u> <v>`` with 1-based ids in 1..n; ``c ...`` comment lines are
-ignored anywhere. Serialization is canonical (vertices renumbered 1..n by
-ascending id, edges sorted), so parse-then-serialize is idempotent.
+ignored anywhere. Counts, ids and solution labels are ASCII decimal
+digits only: no sign, no underscore, no other script's digits.
+Serialization is canonical (vertices renumbered 1..n by ascending id,
+edges sorted), so parse-then-serialize is idempotent.
 
 Journal files hold one JSON object per line with the fields step_index,
 rule, site, created, removed and k_delta; step_index, k_delta, ids and
@@ -54,7 +56,7 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
             if len(fields) != 3:
                 raise GraphParseError(f"malformed edge line {raw.strip()!r}", line_no)
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = _decimal(fields[1]), _decimal(fields[2])
             except ValueError:
                 raise GraphParseError(f"malformed edge line {raw.strip()!r}", line_no) from None
             if not (1 <= u <= n and 1 <= v <= n):
@@ -75,11 +77,9 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
             if len(fields) != 4 or fields[1] != "cvc":
                 raise GraphParseError(f"malformed header {raw.strip()!r}", line_no)
             try:
-                n, m = int(fields[2]), int(fields[3])
+                n, m = _decimal(fields[2]), _decimal(fields[3])
             except ValueError:
                 raise GraphParseError(f"malformed header {raw.strip()!r}", line_no) from None
-            if n < 0 or m < 0:
-                raise GraphParseError("negative counts in header", line_no)
             header = (n, m)
             adj = {label: set() for label in range(1, n + 1)}
         else:
@@ -92,6 +92,13 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
             len(lines) or 1,
         )
     return Graph.from_adjacency(adj), {label: label for label in adj}
+
+
+def _decimal(token: str) -> int:
+    """token as an integer if it is ASCII decimal digits only; ValueError otherwise."""
+    if token.isdigit() and token.isascii():
+        return int(token)
+    raise ValueError(f"not a decimal: {token!r}")
 
 
 def serialize_graph(g: Graph) -> str:
@@ -124,7 +131,7 @@ def parse_solution(text: str) -> set[int]:
         if not line or line.startswith("c"):
             continue
         try:
-            out.add(int(line))
+            out.add(_decimal(line))
         except ValueError:
             raise GraphParseError(f"bad solution line {line!r}", line_no) from None
     return out

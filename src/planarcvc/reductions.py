@@ -11,9 +11,10 @@ to its applier and reads those roles back: lift_rule maps a connected
 vertex cover of a step's post-graph to one of its pre-graph.
 
 Detection makes one pass over the adjacency per step. The pass indexes
-each 1-vertex under its single neighbor (its owner) and lists the
-2-vertices; R1-R5 are read off that index. R6 and R7 are searched only
-when none of R1-R5 applies.
+each 1-vertex under its single neighbor (its owner) and lists the 2- and
+3-vertices; all seven rules are read off that index. R6 groups the
+3-vertices by neighbourhood, and R7 looks only at owners of degree 4,
+whose one pendant the index holds once R1 has found no owner with two.
 
 Rule summary (v is always the pattern's center):
   R1  v with several 1-neighbors: keep one pendant, drop the rest.
@@ -92,12 +93,12 @@ class Phase1Result(NamedTuple):
 def detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:
     """Lowest-numbered applicable rule among R1-R7 with its smallest site.
 
-    R1-R5 come from one indexing pass (see the module docstring); R6 and
-    R7 are searched only when none of them applies.
+    All seven are read off one indexing pass (see the module docstring).
     """
     adj = g.adjacency()
     owned: dict[VertexId, list[VertexId]] = {}
     degree2: list[VertexId] = []
+    degree3: list[VertexId] = []
     for v, nbrs in adj.items():
         d = len(nbrs)
         if d == 1:
@@ -109,6 +110,8 @@ def detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:
                 pendants.append(v)
         elif d == 2:
             degree2.append(v)
+        elif d == 3:
+            degree3.append(v)
 
     crowded = [v for v, pendants in owned.items() if len(pendants) > 1]
     if crowded:
@@ -143,50 +146,39 @@ def detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:
             x, y = sorted(adj[v] - {z})
             return RuleId.R5, {"v": v, "x": x, "y": y, "z": z}
 
-    for rule, finder in ((RuleId.R6, _find_r6), (RuleId.R7, _find_r7)):
-        site = finder(g)
-        if site is not None:
-            return rule, site
-    return None
+    # R6: the two smallest 3-vertices that share a neighbourhood. With
+    # degree3 sorted, the classes follow in the order of their smallest
+    # member, so the first class that passes holds the smallest site.
+    degree3.sort()
+    twins: dict[frozenset[VertexId], list[VertexId]] = {}
+    for v in degree3:
+        twins.setdefault(frozenset(adj[v]), []).append(v)
+    for members in twins.values():
+        if len(members) > 1:
+            a, b = members[0], members[1]
+            x, v, y = sorted(adj[a])
+            if all(_separates(g, pair) for pair in ((x, v), (x, y), (v, y))):
+                return RuleId.R6, {"a": a, "b": b, "x": x, "v": v, "y": y}
 
-
-def _find_r6(g: Graph) -> dict[str, int | bool] | None:
-    by_nbhd: dict[tuple[VertexId, ...], list[VertexId]] = {}
-    for v in g.vertices():
-        if g.degree(v) == 3:
-            by_nbhd.setdefault(tuple(g.neighbors(v)), []).append(v)
-    candidates = sorted(
-        (twins[0], twins[1], nbhd)
-        for nbhd, twins in by_nbhd.items()
-        if len(twins) >= 2
-    )
-    for a, b, (x, v, y) in candidates:
-        if all(_separates(g, pair) for pair in ((x, v), (x, y), (v, y))):
-            return {"a": a, "b": b, "x": x, "v": v, "y": y}
+    # R7: an owner v of degree 4, its pendant q, and a 3-vertex neighbour
+    # a that sees v's two other neighbours x and y.
+    r7 = []
+    for v in owners:
+        if len(adj[v]) == 4:
+            q = owned[v][0]
+            r7.extend(
+                (a, v, q) for a in adj[v] if len(adj[a]) == 3 and adj[a] - {v} == adj[v] - {a, q}
+            )
+    if r7:
+        a, v, q = min(r7)
+        x, y = sorted(adj[v] - {a, q})
+        return RuleId.R7, {"a": a, "v": v, "q": q, "x": x, "y": y}
     return None
 
 
 def _separates(g: Graph, pair: tuple[VertexId, VertexId]) -> bool:
     """True iff deleting both vertices of pair disconnects g."""
     return not g.is_connected(g.adjacency().keys() - pair)
-
-
-def _find_r7(g: Graph) -> dict[str, int | bool] | None:
-    for a in g.vertices():
-        if g.degree(a) != 3:
-            continue
-        nbhd = set(g.neighbors(a))
-        for v in sorted(nbhd):
-            if g.degree(v) != 4:
-                continue
-            pendants = sorted(g.pendant_neighbors(v))
-            if not pendants:
-                continue
-            q = pendants[0]
-            if set(g.neighbors(v)) == (nbhd - {v}) | {a, q}:
-                x, y = sorted(nbhd - {v})
-                return {"a": a, "v": v, "q": q, "x": x, "y": y}
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 These deliberately share no algorithm with the package: the matcher is a
 bitmask DP over vertex subsets, the cover search enumerates subsets in
-increasing size, and the rule detector finds R1-R5 by rescanning the
+increasing size, and the rule detector finds R1-R7 by rescanning the
 sorted vertex and edge lists once per rule, so agreement with the
 library is meaningful. dfs_tree_cover is a polynomial-time connected
 vertex cover for checks beyond the exact solver's reach; non_leaf_cover
@@ -19,6 +19,8 @@ parse_graph, serialize_graph, serialize_journal and verify_cvc as they
 were before their one-pass rewrites (edge-by-edge Graph.add_edge, a
 second sort after relabelling, one json.dumps per record, a sorted scan
 of every edge), kept as the references the rewrites are compared with.
+reference_parse_graph accepts counts and ids that a regular expression
+for ASCII digits matches; the package checks the text's characters.
 reference_maximum_matching is the blossom matcher before its searches
 became local to their trees; the matchings must be equal, edge for edge.
 reference_faces is the face tracer on vertex ids and successor dicts
@@ -37,6 +39,7 @@ minimum_cvc(g, k) is not None.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
@@ -48,7 +51,7 @@ from planarcvc.fileio import GraphParseError
 from planarcvc.graph import Graph, VertexId
 from planarcvc.matching import Matching
 from planarcvc.pipeline import ReductionJournal
-from planarcvc.reductions import RuleId, _find_r6, _find_r7
+from planarcvc.reductions import RuleId
 
 
 def graph_from_edges(
@@ -343,8 +346,9 @@ def reference_maximum_matching(g: Graph) -> Matching:
 def reference_detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:
     """Rule detection by one sorted rescan per rule, in priority order.
 
-    Each finder returns the smallest site of its rule; R6 and R7 share
-    the package's finders, which are searched the same way.
+    Each finder returns the smallest site of its rule. The R6 finder
+    decides separation with reference_is_connected, so no finder shares
+    code with the package's detection.
     """
     for rule, finder in (
         (RuleId.R1, _find_r1),
@@ -410,6 +414,41 @@ def _find_r5(g: Graph) -> dict[str, int | bool] | None:
     return None
 
 
+def _find_r6(g: Graph) -> dict[str, int | bool] | None:
+    by_nbhd: dict[tuple[VertexId, ...], list[VertexId]] = {}
+    for v in g.vertices():
+        if g.degree(v) == 3:
+            by_nbhd.setdefault(tuple(g.neighbors(v)), []).append(v)
+    candidates = sorted(
+        (twins[0], twins[1], nbhd)
+        for nbhd, twins in by_nbhd.items()
+        if len(twins) >= 2
+    )
+    everything = set(g.vertices())
+    for a, b, (x, v, y) in candidates:
+        if not any(reference_is_connected(g, everything - set(pair)) for pair in ((x, v), (x, y), (v, y))):
+            return {"a": a, "b": b, "x": x, "v": v, "y": y}
+    return None
+
+
+def _find_r7(g: Graph) -> dict[str, int | bool] | None:
+    for a in g.vertices():
+        if g.degree(a) != 3:
+            continue
+        nbhd = set(g.neighbors(a))
+        for v in sorted(nbhd):
+            if g.degree(v) != 4:
+                continue
+            pendants = sorted(g.pendant_neighbors(v))
+            if not pendants:
+                continue
+            q = pendants[0]
+            if set(g.neighbors(v)) == (nbhd - {v}) | {a, q}:
+                x, y = sorted(nbhd - {v})
+                return {"a": a, "v": v, "q": q, "x": x, "y": y}
+    return None
+
+
 def reference_parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
     header: tuple[int, int] | None = None
     g = Graph()
@@ -426,11 +465,9 @@ def reference_parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
             if len(fields) != 4 or fields[1] != "cvc":
                 raise GraphParseError(f"malformed header {line!r}", line_no)
             try:
-                n, m = int(fields[2]), int(fields[3])
+                n, m = _reference_decimal(fields[2]), _reference_decimal(fields[3])
             except ValueError:
                 raise GraphParseError(f"malformed header {line!r}", line_no) from None
-            if n < 0 or m < 0:
-                raise GraphParseError("negative counts in header", line_no)
             header = (n, m)
             for label in range(1, n + 1):
                 mapping[label] = g.add_named_vertex(label)
@@ -440,7 +477,7 @@ def reference_parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
             if len(fields) != 3:
                 raise GraphParseError(f"malformed edge line {line!r}", line_no)
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = _reference_decimal(fields[1]), _reference_decimal(fields[2])
             except ValueError:
                 raise GraphParseError(f"malformed edge line {line!r}", line_no) from None
             n = header[0]
@@ -462,6 +499,13 @@ def reference_parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
             len(text.splitlines()) or 1,
         )
     return g, mapping
+
+
+def _reference_decimal(token: str) -> int:
+    """int(token) for a token of ASCII digits 0-9 only; ValueError otherwise."""
+    if re.fullmatch("[0-9]+", token) is None:
+        raise ValueError(f"not a decimal: {token!r}")
+    return int(token)
 
 
 def reference_serialize_graph(g: Graph) -> str:

@@ -1,4 +1,5 @@
-"""Shared fixtures: small named graphs and the seeded random corpora."""
+"""Shared fixtures: small named graphs (the R6 and R7 examples among them),
+a seeded relabelling through the text format, and the seeded random corpora."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from planarcvc import fileio
 from planarcvc.graph import Graph
 from planarcvc.generators import gen_random_planar
 
@@ -61,6 +63,34 @@ def make_petersen() -> Graph:
         edges.append((i + 1, i + 6))                 # spokes
         edges.append((i + 6, (i + 2) % 5 + 6))       # inner pentagram
     return graph_from_edges(edges)
+
+
+def r6_example() -> Graph:
+    # Twins 3, 4 see {1, 5, 6}; 1 keeps the pendant 2 and {7, 8} hang on
+    # {5, 6}, so deleting any two common neighbors disconnects something.
+    return graph_from_edges(
+        [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (3, 5), (3, 6), (4, 5), (4, 6),
+         (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
+    )
+
+
+def r7_example() -> Graph:
+    # a=1, v=2 (pendant q=3), x=4, y=5, plus the 3-vertices 6, 7 that keep
+    # x and y busy enough for every earlier rule to stay silent.
+    return graph_from_edges(
+        [(1, 4), (1, 2), (1, 5), (2, 4), (2, 5), (2, 3),
+         (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
+    )
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g written as text, its labels permuted and its edge lines shuffled, read back."""
+    header, *edge_lines = fileio.serialize_graph(g).splitlines()
+    perm = list(range(1, g.n_vertices + 1))
+    rng.shuffle(perm)
+    edges = [f"e {perm[int(u) - 1]} {perm[int(w) - 1]}" for _, u, w in map(str.split, edge_lines)]
+    rng.shuffle(edges)
+    return fileio.parse_graph("\n".join([header, *edges]) + "\n")[0]
 
 
 def make_random_graph(n: int, p: float, seed: int) -> Graph:

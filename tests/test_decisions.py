@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from planarcvc import fileio
 from planarcvc.embedding import embed
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.graph import Graph
@@ -28,6 +27,7 @@ from planarcvc.oracle import minimum_cvc
 from planarcvc.pipeline import Instance, Kernel, No, kernelize
 
 from brute import dfs_tree_cover
+from conftest import relabelled
 
 
 def _move(h: Graph, rng: random.Random) -> None:
@@ -75,16 +75,6 @@ def test_ring_mutants_pass_the_gate_at_their_optimum():
     assert skipped < checked
 
 
-def _relabelled(g: Graph, rng: random.Random) -> Graph:
-    """g written as text, its labels permuted and its edge lines shuffled, read back."""
-    header, *edge_lines = fileio.serialize_graph(g).splitlines()
-    perm = list(range(1, g.n_vertices + 1))
-    rng.shuffle(perm)
-    edges = [f"e {perm[int(u) - 1]} {perm[int(w) - 1]}" for _, u, w in map(str.split, edge_lines)]
-    rng.shuffle(edges)
-    return fileio.parse_graph("\n".join([header, *edges]) + "\n")[0]
-
-
 def test_relabelling_keeps_the_decision_and_the_gate():
     rng = random.Random(120)
     for seed in range(20):
@@ -92,7 +82,7 @@ def test_relabelling_keeps_the_decision_and_the_gate():
         k = len(dfs_tree_cover(g))
         expected = isinstance(kernelize(Instance(g.copy(), k)), Kernel)
         for _ in range(3):
-            out = kernelize(Instance(_relabelled(g, rng), k))
+            out = kernelize(Instance(relabelled(g, rng), k))
             assert isinstance(out, Kernel) == expected, (seed, k)
             if isinstance(out, Kernel):
                 assert 3 * out.instance.graph.n_vertices <= 11 * out.instance.k, seed

@@ -2,17 +2,22 @@
 
 The indexed single pass must report the same rule and the same smallest
 site as one rescan per rule, on arbitrary graphs (disconnected and
-non-planar included) and at every step of Phase 1.
+non-planar included) and at every step of Phase 1, on inputs where each
+of R1-R7 fires.
 """
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 
+from planarcvc.generators import gen_exception_graph, gen_random_planar
 from planarcvc.graph import Graph
-from planarcvc.reductions import apply_rule, detect_rule
+from planarcvc.reductions import RuleId, apply_rule, detect_rule
 
 from brute import reference_detect_rule
+from conftest import r6_example, r7_example, relabelled
 from strategies import small_graphs
 
 
@@ -31,11 +36,23 @@ def test_detect_rule_matches_reference(g):
 
 
 def test_detect_rule_matches_reference_at_every_phase1_step(corpus_small):
-    for g in corpus_small:
+    # corpus_small never reports R6; the R6 and R7 examples, the
+    # exception graph (a fixpoint) under relabellings and three random
+    # graphs of n = 120 and 400 report both.
+    examples = (r6_example(), r7_example(), gen_exception_graph())
+    inputs = [
+        *corpus_small,
+        *(h for g in examples for h in (g, *(relabelled(g, random.Random(seed)) for seed in range(3)))),
+        *(gen_random_planar(*args) for args in ((400, 0.5, 16), (400, 0.6, 12), (120, 0.6, 17))),
+    ]
+    reported = set()
+    for g in inputs:
         work = g.copy()
         while True:
             found = detect_rule(work)
             assert found == reference_detect_rule(work)
             if found is None:
                 break
+            reported.add(found[0])
             apply_rule(work, *found)
+    assert {RuleId.R6, RuleId.R7} <= reported

@@ -354,6 +354,12 @@ _INPUT_ERROR_ROWS = {
     "kernelize-undecodable": ("kernelize --input {d}/bytes.cvc --k 3", ("read", "{d}/bytes.cvc")),
     "kernelize-malformed-graph": ("kernelize --input {d}/loop.cvc --k 3", "line 2: self-loop at vertex 1"),
     "kernelize-negative-k": ("kernelize --input {d}/ring.cvc --k -1", "budget must be non-negative, got -1"),
+    "kernelize-underscore-edge-id": (
+        "kernelize --input {d}/underscore.cvc --k 3", "line 2: malformed edge line 'e 1_0 2'",
+    ),
+    "kernelize-signed-header-count": (
+        "kernelize --input {d}/signed.cvc --k 3", "line 1: malformed header 'p cvc +3 1'",
+    ),
     "kernelize-nonplanar": (
         "kernelize --input {d}/k5.cvc --k 5",
         "input graph is not planar (graph with 5 vertices / 10 edges is not planar)",
@@ -429,6 +435,9 @@ _INPUT_ERROR_ROWS = {
     "verify-unknown-label": (
         "verify --input {d}/ring.cvc --solution {d}/label99.sol", "solution label 99 is not a vertex",
     ),
+    "verify-non-ascii-digit-label": (
+        "verify --input {d}/ring.cvc --solution {d}/arabic3.sol", "line 1: bad solution line '\u0663'",
+    ),
     "generate-tightness-l": ("generate tightness --l 2", "the ring family needs at least 3 copies, got 2"),
     "generate-random-n": ("generate random --n 0", "need at least one vertex, got 0"),
     "generate-density-nan": ("generate random --n 5 --density nan", "density must lie in [0, 1], got nan"),
@@ -473,6 +482,9 @@ def input_error_dir(tmp_path_factory):
         "ring.sol": fileio.serialize_solution({labels[v] for v in dfs_tree_cover(kernel)}),
         "label1.sol": "1\n",
         "label99.sol": "99\n",
+        "arabic3.sol": "\u0663\n",
+        "underscore.cvc": "p cvc 12 1\ne 1_0 2\n",
+        "signed.cvc": "p cvc +3 1\ne 1 2\n",
         "loop.cvc": "p cvc 2 1\ne 1 1\n",
         "k5.cvc": "p cvc 5 10\n" + "".join(f"e {i} {j}\n" for i in range(1, 6) for j in range(i + 1, 6)),
         "tri.cvc": fileio.serialize_graph(gen_random_planar(80, 1.0, 0)),
@@ -543,7 +555,8 @@ def test_cli_round_trip_without_networkx():
     # ring's kernel must keep all three merges, its non-leaf cover must
     # lift to a cover too, `kernelize --stats` must find the partition
     # bound holding, a random graph's kernel, reached through R2, cut R3
-    # and R4 contractions, must lift to a cover, and an input error and a
+    # and R4 contractions, must lift to a cover, so must one reached
+    # through R5, R6 and R7 steps, and an input error and a
     # non-planar K5 must exit 2 from the entry point.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
@@ -553,7 +566,7 @@ def test_cli_round_trip_without_networkx():
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
     assert steps == [
         "generate", "kernelize", "ring-merges", "solve", "lift", "verify", "nonleaf-lift", "stats",
-        "contraction-round-trip", "input-error", "nonplanar",
+        "contraction-round-trip", "r5-r7-round-trip", "input-error", "nonplanar",
     ]
 
 

@@ -22,7 +22,7 @@ from planarcvc.reductions import (
 )
 
 from brute import brute_minimum_cvc, graph_from_edges, reference_detect_rule
-from conftest import make_cycle, make_path, make_star, small_planar_corpus
+from conftest import make_cycle, make_path, make_star, r6_example, r7_example, small_planar_corpus
 
 
 def r4_example() -> Graph:
@@ -33,24 +33,6 @@ def r4_example() -> Graph:
 def r5_example() -> Graph:
     # v=1 sees x=2, y=3 and the pendant z=4; w=5 closes the square.
     return graph_from_edges([(1, 2), (1, 3), (1, 4), (2, 5), (3, 5)])
-
-
-def r6_example() -> Graph:
-    # Twins 3, 4 see {1, 5, 6}; 1 keeps the pendant 2 and {7, 8} hang on
-    # {5, 6}, so deleting any two common neighbors disconnects something.
-    return graph_from_edges(
-        [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (3, 5), (3, 6), (4, 5), (4, 6),
-         (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
-    )
-
-
-def r7_example() -> Graph:
-    # a=1, v=2 (pendant q=3), x=4, y=5, plus the 3-vertices 6, 7 that keep
-    # x and y busy enough for every earlier rule to stay silent.
-    return graph_from_edges(
-        [(1, 4), (1, 2), (1, 5), (2, 4), (2, 5), (2, 3),
-         (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
-    )
 
 
 _R4_SITE = {"u": 1, "v": 2, "pu": 3, "pv": 4}
