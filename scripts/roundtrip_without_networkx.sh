@@ -14,8 +14,13 @@
 # rules that remove 3-vertices: at least one R5, one R6 and one R7 record.
 # Every step runs planarcvc.cli.main in a fresh
 # Python process in which `import networkx` raises ImportError, and
-# fails if any networkx module got loaded anyway. Then one input error, a graph file
+# fails if any networkx module got loaded anyway; a step other than
+# `generate` also fails if it loaded argparse, which only help and usage
+# errors need. The ring's kernelize with abbreviated options and
+# `--k=11`, which argparse parses, must write the same kernel and
+# journal as the long form. Then one input error, a graph file
 # with a self-loop, must exit 2 with a single `error:` line on stderr,
+# a kernelize without `--k` must exit 2 with argparse's `usage:` line,
 # and K5, whose Phase 1 fixpoint has no pendant owner and so only meets
 # the left-right planarity test, must exit 2 with the not-planar error.
 # Prints one "ok <step>" line per step.
@@ -28,15 +33,27 @@ export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+# run [--argparse] ARGS...: `planarcvc ARGS`; with --argparse the step
+# may load argparse.
 run() {
+  local argparse=no
+  if [ "$1" = --argparse ]; then
+    argparse=yes
+    shift
+  fi
   python3 -c '
 import sys
 sys.modules["networkx"] = None  # any import of networkx now fails
 from planarcvc.cli import main
-code = main(sys.argv[1:])
+argparse, argv = sys.argv[1] == "yes" or sys.argv[2] == "generate", sys.argv[2:]
+code = main(argv)
 loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "networkx" and mod]
-sys.exit(f"networkx modules loaded: {loaded}" if loaded else code)
-' "$@"
+if loaded:
+    sys.exit(f"networkx modules loaded: {loaded}")
+if "argparse" in sys.modules and not argparse:
+    sys.exit(f"argparse loaded by {argv}")
+sys.exit(code)
+' "$argparse" "$@"
 }
 
 planarcvc() {
@@ -53,6 +70,12 @@ if [[ "$header" != "p cvc 35 "* ]] || [ "$merges" -ne 3 ]; then
   exit 1
 fi
 echo "ok ring-merges" >&2
+run --argparse kernelize --inp "$work/ring.cvc" --k=11 --jour "$work/abbrev.journal" > "$work/abbrev.out"
+if ! cmp -s "$work/kernel.out" "$work/abbrev.out" || ! cmp -s "$work/ring.journal" "$work/abbrev.journal"; then
+  echo "kernelize --inp --k=11 --jour: kernel or journal differs from the long form" >&2
+  exit 1
+fi
+echo "ok abbreviated-options" >&2
 grep -v '^c ' "$work/kernel.out" > "$work/kernel.cvc"
 k=$(sed -n 's/^c kernel-k //p' "$work/kernel.out")
 planarcvc solve --input "$work/kernel.cvc" --limit "$k" > "$work/kernel.sol"
@@ -110,6 +133,15 @@ if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/loop.err")" -ne 1 ] || ! grep -q '^e
   exit 1
 fi
 echo "ok input-error" >&2
+
+code=0
+run kernelize --input "$work/ring.cvc" > /dev/null 2> "$work/usage.err" || code=$?
+if [ "$code" -ne 2 ] || ! grep -q '^usage: ' "$work/usage.err"; then
+  echo "kernelize without --k: want exit 2 and a usage: line, got exit $code and:" >&2
+  cat "$work/usage.err" >&2
+  exit 1
+fi
+echo "ok usage-error" >&2
 
 printf 'p cvc 5 10\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 2 3\ne 2 4\ne 2 5\ne 3 4\ne 3 5\ne 4 5\n' > "$work/k5.cvc"
 want='error: input graph is not planar (graph with 5 vertices / 10 edges is not planar)'

@@ -13,14 +13,20 @@ Commands:
   lift      --input FILE --journal FILE --solution FILE
   generate  {tightness --l INT | exception | random --n INT --density F --seed S}
   verify    --input FILE --solution FILE
+
+Every option of kernelize, solve, lift and verify is declared once, in
+`_COMMANDS`. build_parser() builds the argparse parser of all commands
+from it, and parse_args reads a well-formed command line off it without
+importing argparse; anything else (help, a usage error, an abbreviated
+option, generate) goes to build_parser().
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Callable, NamedTuple, NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import fileio
 from .generators import gen_exception_graph, gen_random_planar, gen_tightness
@@ -38,6 +44,13 @@ from .pipeline import (
     replay_journal,
 )
 from .reductions import RuleId
+
+if TYPE_CHECKING:
+    import argparse
+
+# The parsed command line: build_parser()'s argparse.Namespace or the
+# table's SimpleNamespace, with the same fields.
+_Args = Any
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -81,7 +94,7 @@ def _solution_vertices(labels: set[int], by_label: dict[int, VertexId], what: st
     return {by_label[lab] for lab in labels}
 
 
-def _cmd_kernelize(args: argparse.Namespace) -> int:
+def _cmd_kernelize(args: _Args) -> int:
     outcome = kernelize(Instance(_read_graph(args.input), args.k))
     if not isinstance(outcome, Kernel):
         print(f"c no-instance {outcome.reason.value}")
@@ -121,7 +134,7 @@ def _stats_lines(outcome: Kernel) -> list[str]:
     ]
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: _Args) -> int:
     g = _read_graph(args.input)
     limit = args.limit if args.limit is not None else g.n_vertices
     cert = minimum_cvc(g, limit)
@@ -133,7 +146,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-def _cmd_lift(args: argparse.Namespace) -> int:
+def _cmd_lift(args: _Args) -> int:
     g = _read_graph(args.input)
     steps = fileio.parse_journal_steps(_read_text(args.journal))
     kernel_labels = fileio.parse_solution(_read_text(args.solution))
@@ -148,7 +161,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: _Args) -> int:
     if args.family == "tightness":
         g = gen_tightness(args.l)
     elif args.family == "exception":
@@ -159,7 +172,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: _Args) -> int:
     g = _read_graph(args.input)
     labels = fileio.parse_solution(_read_text(args.solution))
     by_label = {lab: v for v, lab in fileio.canonical_labels(g).items()}
@@ -171,22 +184,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_NO
 
 
-def _kernelize_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--journal", help="write the reduction journal here")
-    p.add_argument("--stats", action="store_true", help="partition sizes and bound on stderr")
+class _Option(NamedTuple):
+    """`--NAME VALUE` (the value converted by `type`, None keeps the
+    string) or, with `flag`, a store-true `--NAME`."""
 
-
-def _solve_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True)
-    p.add_argument("--limit", type=int, help="largest cover size to accept")
-
-
-def _lift_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True)
-    p.add_argument("--journal", required=True)
-    p.add_argument("--solution", required=True, help="kernel solution, kernel labels")
+    name: str
+    type: Callable[[str], object] | None = None
+    required: bool = False
+    flag: bool = False
+    help: str | None = None
 
 
 def _generate_arguments(p: argparse.ArgumentParser) -> None:
@@ -200,70 +206,113 @@ def _generate_arguments(p: argparse.ArgumentParser) -> None:
     pr.add_argument("--seed", type=int, default=0)
 
 
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True)
-    p.add_argument("--solution", required=True)
-
-
 class _Command(NamedTuple):
     help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[_Args], int]
+    options: tuple[_Option, ...] = ()
+    # arguments that only argparse reads (generate's families): a command
+    # that has them is always parsed by build_parser()
+    add_arguments: Callable[[argparse.ArgumentParser], None] | None = None
 
 
 _COMMANDS: dict[str, _Command] = {
-    "kernelize": _Command("reduce an instance, emit the kernel", _kernelize_arguments, _cmd_kernelize),
-    "solve": _Command("exact minimum connected vertex cover", _solve_arguments, _cmd_solve),
-    "lift": _Command("lift a kernel solution to the input graph", _lift_arguments, _cmd_lift),
-    "generate": _Command("emit generator output as a graph file", _generate_arguments, _cmd_generate),
-    "verify": _Command("check a solution file against a graph file", _verify_arguments, _cmd_verify),
+    "kernelize": _Command("reduce an instance, emit the kernel", _cmd_kernelize, (
+        _Option("input", required=True),
+        _Option("k", type=int, required=True),
+        _Option("journal", help="write the reduction journal here"),
+        _Option("stats", flag=True, help="partition sizes and bound on stderr"),
+    )),
+    "solve": _Command("exact minimum connected vertex cover", _cmd_solve, (
+        _Option("input", required=True),
+        _Option("limit", type=int, help="largest cover size to accept"),
+    )),
+    "lift": _Command("lift a kernel solution to the input graph", _cmd_lift, (
+        _Option("input", required=True),
+        _Option("journal", required=True),
+        _Option("solution", required=True, help="kernel solution, kernel labels"),
+    )),
+    "generate": _Command("emit generator output as a graph file", _cmd_generate,
+                         add_arguments=_generate_arguments),
+    "verify": _Command("check a solution file against a graph file", _cmd_verify, (
+        _Option("input", required=True),
+        _Option("solution", required=True),
+    )),
 }
-
-
-def _add_command(p: argparse.ArgumentParser, command: _Command) -> None:
-    command.add_arguments(p)
-    p.set_defaults(func=command.run)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every command as a subcommand of `planarcvc`."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="planarcvc",
         description="11/3k kernelization for Connected Vertex Cover on planar graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=command.help), command)
+        p = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            if option.flag:
+                p.add_argument(f"--{option.name}", action="store_true", help=option.help)
+            else:
+                p.add_argument(f"--{option.name}", type=option.type, required=option.required, help=option.help)
+        if command.add_arguments is not None:
+            command.add_arguments(p)
+        p.set_defaults(func=command.run)
     return parser
 
 
-class _UsageError(Exception):
-    """Raised by a one-command parser instead of printing a usage error."""
+def _read_options(options: tuple[_Option, ...], tokens: list[str]) -> dict[str, object] | None:
+    """The option values of a well-formed command line, else None.
+
+    Reads `--NAME VALUE`, `--NAME=VALUE` and flags, the last occurrence
+    winning, as argparse does. None for anything argparse may read
+    otherwise or reject: an unknown or abbreviated name, a value that is
+    empty or starts with `-`, a missing value or required option, a
+    value the type rejects, and `=` on a flag.
+    """
+    by_name = {f"--{option.name}": option for option in options}
+    values: dict[str, object] = {o.name: False if o.flag else None for o in options}
+    rest = iter(tokens)
+    for token in rest:
+        name, eq, value = token.partition("=")
+        option = by_name.get(name)
+        if option is None:
+            return None
+        if option.flag:
+            if eq:
+                return None
+            values[option.name] = True
+            continue
+        if not eq:
+            value = next(rest, "")
+        if not value or value[0] == "-":
+            return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except ValueError:
+                return None
+        values[option.name] = value
+    if any(values[o.name] is None for o in options if o.required):
+        return None
+    return values
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:
-        raise _UsageError(message)
-
-
-def parse_args(argv: list[str]) -> argparse.Namespace:
+def parse_args(argv: list[str]) -> _Args:
     """Parse a command line; the namespace's `func` runs the command.
 
-    When argv names a command, only that command's parser is built (the
-    full parser costs about five times as much, and a process parses one
-    command line). A usage error is left to the full parser, so that
-    its wording and exit code are exactly those of build_parser();
-    `-h`, no arguments and unknown commands also go to the full parser.
-    The namespace lacks the full parser's `command` field.
+    A well-formed command line of a command with declared options is
+    read off `_COMMANDS` without argparse (which is then not even
+    imported), into the namespace build_parser() would return. Every
+    other command line, usage errors, `-h` and `generate` included, goes
+    to build_parser(), so help, error text and exit codes are argparse's.
     """
     command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = _OneCommandParser(prog=f"planarcvc {argv[0]}")
-        _add_command(parser, command)
-        try:
-            return parser.parse_args(argv[1:])
-        except _UsageError:
-            pass
+    if command is not None and command.options:
+        values = _read_options(command.options, argv[1:])
+        if values is not None:
+            return SimpleNamespace(command=argv[0], func=command.run, **values)
     return build_parser().parse_args(argv)
 
 

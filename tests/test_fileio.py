@@ -551,13 +551,14 @@ def test_cli_input_errors_exit_2_optimized(input_error_dir, row):
 
 def test_cli_round_trip_without_networkx():
     # networkx is a test-only dependency: generate -> kernelize -> solve
-    # -> lift -> verify must run with every import of it blocked, the
-    # ring's kernel must keep all three merges, its non-leaf cover must
-    # lift to a cover too, `kernelize --stats` must find the partition
-    # bound holding, a random graph's kernel, reached through R2, cut R3
-    # and R4 contractions, must lift to a cover, so must one reached
-    # through R5, R6 and R7 steps, and an input error and a
-    # non-planar K5 must exit 2 from the entry point.
+    # -> lift -> verify must run with every import of it blocked (and,
+    # but for generate, without loading argparse), the ring's kernel
+    # must keep all three merges and be the same with abbreviated
+    # options, its non-leaf cover must lift to a cover too, `kernelize
+    # --stats` must find the partition bound holding, a random graph's
+    # kernel, reached through R2, cut R3 and R4 contractions, must lift
+    # to a cover, so must one reached through R5, R6 and R7 steps, and
+    # an input error, a missing --k and a non-planar K5 must exit 2.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
@@ -565,8 +566,9 @@ def test_cli_round_trip_without_networkx():
     assert proc.returncode == 0, proc.stderr
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
     assert steps == [
-        "generate", "kernelize", "ring-merges", "solve", "lift", "verify", "nonleaf-lift", "stats",
-        "contraction-round-trip", "r5-r7-round-trip", "input-error", "nonplanar",
+        "generate", "kernelize", "ring-merges", "abbreviated-options", "solve", "lift", "verify",
+        "nonleaf-lift", "stats", "contraction-round-trip", "r5-r7-round-trip", "input-error",
+        "usage-error", "nonplanar",
     ]
 
 
