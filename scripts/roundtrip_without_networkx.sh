@@ -20,8 +20,10 @@
 # `--k=11`, which argparse parses, must write the same kernel and
 # journal as the long form. Then one input error, a graph file
 # with a self-loop, must exit 2 with a single `error:` line on stderr,
-# a kernelize without `--k` must exit 2 with argparse's `usage:` line,
-# and K5, whose Phase 1 fixpoint has no pendant owner and so only meets
+# so must a lift whose journal lost the `w` role of its first R2 record
+# (n = 120), naming that step and the RuleApplicationError, with no
+# traceback; a kernelize without `--k` must exit 2 with argparse's
+# `usage:` line, and K5, whose Phase 1 fixpoint has no pendant owner and so only meets
 # the left-right planarity test, must exit 2 with the not-planar error.
 # Prints one "ok <step>" line per step.
 #
@@ -133,6 +135,26 @@ if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/loop.err")" -ne 1 ] || ! grep -q '^e
   exit 1
 fi
 echo "ok input-error" >&2
+
+g="$work/contraction-round-trip"
+idx=$(python3 -c '
+import json, sys
+records = [json.loads(line) for line in open(sys.argv[1])]
+idx = next(i for i, r in enumerate(records) if r["rule"] == "R2")
+del records[idx]["site"]["w"]
+open(sys.argv[2], "w").write("".join(json.dumps(r) + "\n" for r in records))
+print(idx)
+' "$g.journal" "$g-missing-role.journal")
+want="error: journal does not replay at step $idx: RuleApplicationError(\"R2: site lacks the roles ['w']\")"
+code=0
+run lift --input "$g.cvc" --journal "$g-missing-role.journal" --solution "$g-kernel.sol" \
+  > /dev/null 2> "$work/missing-role.err" || code=$?
+if [ "$code" -ne 2 ] || [ "$(cat "$work/missing-role.err")" != "$want" ]; then
+  echo "journal without a role: want exit 2 and '$want', got exit $code and:" >&2
+  cat "$work/missing-role.err" >&2
+  exit 1
+fi
+echo "ok missing-role" >&2
 
 code=0
 run kernelize --input "$work/ring.cvc" > /dev/null 2> "$work/usage.err" || code=$?

@@ -7,7 +7,7 @@ from .generators import (
     gen_random_planar,
     gen_tightness,
 )
-from .graph import Graph, VertexId
+from .graph import Graph, InputError, VertexId
 from .matching import Matching, maximum_matching
 from .oracle import CoverCertificate, TooLargeError, minimum_cvc, verify_cvc
 from .pipeline import (
@@ -40,6 +40,7 @@ __all__ = [
     "Embedding",
     "Face",
     "Graph",
+    "InputError",
     "Instance",
     "Kernel",
     "KernelOutcome",

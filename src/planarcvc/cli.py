@@ -1,11 +1,15 @@
 """Command line surface.
 
 Exit codes: 0 = YES (kernel or solution emitted), 1 = NO, 2 = input error,
-141 = stdout was closed before the output was written (as under
-`planarcvc ... | head -c 1`; 128 + SIGPIPE, what a shell reports for a
-process that a closed pipe kills), with nothing on stderr.
+70 = a bug (sysexits' EX_SOFTWARE), 141 = stdout was closed before the
+output was written (as under `planarcvc ... | head -c 1`; 128 + SIGPIPE,
+what a shell reports for a process that a closed pipe kills), with
+nothing on stderr.
 Commands raise on bad input; main alone turns that into one `error:` line
-on stderr and exit 2.
+on stderr and exit 2. Bad input is an OSError or UnicodeDecodeError of
+reading or writing a file, or the package's InputError (graph.py), whose
+subclasses are GraphParseError, TooLargeError and NonPlanarInputError.
+Any other exception is a bug: main prints its traceback and exits 70.
 
 Commands:
   kernelize --input FILE --k INT [--journal FILE] [--stats]
@@ -30,12 +34,11 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import fileio
 from .generators import gen_exception_graph, gen_random_planar, gen_tightness
-from .graph import Graph, VertexId
-from .oracle import TooLargeError, minimum_cvc, verify_cvc
+from .graph import Graph, InputError, VertexId
+from .oracle import minimum_cvc, verify_cvc
 from .pipeline import (
     Instance,
     Kernel,
-    NonPlanarInputError,
     kernel_vertex_ids,
     kernelize,
     partition_bound_holds,
@@ -55,26 +58,11 @@ _Args = Any
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BUG = 70
 EXIT_BROKEN_PIPE = 141
 
-
-class InputError(Exception):
-    """An input that a command rejects by its own check."""
-
-
 # What a command raises on bad input; main prints it and exits with 2.
-# ValueError covers journals that do not replay, generator parameters and
-# a negative budget; anything else, AssertionError included, is a bug and
-# keeps its traceback.
-_INPUT_ERRORS = (
-    OSError,
-    UnicodeDecodeError,
-    fileio.GraphParseError,
-    ValueError,
-    TooLargeError,
-    NonPlanarInputError,
-    InputError,
-)
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, InputError)
 
 
 def _read_text(path: str) -> str:
@@ -317,7 +305,11 @@ def parse_args(argv: list[str]) -> _Args:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line; the one place where an input error exits 2."""
+    """Run one command line and return its exit code.
+
+    The one place where an input error exits 2, and where any other
+    exception, a bug, prints its traceback and exits 70.
+    """
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
@@ -332,6 +324,11 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception:  # noqa: BLE001 - a bug: neither YES, NO nor bad input
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_BUG
     return code
 
 

@@ -106,8 +106,6 @@ def run_phase2(g: Graph) -> list[ReductionStep]:
     embedding is built. A non-planar g raises NonPlanarGraphError either
     way.
     """
-    if g.n_vertices == 0:
-        return []
     if len(pendant_owners(g)) < 2 and is_planar(g):
         return []
     e = embed(g)  # raises NonPlanarGraphError for a non-planar g

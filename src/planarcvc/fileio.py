@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 
-from .graph import Graph, VertexId
+from .graph import Graph, InputError, VertexId
 from .pipeline import ReductionJournal
 from .reductions import ReductionStep, RuleId
 
 
-class GraphParseError(Exception):
+class GraphParseError(InputError):
     """Malformed graph file; carries the 1-based offending line number."""
 
     def __init__(self, message: str, line_no: int) -> None:
@@ -89,7 +89,7 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
     if edges_seen != header[1]:
         raise GraphParseError(
             f"header announced {header[1]} edges, found {edges_seen}",
-            len(lines) or 1,
+            len(lines),
         )
     return Graph.from_adjacency(adj), {label: label for label in adj}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph
+from .graph import Graph, InputError
 
 
 def gen_tightness(copies: int) -> Graph:
@@ -28,7 +28,7 @@ def gen_tightness(copies: int) -> Graph:
     vertex, capping the Phase 2 matching at exactly ``copies``.
     """
     if copies < 3:
-        raise ValueError(f"the ring family needs at least 3 copies, got {copies}")
+        raise InputError(f"the ring family needs at least 3 copies, got {copies}")
     g = Graph()
     s = g.add_vertex()
     t = g.add_vertex()
@@ -81,12 +81,12 @@ def gen_random_planar(n: int, density: float, seed: int) -> Graph:
     a uniformly chosen face triangle, then deletes non-bridge edges with
     probability 1 - density, so connectivity and planarity hold by
     construction. density=1.0 keeps the full triangulation (3n-6 edges).
-    Raises ValueError unless n >= 1 and 0 <= density <= 1.
+    Raises InputError unless n >= 1 and 0 <= density <= 1.
     """
     if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
+        raise InputError(f"need at least one vertex, got {n}")
     if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {density}")
+        raise InputError(f"density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     g = Graph()
     first = [g.add_vertex() for _ in range(min(n, 3))]

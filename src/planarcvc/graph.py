@@ -17,6 +17,10 @@ from typing import AbstractSet, Callable, Container, Mapping
 VertexId = int
 
 
+class InputError(ValueError):
+    """Input that the package rejects; the command line exits 2 on it alone."""
+
+
 class Graph:
     """Simple undirected graph: symmetric adjacency, no loops, no parallels."""
 

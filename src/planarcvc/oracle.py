@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph, VertexId
+from .graph import Graph, InputError, VertexId
 
 # Beyond these limits the exhaustive search may run essentially forever,
 # so the solver declines instead of hanging.
@@ -19,7 +19,7 @@ _MAX_VERTICES_DEEP = 40
 _MAX_BUDGET_DEEP = 14
 
 
-class TooLargeError(Exception):
+class TooLargeError(InputError):
     """Instance outside the exact solver's declared comfort zone."""
 
 

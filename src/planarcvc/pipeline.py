@@ -19,12 +19,12 @@ from typing import NamedTuple
 
 from .embedding import NonPlanarGraphError
 from .facematch import run_phase2
-from .graph import Graph, VertexId
+from .graph import Graph, InputError, VertexId
 from .oracle import verify_cvc
-from .reductions import ReductionStep, RuleId, apply_rule, lift_rule, run_phase1
+from .reductions import ReductionStep, RuleApplicationError, RuleId, apply_rule, lift_rule, run_phase1
 
 
-class NonPlanarInputError(Exception):
+class NonPlanarInputError(InputError):
     """kernelize's Phase 1 fixpoint has no planar embedding.
 
     R1-R7 turn planar graphs into planar graphs, so the input is not
@@ -42,7 +42,7 @@ class Instance:
 
     def __init__(self, graph: Graph, k: int) -> None:
         if k < 0:
-            raise ValueError(f"budget must be non-negative, got {k}")
+            raise InputError(f"budget must be non-negative, got {k}")
         self.graph = graph
         self.k = k
 
@@ -146,10 +146,12 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
     may trust the recorded sites. The fixpoint is copied once, before the
     first R8 step; the kernel is the working graph itself. A journal with
     no R8 step has the kernel as its fixpoint, and both elements are then
-    the same object. Raises ValueError naming the step index when
-    the journal does not replay: a step fails on the graph, differs from
-    its record, is an R1-R7 step after an R8 step, or is the first R8
-    step on a disconnected graph, which lifting R8 steps relies on.
+    the same object. Raises InputError naming the step index when the
+    journal does not replay: a step fails on the graph (apply_rule raises
+    RuleApplicationError), differs from its record, is an R1-R7 step after
+    an R8 step, or is the first R8 step on a disconnected graph, which
+    lifting R8 steps relies on. Any other exception of an applier is a
+    bug and propagates.
     """
     g = journal.input_graph.copy()
     for v in journal.input_graph.isolated_vertices():
@@ -159,16 +161,16 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
         if step.rule is RuleId.R8:
             if fixpoint is None:
                 if not g.is_connected():
-                    raise ValueError(f"journal does not replay at step {idx}: R8 on a disconnected graph")
+                    raise InputError(f"journal does not replay at step {idx}: R8 on a disconnected graph")
                 fixpoint = g.copy()
         elif fixpoint is not None:
-            raise ValueError(f"journal does not replay at step {idx}: Phase 1 step after an R8 step")
+            raise InputError(f"journal does not replay at step {idx}: Phase 1 step after an R8 step")
         try:
             realized = apply_rule(g, step.rule, step.site)
-        except Exception as exc:  # noqa: BLE001 - a record's site is untrusted input
-            raise ValueError(f"journal does not replay at step {idx}: {exc!r}") from exc
+        except RuleApplicationError as exc:
+            raise InputError(f"journal does not replay at step {idx}: {exc!r}") from exc
         if realized != step:
-            raise ValueError(f"journal does not replay at step {idx}: replayed {realized}")
+            raise InputError(f"journal does not replay at step {idx}: replayed {realized}")
     return (g if fixpoint is None else fixpoint), g
 
 
@@ -205,7 +207,7 @@ def lift_solution(
     _, g = replay_journal(journal)
     sol = set(kernel_solution)
     if not verify_cvc(g, sol):
-        raise ValueError("kernel solution is not a connected vertex cover")
+        raise InputError("kernel solution is not a connected vertex cover")
     for step in reversed(journal.steps):
         lift_rule(g, step, sol)
     if not verify_cvc(journal.input_graph, sol):

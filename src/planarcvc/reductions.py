@@ -190,9 +190,14 @@ def apply_rule(g: Graph, rule: RuleId, site: dict[str, int | bool]) -> Reduction
     """Apply one rule of R1-R8 in place and return its record.
 
     The site is re-validated against the current graph first, so replaying
-    a journal against the wrong graph fails loudly instead of corrupting it.
+    a journal against the wrong graph fails loudly instead of corrupting it:
+    a site that lacks a role the applier reads, or that does not match the
+    graph, raises RuleApplicationError before the graph changes.
     """
-    return _RULES[rule].apply(g, site)
+    entry = _RULES[rule]
+    if not entry.roles <= site.keys():
+        raise RuleApplicationError(f"{rule.name}: site lacks the roles {sorted(entry.roles - site.keys())}")
+    return entry.apply(g, site)
 
 
 def lift_rule(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -476,17 +481,19 @@ def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 class _Rule(NamedTuple):
     apply: Callable[[Graph, dict], ReductionStep]
     lift: Callable[[Graph, ReductionStep, set[VertexId]], None]
+    # the site roles that apply reads; apply_rule checks them first
+    roles: frozenset[str]
 
 
 _RULES = {
-    RuleId.R1: _Rule(_apply_r1, _lift_r1),
-    RuleId.R2: _Rule(_apply_r2, _lift_r2),
-    RuleId.R3: _Rule(_apply_r3, _lift_r3),
-    RuleId.R4: _Rule(_apply_r4, _lift_r4),
-    RuleId.R5: _Rule(_apply_r5, _lift_r5),
-    RuleId.R6: _Rule(_apply_r6, _lift_r6),
-    RuleId.R7: _Rule(_apply_r7, _lift_r7),
-    RuleId.R8: _Rule(_apply_r8, _lift_r8),
+    RuleId.R1: _Rule(_apply_r1, _lift_r1, frozenset({"v", "keep"})),
+    RuleId.R2: _Rule(_apply_r2, _lift_r2, frozenset({"v", "u", "w"})),
+    RuleId.R3: _Rule(_apply_r3, _lift_r3, frozenset({"v", "u", "w"})),
+    RuleId.R4: _Rule(_apply_r4, _lift_r4, frozenset({"u", "v", "pu", "pv"})),
+    RuleId.R5: _Rule(_apply_r5, _lift_r5, frozenset({"v", "x", "y", "z"})),
+    RuleId.R6: _Rule(_apply_r6, _lift_r6, frozenset({"a", "b", "x", "v", "y"})),
+    RuleId.R7: _Rule(_apply_r7, _lift_r7, frozenset({"a", "v", "q", "x", "y"})),
+    RuleId.R8: _Rule(_apply_r8, _lift_r8, frozenset({"u", "v", "face"})),
 }
 
 

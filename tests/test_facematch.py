@@ -15,6 +15,7 @@ from planarcvc.facematch import (
     run_phase2,
 )
 from planarcvc.generators import gen_exception_graph, gen_tightness
+from planarcvc.graph import Graph
 from planarcvc.matching import Matching, maximum_matching
 from planarcvc.oracle import minimum_cvc
 from planarcvc.reductions import RuleId, run_phase1
@@ -161,6 +162,10 @@ def test_phase2_exception_graph_unchanged():
     before = g.edges()
     assert run_phase2(g) == []
     assert g.edges() == before
+
+
+def test_phase2_empty_graph_has_no_steps():
+    assert run_phase2(Graph()) == []
 
 
 def test_phase2_single_owner_unchanged():

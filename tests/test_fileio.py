@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from planarcvc import fileio
+from planarcvc import fileio, reductions
 from planarcvc.cli import main
 from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
 from planarcvc.graph import Graph
@@ -329,6 +329,32 @@ def test_cli_lift_bad_r8_owner_exit_code(tmp_path, capsys, tamper):
     assert "Traceback" not in err
 
 
+def test_cli_applier_bug_exits_70_with_traceback(tmp_path, capsys, monkeypatch):
+    # A ValueError out of R2's applier is a bug, not bad input: whether
+    # kernelize or lift's replay reaches it, main prints its traceback
+    # and no `error:` line, and exits 70.
+    g = gen_random_planar(14, 0.5, 2)
+    graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(g))
+    journal_file = tmp_path / "journal.jsonl"
+    kernelize_argv = ["kernelize", "--input", graph_file, "--k", "14", "--journal", str(journal_file)]
+    assert main(kernelize_argv) == 0
+    assert '"rule": "R2"' in journal_file.read_text()
+    kernel, _ = fileio.parse_graph(capsys.readouterr().out)
+    sol_file = write(tmp_path / "ksol.txt", fileio.serialize_solution(dfs_tree_cover(kernel)))
+
+    def broken_apply(g, site):
+        raise ValueError("bug inside an applier")
+
+    r2 = reductions._RULES[reductions.RuleId.R2]
+    monkeypatch.setitem(reductions._RULES, reductions.RuleId.R2, r2._replace(apply=broken_apply))
+    lift_argv = ["lift", "--input", graph_file, "--journal", str(journal_file), "--solution", sol_file]
+    for argv in (kernelize_argv, lift_argv):
+        assert main(argv) == 70
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: bug inside an applier" in err
+        assert not any(line.startswith("error:") for line in err.splitlines())
+
+
 def test_cli_lift_non_integer_journal_ids_exit_code(tmp_path, capsys):
     graph_file = write(tmp_path / "g.cvc", "p cvc 3 2\ne 1 2\ne 2 3\n")
     record = {"step_index": 0, "rule": "R1", "site": {}, "created": [[1]],
@@ -558,7 +584,8 @@ def test_cli_round_trip_without_networkx():
     # --stats` must find the partition bound holding, a random graph's
     # kernel, reached through R2, cut R3 and R4 contractions, must lift
     # to a cover, so must one reached through R5, R6 and R7 steps, and
-    # an input error, a missing --k and a non-planar K5 must exit 2.
+    # an input error, a journal record without one of its roles, a
+    # missing --k and a non-planar K5 must exit 2.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
@@ -568,7 +595,7 @@ def test_cli_round_trip_without_networkx():
     assert steps == [
         "generate", "kernelize", "ring-merges", "abbreviated-options", "solve", "lift", "verify",
         "nonleaf-lift", "stats", "contraction-round-trip", "r5-r7-round-trip", "input-error",
-        "usage-error", "nonplanar",
+        "missing-role", "usage-error", "nonplanar",
     ]
 
 

@@ -250,3 +250,8 @@ def test_cut_vertex_matches_component_count():
             remaining = {x for x in g.vertices() if x != v}
             comps = len(g.components(remaining))
             assert reference_is_cut_vertex(g, v) == (comps > 1)
+
+
+def test_add_named_vertex_rejects_non_positive_ids():
+    with pytest.raises(ValueError, match="positive"):
+        Graph().add_named_vertex(0)

@@ -554,6 +554,16 @@ def test_partition_exception_graph():
     assert part.sizes() == {"S1": 1, "S>=3": 2, "I1": 1, "I3": 2, "I>=4": 0}
 
 
+def test_partition_bound_fails_just_below_the_bound():
+    # The ring l = 3 with its minimum cover of 11: S>=3 has 2 vertices and
+    # I>=4 none, so with one merge 3 * (2 + 0 + 1) = 9 < 11.
+    g = gen_tightness(3)
+    cover = tightness_cover(g)
+    assert len(cover) == 11
+    assert not partition_bound_holds(g, cover, 1)
+    assert partition_bound_holds(g, cover, 2)
+
+
 def test_partition_tightness():
     g = gen_tightness(4)
     part = partition_stats(g, tightness_cover(g))

@@ -244,6 +244,24 @@ def test_apply_rule_r8_rejects_adjacent_owners():
     assert g.edges() == before.edges()
 
 
+def test_apply_rule_r8_rejects_an_owner_without_pendant():
+    # Only 3 owns a pendant: the first owner has none to merge.
+    g = _owners_with_pendants((3,))
+    before = g.copy()
+    with pytest.raises(RuleApplicationError, match="must both own a pendant"):
+        apply_rule(g, RuleId.R8, {"u": 1, "v": 3, "face": -1})
+    assert g.edges() == before.edges()
+
+
+def test_apply_rule_names_the_roles_a_site_lacks():
+    # A site without a role its applier reads, as a tampered journal
+    # may hold, is rejected before the applier runs, not by a KeyError.
+    g = make_path(3)
+    with pytest.raises(RuleApplicationError, match=r"^R2: site lacks the roles \['u', 'w'\]$"):
+        apply_rule(g, RuleId.R2, {"v": 2, "c": 4})
+    assert g.edges() == [(1, 2), (2, 3)]
+
+
 @pytest.mark.parametrize("cut", [True, False], ids=["cut", "non-cut"])
 def test_replay_rejects_a_flipped_r3_cut_flag(cut):
     # The recorded flag is untrusted: replay asks the cut question again.
