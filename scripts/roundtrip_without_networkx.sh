@@ -16,7 +16,10 @@
 # Python process in which `import networkx` raises ImportError, and
 # fails if any networkx module got loaded anyway; a step other than
 # `generate` also fails if it loaded argparse, which only help and usage
-# errors need. The ring's kernelize with abbreviated options and
+# errors need, and a `lift`, `verify` or `solve` step fails if it loaded
+# Phase 2 (planarcvc.embedding, .facematch, .matching) or
+# planarcvc.generators, which load on first use. The ring's kernelize
+# with abbreviated options and
 # `--k=11`, which argparse parses, must write the same kernel and
 # journal as the long form. Then one input error, a graph file
 # with a self-loop, must exit 2 with a single `error:` line on stderr,
@@ -54,6 +57,9 @@ if loaded:
     sys.exit(f"networkx modules loaded: {loaded}")
 if "argparse" in sys.modules and not argparse:
     sys.exit(f"argparse loaded by {argv}")
+lazy = {f"planarcvc.{m}" for m in ("embedding", "facematch", "matching", "generators")}
+if argv[0] in ("lift", "verify", "solve") and lazy & sys.modules.keys():
+    sys.exit(f"{sorted(lazy & sys.modules.keys())} loaded by {argv}")
 sys.exit(code)
 ' "$argparse" "$@"
 }

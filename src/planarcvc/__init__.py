@@ -1,14 +1,6 @@
 """11/3k kernelization for Connected Vertex Cover on planar graphs."""
 
-from .embedding import Embedding, Face, NonPlanarGraphError, embed
-from .facematch import AuxGraph, PlanarizedMatching, build_aux_graph, planarize_matching, run_phase2
-from .generators import (
-    gen_exception_graph,
-    gen_random_planar,
-    gen_tightness,
-)
 from .graph import Graph, InputError, VertexId
-from .matching import Matching, maximum_matching
 from .oracle import CoverCertificate, TooLargeError, minimum_cvc, verify_cvc
 from .pipeline import (
     Instance,
@@ -33,6 +25,30 @@ from .reductions import (
     lift_rule,
     run_phase1,
 )
+
+# Phase 2 (embedding, facematch, matching) and the generators load on
+# first use, through __getattr__ (PEP 562): a lift, a verify, a solve
+# and a kernelize that Phase 1 answers NO never run them.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("embedding", ("Embedding", "Face", "NonPlanarGraphError", "embed")),
+        ("facematch", ("AuxGraph", "PlanarizedMatching", "build_aux_graph", "planarize_matching", "run_phase2")),
+        ("generators", ("gen_exception_graph", "gen_random_planar", "gen_tightness")),
+        ("matching", ("Matching", "maximum_matching")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AuxGraph",

@@ -33,7 +33,6 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import fileio
-from .generators import gen_exception_graph, gen_random_planar, gen_tightness
 from .graph import Graph, InputError, VertexId
 from .oracle import minimum_cvc, verify_cvc
 from .pipeline import (
@@ -150,6 +149,8 @@ def _cmd_lift(args: _Args) -> int:
 
 
 def _cmd_generate(args: _Args) -> int:
+    from .generators import gen_exception_graph, gen_random_planar, gen_tightness
+
     if args.family == "tightness":
         g = gen_tightness(args.l)
     elif args.family == "exception":

@@ -17,8 +17,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .embedding import NonPlanarGraphError
-from .facematch import run_phase2
 from .graph import Graph, InputError, VertexId
 from .oracle import verify_cvc
 from .reductions import ReductionStep, RuleApplicationError, RuleId, apply_rule, lift_rule, run_phase1
@@ -120,6 +118,10 @@ def kernelize(inst: Instance) -> KernelOutcome:
     if phase1.early_no:
         return No(NoReason.BUDGET_UNDERFLOW)
     g1, k1 = phase1.graph, phase1.k
+
+    # Phase 2 loads on first use: a NO from Phase 1 never needs it.
+    from .embedding import NonPlanarGraphError
+    from .facematch import run_phase2
 
     try:
         phase2_steps = run_phase2(g1)

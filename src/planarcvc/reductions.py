@@ -192,7 +192,11 @@ def apply_rule(g: Graph, rule: RuleId, site: dict[str, int | bool]) -> Reduction
     The site is re-validated against the current graph first, so replaying
     a journal against the wrong graph fails loudly instead of corrupting it:
     a site that lacks a role the applier reads, or that does not match the
-    graph, raises RuleApplicationError before the graph changes.
+    graph, raises RuleApplicationError before the graph changes. The roles
+    that R3, R6 and R7 hang fresh pendants on must come in the detector's
+    ascending order (R3 u < w, R6 x < v < y, R7 x < y): a site with two of
+    them swapped would hang the pendants on other parents under the same
+    record, and replay would fail only at a later step.
     """
     entry = _RULES[rule]
     if not entry.roles <= site.keys():
@@ -304,6 +308,7 @@ def _lift_r2(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 def _apply_r3(g: Graph, site: dict) -> ReductionStep:
     v, u, w = site["v"], site["u"], site["w"]
     _require_neighbors(g, v, (u, w), "R3")
+    _require(u < w, f"R3: u and w must ascend, got {u}, {w}")
     _require(not g.has_edge(u, w), "R3: uw must not be an edge")
     # v cuts its component iff its two neighbors are apart in G - v.
     cut = g.split_side(u, w, v.__ne__) is not None
@@ -370,6 +375,7 @@ def _apply_r6(g: Graph, site: dict) -> ReductionStep:
     _require(a != b, f"R6: the twins must be two vertices, got {a} twice")
     for t in (a, b):
         _require_neighbors(g, t, (x, v, y), "R6")
+    _require(x < v < y, f"R6: x, v and y must ascend, got {x}, {v}, {y}")
     for pair in ((x, v), (x, y), (v, y)):
         _require(_separates(g, pair), f"R6: removing {pair} leaves the graph connected")
     g.remove_vertex(a)
@@ -386,6 +392,7 @@ def _apply_r7(g: Graph, site: dict) -> ReductionStep:
     a, v, q, x, y = site["a"], site["v"], site["q"], site["x"], site["y"]
     _require_neighbors(g, a, (x, v, y), "R7")
     _require_neighbors(g, v, (x, a, y, q), "R7")
+    _require(x < y, f"R7: x and y must ascend, got {x}, {y}")
     _require_pendant(g, q, v, "R7")
     g.remove_vertex(a)
     g.remove_vertex(v)

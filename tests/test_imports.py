@@ -6,12 +6,17 @@ pays for `import planarcvc` before any rule runs. `dataclasses` pulls in
 are NamedTuples or plain classes instead. `pathlib` pulls in
 `urllib.parse` and `ipaddress`; the CLI reads and writes its files with
 `open()`. A well-formed command line is parsed without `argparse`,
-which also loads `gettext`. `-S` keeps what site-packages' start-up
-hooks import out of the checked process.
+which also loads `gettext`. Phase 2 (`embedding`, `facematch`,
+`matching`) and the generators load on first use: a lift, a verify or a
+kernelize that Phase 1 answers NO never imports them. `-S` keeps what
+site-packages' start-up hooks import out of the checked process.
 """
 
 from __future__ import annotations
 
+import pytest
+
+import planarcvc
 from planarcvc import fileio
 from planarcvc.cli import main
 from planarcvc.generators import gen_tightness
@@ -66,3 +71,73 @@ def test_well_formed_command_lines_do_not_load_argparse(tmp_path, capsys):
     assert usage[0].startswith("usage: planarcvc kernelize ")
     assert usage[-1] == "planarcvc kernelize: error: the following arguments are required: --k"
     assert last == "2 True"
+
+
+_PHASE2 = ["planarcvc.embedding", "planarcvc.facematch", "planarcvc.generators", "planarcvc.matching"]
+
+# `planarcvc ARGV`; prints the exit code and the loaded modules of
+# _PHASE2 as the last line on stderr.
+_LOADS = f"""
+import sys
+from planarcvc.cli import main
+code = main(sys.argv[1:])
+print(code, sorted({set(_PHASE2)!r} & sys.modules.keys()), file=sys.stderr)
+"""
+
+
+def _phase2_loaded_by(*argv: str) -> str:
+    proc = run_python(["-S", "-c", _LOADS, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
+def test_import_loads_no_phase2_module():
+    proc = run_python(
+        ["-S", "-c", f"import sys; import planarcvc, planarcvc.cli; print(sorted({set(_PHASE2)!r} & sys.modules.keys()))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_phase2_loads_only_for_a_kernelize_that_reaches_it(tmp_path, capsys):
+    # A kernelize that Phase 1 answers NO (the 6-vertex path at k = 1
+    # runs out of budget), a lift and a verify never run Phase 2; a YES
+    # kernelize of the ring l = 3 does, but still not the generators.
+    ring, journal = tmp_path / "ring.cvc", tmp_path / "ring.journal"
+    ring.write_text(fileio.serialize_graph(gen_tightness(3)))
+    assert main(["kernelize", "--input", str(ring), "--k", "11", "--journal", str(journal)]) == 0
+    kernel, solution = tmp_path / "kernel.cvc", tmp_path / "kernel.sol"
+    kernel.write_text(capsys.readouterr().out)
+    assert main(["solve", "--input", str(kernel)]) == 0
+    solution.write_text(capsys.readouterr().out)
+    path = tmp_path / "path.cvc"
+    path.write_text("p cvc 6 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\n")
+
+    assert _phase2_loaded_by("kernelize", "--input", str(path), "--k", "1") == "1 []"
+    assert _phase2_loaded_by("lift", "--input", str(ring), "--journal", str(journal),
+                             "--solution", str(solution)) == "0 []"
+    assert _phase2_loaded_by("verify", "--input", str(kernel), "--solution", str(solution)) == "0 []"
+    assert _phase2_loaded_by("kernelize", "--input", str(ring), "--k", "11") == (
+        "0 ['planarcvc.embedding', 'planarcvc.facematch', 'planarcvc.matching']"
+    )
+
+
+def test_every_public_name_is_its_submodule_object():
+    # The names of Phase 2 and the generators resolve through the
+    # package's __getattr__; `import *` reads them the same way.
+    from planarcvc import embedding, facematch, generators, graph, matching, oracle, pipeline, reductions
+
+    star: dict[str, object] = {}
+    exec("from planarcvc import *", star)
+    assert star.keys() - {"__builtins__"} == set(planarcvc.__all__)
+    modules = (embedding, facematch, generators, graph, matching, oracle, pipeline, reductions)
+    for name in planarcvc.__all__:
+        obj = getattr(planarcvc, name)
+        owners = [m for m in modules if hasattr(m, name)]
+        assert owners and all(getattr(m, name) is obj for m in owners), name
+        assert star[name] is obj, name
+    for name in planarcvc._LAZY:
+        assert planarcvc.__getattr__(name) is getattr(planarcvc, name)
+    with pytest.raises(AttributeError, match="^module 'planarcvc' has no attribute 'no_such_name'$"):
+        planarcvc.no_such_name

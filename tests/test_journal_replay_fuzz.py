@@ -8,8 +8,10 @@ either exit 0 with a connected vertex cover of the input, or exit 2
 with one `error:` line saying which step does not replay or which line
 does not parse. Anything else, a bug inside an applier that the
 mutated record reaches among it, exits 70 and fails here. The first
-record of each rule also loses each of its roles in turn: replay must
-reject every such journal at that record as an InputError.
+record of each rule also loses each of its roles in turn, and the first
+R3 (non-cut), R6 and R7 records get each pair of their pendant parents
+swapped: replay must reject every such journal at that record as an
+InputError.
 """
 
 from __future__ import annotations
@@ -76,6 +78,25 @@ def test_replay_of_a_record_without_one_role_is_an_input_error(kernels, rule):
         steps[idx] = step._replace(site={r: v for r, v in step.site.items() if r != role})
         with pytest.raises(InputError, match=f"^journal does not replay at step {idx}: "):
             replay_journal(ReductionJournal(journal.input_graph, journal.dropped_isolated, steps))
+
+
+@pytest.mark.parametrize(
+    "rule, a, b",
+    [(RuleId.R3, "u", "w"), (RuleId.R6, "x", "v"), (RuleId.R6, "x", "y"), (RuleId.R6, "v", "y"),
+     (RuleId.R7, "x", "y")],
+    ids=lambda p: getattr(p, "name", p),
+)
+def test_replay_of_a_record_with_swapped_parents_fails_at_that_record(kernels, rule, a, b):
+    # The fresh pendants of a non-cut R3, an R6 or an R7 hang on the roles
+    # swapped here; a record that hangs them on other parents must fail at
+    # its own step, not at a later one (n = 100, seed 44: the R3 at step 24
+    # used to fail at step 49, the R6 and R7 one or two steps late).
+    journal = kernels["rand"].journal
+    idx, step = next((i, s) for i, s in enumerate(journal.steps) if s.rule is rule and not s.site.get("cut"))
+    steps = list(journal.steps)
+    steps[idx] = step._replace(site=dict(step.site, **{a: step.site[b], b: step.site[a]}))
+    with pytest.raises(InputError, match=rf"^journal does not replay at step {idx}: RuleApplicationError.*must ascend"):
+        replay_journal(ReductionJournal(journal.input_graph, journal.dropped_isolated, steps))
 
 
 def test_lift_of_a_mutated_journal_is_a_cover_or_one_error_line(kernels, tmp_path, capsys):
