@@ -12,6 +12,11 @@
 # its journal must hold at least one R2, one cut R3 and one R4 record.
 # A larger one (n = 400, density 0.5, seed 16) makes it through the
 # rules that remove 3-vertices: at least one R5, one R6 and one R7 record.
+# Graph and solution files in the form the CLI writes are read in bulk,
+# others line by line: a decorated copy of the n = 120 graph (comment
+# lines, CRLF line ends, doubled spaces) must give the same kernel and
+# journal, byte for byte, and a decorated copy of its kernel solution
+# must lift to the same solution.
 # Every step runs planarcvc.cli.main in a fresh
 # Python process in which `import networkx` raises ImportError, and
 # fails if any networkx module got loaded anyway; a step other than
@@ -132,6 +137,22 @@ random_round_trip() {
 random_round_trip contraction-round-trip 120 1 '"rule": "R2"' '"cut": true' '"rule": "R4"'
 random_round_trip r5-r7-round-trip 400 16 '"rule": "R5"' '"rule": "R6"' '"rule": "R7"'
 
+g="$work/contraction-round-trip"
+awk '{ gsub(/ /, "  "); printf "c decorated\r\n%s\r\n", $0 }' "$g.cvc" > "$g-decorated.cvc"
+run kernelize --input "$g-decorated.cvc" --k 120 --journal "$g-decorated.journal" > "$g-decorated-kernel.out"
+if ! cmp -s "$g-kernel.out" "$g-decorated-kernel.out" || ! cmp -s "$g.journal" "$g-decorated.journal"; then
+  echo "decorated n = 120 graph: kernel or journal differs from the canonical file's" >&2
+  exit 1
+fi
+awk '{ printf "c decorated\r\n  %s \r\n", $0 }' "$g-kernel.sol" > "$g-kernel-decorated.sol"
+run lift --input "$g-decorated.cvc" --journal "$g.journal" \
+  --solution "$g-kernel-decorated.sol" > "$g-decorated-lifted.sol"
+if ! cmp -s "$g-lifted.sol" "$g-decorated-lifted.sol"; then
+  echo "decorated n = 120 graph and kernel solution: lifted solution differs" >&2
+  exit 1
+fi
+echo "ok decorated-input" >&2
+
 printf 'p cvc 2 1\ne 1 1\n' > "$work/loop.cvc"
 code=0
 run kernelize --input "$work/loop.cvc" --k 1 > /dev/null 2> "$work/loop.err" || code=$?
@@ -142,7 +163,6 @@ if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/loop.err")" -ne 1 ] || ! grep -q '^e
 fi
 echo "ok input-error" >&2
 
-g="$work/contraction-round-trip"
 idx=$(python3 -c '
 import json, sys
 records = [json.loads(line) for line in open(sys.argv[1])]

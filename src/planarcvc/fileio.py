@@ -7,17 +7,28 @@ digits only: no sign, no underscore, no other script's digits.
 Serialization is canonical (vertices renumbered 1..n by ascending id,
 edges sorted), so parse-then-serialize is idempotent.
 
+Graph and solution texts in the exact form serialize_graph and
+serialize_solution write (LF line ends, single spaces, no comments, no
+leading zeros) are read in bulk: one regular-expression match of the
+whole text, one split and whole-list checks. Any other text, and any
+canonical-shaped text that fails a check, goes to the line-by-line
+reader, which is the only one that raises GraphParseError, so messages
+and line numbers do not depend on which reader saw the text first.
+
 Journal files hold one JSON object per line with the fields step_index,
 rule, site, created, removed and k_delta; step_index, k_delta, ids and
-site values are JSON integers, except R3's cut flag, a boolean.
-Replaying a journal against its input file (after stripping isolated
-vertices) reproduces the kernel file byte for byte under canonical
-serialization.
+site values are JSON integers, except R3's cut flag, a boolean. Each
+record is written with one format string, byte for byte what
+``json.JSONEncoder(sort_keys=True)`` writes, and read with one
+``JSONDecoder.raw_decode``, with json.loads's error texts. Replaying a
+journal against its input file (after stripping isolated vertices)
+reproduces the kernel file byte for byte under canonical serialization.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .graph import Graph, InputError, VertexId
 from .pipeline import ReductionJournal
@@ -32,14 +43,57 @@ class GraphParseError(InputError):
         self.line_no = line_no
 
 
+_CANONICAL_GRAPH = re.compile(r"p cvc (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
+
+
 def parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
     """Parse a graph file; returns the graph and the label -> id mapping.
 
     File labels 1..n map onto the same internal ids, so the mapping is
     the identity; it is returned anyway so callers never have to assume
     that. Each edge is checked here, once, and the checked adjacency is
-    handed to Graph.from_adjacency.
+    handed to Graph.from_adjacency. Both readers add the edges in file
+    order, so the neighbour sets iterate in the same order either way.
     """
+    adj = _parse_canonical_graph(text) if _CANONICAL_GRAPH.fullmatch(text) else None
+    if adj is None:
+        adj = _parse_graph_lines(text)
+    return Graph.from_adjacency(adj), {label: label for label in adj}
+
+
+def _parse_canonical_graph(text: str) -> dict[VertexId, set[VertexId]] | None:
+    """The adjacency of a canonical-shaped text, or None if a check fails.
+
+    Tokens are p, cvc, n, m, then e, u, v per edge. Ids are looked up in
+    a table of the labels 1..n, which also checks their range. With m
+    edge lines, the degrees sum to 2m exactly when each line adds a new
+    edge: a self-loop adds 1 and a repeat, in either direction, adds 0.
+    """
+    tokens = text.split()
+    try:
+        n, m = int(tokens[2]), int(tokens[3])
+    except ValueError:  # past int()'s digit limit
+        return None
+    if len(tokens) != 4 + 3 * m:
+        return None
+    labels = range(1, n + 1)
+    label_of = dict(zip(map(str, labels), labels)).__getitem__
+    try:
+        us = list(map(label_of, tokens[5::3]))
+        vs = list(map(label_of, tokens[6::3]))
+    except KeyError:
+        return None
+    adj: dict[VertexId, set[VertexId]] = {label: set() for label in labels}
+    for u, v in zip(us, vs):
+        adj[u].add(v)
+        adj[v].add(u)
+    if sum(map(len, adj.values())) != 2 * m:
+        return None
+    return adj
+
+
+def _parse_graph_lines(text: str) -> dict[VertexId, set[VertexId]]:
+    """The adjacency of any graph text, read line by line; raises GraphParseError."""
     header: tuple[int, int] | None = None
     adj: dict[VertexId, set[VertexId]] = {}
     n = 0
@@ -91,7 +145,7 @@ def parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
             f"header announced {header[1]} edges, found {edges_seen}",
             len(lines),
         )
-    return Graph.from_adjacency(adj), {label: label for label in adj}
+    return adj
 
 
 def _decimal(token: str) -> int:
@@ -123,8 +177,20 @@ def canonical_labels(g: Graph) -> dict[VertexId, int]:
 # ----------------------------------------------------------------------
 
 
+_CANONICAL_SOLUTION = re.compile(r"(?:[1-9][0-9]*\n)*")
+
+
 def parse_solution(text: str) -> set[int]:
-    """One 1-based vertex label per line; blank and comment lines ignored."""
+    """One 1-based vertex label per line; blank and comment lines ignored.
+
+    A text of bare labels with LF line ends is read with one split;
+    any other goes to the line loop, which alone raises GraphParseError.
+    """
+    if _CANONICAL_SOLUTION.fullmatch(text):
+        try:
+            return set(map(int, text.split()))
+        except ValueError:  # past int()'s digit limit
+            pass
     out = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -146,30 +212,49 @@ def serialize_solution(labels: set[int]) -> str:
 # ----------------------------------------------------------------------
 
 
+# JSONEncoder(sort_keys=True)'s text of a record: keys in order, ", " and
+# ": " separators; site roles are plain ASCII names.
+_RECORD = '{{"created": [{}], "k_delta": {}, "removed": [{}], "rule": "{}", "site": {{{}}}, "step_index": {}}}\n'
+
+
 def serialize_journal(journal: ReductionJournal) -> str:
-    encode = json.JSONEncoder(sort_keys=True).encode
     return "".join(
-        encode({
-            "step_index": idx,
-            "rule": step.rule.name,
-            "site": step.site,
-            "created": step.created,
-            "removed": step.removed,
-            "k_delta": step.k_delta,
-        }) + "\n"
+        _RECORD.format(
+            ", ".join(map(str, step.created)),
+            step.k_delta,
+            ", ".join(map(str, step.removed)),
+            step.rule.name,
+            ", ".join(
+                f'"{role}": {"true" if value is True else "false" if value is False else value}'
+                for role, value in sorted(step.site.items())
+            ),
+            idx,
+        )
         for idx, step in enumerate(journal.steps)
     )
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def parse_journal_steps(text: str) -> list[ReductionStep]:
-    """Parse journal records; the input graph is supplied separately."""
+    """Parse journal records; the input graph is supplied separately.
+
+    Each stripped line is decoded as json.loads would, with its error
+    texts: a leading byte-order mark and text after the object are
+    rejected before and after one raw_decode.
+    """
     steps = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
+            if line[0] == "\ufeff":
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            record, end = _raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, json.decoder.WHITESPACE.match(line, end).end())
             index = record["step_index"]
             step = ReductionStep(
                 rule=RuleId[record["rule"]],

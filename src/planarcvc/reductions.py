@@ -216,11 +216,6 @@ def lift_rule(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     _RULES[step.rule].lift(g, step, sol)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise RuleApplicationError(message)
-
-
 def _require_neighbors(g: Graph, v: VertexId, roles: tuple[VertexId, ...], rule: str) -> None:
     """Require N(v) to be exactly the given roles, no two of them equal."""
     nbrs = g.adjacency().get(v)
@@ -274,10 +269,13 @@ def _uncontract(sol: set[VertexId], site: dict, a: str, b: str) -> None:
 
 def _apply_r1(g: Graph, site: dict) -> ReductionStep:
     v, keep = site["v"], site["keep"]
-    _require(v in g and keep in g, "R1 site vertices missing")
+    if v not in g or keep not in g:
+        raise RuleApplicationError("R1 site vertices missing")
     pendants = sorted(g.pendant_neighbors(v))
-    _require(len(pendants) > 1, f"R1: {v} does not have several pendants")
-    _require(keep in pendants, f"R1: {keep} is not a pendant of {v}")
+    if len(pendants) < 2:
+        raise RuleApplicationError(f"R1: {v} does not have several pendants")
+    if keep not in pendants:
+        raise RuleApplicationError(f"R1: {keep} is not a pendant of {v}")
     dropped = tuple(p for p in pendants if p != keep)
     for p in dropped:
         g.remove_vertex(p)
@@ -292,7 +290,8 @@ def _lift_r1(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 def _apply_r2(g: Graph, site: dict) -> ReductionStep:
     v, u, w = site["v"], site["u"], site["w"]
     _require_neighbors(g, v, (u, w), "R2")
-    _require(g.has_edge(u, w), "R2: uw is not an edge")
+    if not g.has_edge(u, w):
+        raise RuleApplicationError("R2: uw is not an edge")
     c = g.contract_edge(u, w)
     rec = dict(site)
     rec["c"] = c
@@ -308,11 +307,14 @@ def _lift_r2(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 def _apply_r3(g: Graph, site: dict) -> ReductionStep:
     v, u, w = site["v"], site["u"], site["w"]
     _require_neighbors(g, v, (u, w), "R3")
-    _require(u < w, f"R3: u and w must ascend, got {u}, {w}")
-    _require(not g.has_edge(u, w), "R3: uw must not be an edge")
+    if not u < w:
+        raise RuleApplicationError(f"R3: u and w must ascend, got {u}, {w}")
+    if g.has_edge(u, w):
+        raise RuleApplicationError("R3: uw must not be an edge")
     # v cuts its component iff its two neighbors are apart in G - v.
     cut = g.split_side(u, w, v.__ne__) is not None
-    _require(cut == bool(site.get("cut", cut)), "R3: cut flag does not match the graph")
+    if cut != bool(site.get("cut", cut)):
+        raise RuleApplicationError("R3: cut flag does not match the graph")
     rec = dict(site, cut=cut)
     if cut:
         c = g.contract_edge(u, v)
@@ -339,8 +341,10 @@ def _lift_r3(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 
 def _apply_r4(g: Graph, site: dict) -> ReductionStep:
     u, v, pu, pv = site["u"], site["v"], site["pu"], site["pv"]
-    _require(g.has_edge(u, v), "R4: uv is not an edge")
-    _require(len({u, v, pu, pv}) == 4, "R4: roles must be four distinct vertices")
+    if not g.has_edge(u, v):
+        raise RuleApplicationError("R4: uv is not an edge")
+    if len({u, v, pu, pv}) != 4:
+        raise RuleApplicationError("R4: roles must be four distinct vertices")
     _require_pendant(g, pu, u, "R4")
     _require_pendant(g, pv, v, "R4")
     g.remove_vertex(pu)
@@ -372,12 +376,15 @@ def _lift_r5(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 
 def _apply_r6(g: Graph, site: dict) -> ReductionStep:
     a, b, x, v, y = site["a"], site["b"], site["x"], site["v"], site["y"]
-    _require(a != b, f"R6: the twins must be two vertices, got {a} twice")
+    if a == b:
+        raise RuleApplicationError(f"R6: the twins must be two vertices, got {a} twice")
     for t in (a, b):
         _require_neighbors(g, t, (x, v, y), "R6")
-    _require(x < v < y, f"R6: x, v and y must ascend, got {x}, {v}, {y}")
+    if not x < v < y:
+        raise RuleApplicationError(f"R6: x, v and y must ascend, got {x}, {v}, {y}")
     for pair in ((x, v), (x, y), (v, y)):
-        _require(_separates(g, pair), f"R6: removing {pair} leaves the graph connected")
+        if not _separates(g, pair):
+            raise RuleApplicationError(f"R6: removing {pair} leaves the graph connected")
     g.remove_vertex(a)
     rec = dict(site)
     created = _hang_pendants(g, rec, _R6_PENDANTS)
@@ -392,7 +399,8 @@ def _apply_r7(g: Graph, site: dict) -> ReductionStep:
     a, v, q, x, y = site["a"], site["v"], site["q"], site["x"], site["y"]
     _require_neighbors(g, a, (x, v, y), "R7")
     _require_neighbors(g, v, (x, a, y, q), "R7")
-    _require(x < y, f"R7: x and y must ascend, got {x}, {y}")
+    if not x < y:
+        raise RuleApplicationError(f"R7: x and y must ascend, got {x}, {y}")
     _require_pendant(g, q, v, "R7")
     g.remove_vertex(a)
     g.remove_vertex(v)

@@ -15,10 +15,11 @@ reference_is_connected joins the ends of each induced edge by union-find,
 so the cover checks here do not lean on Graph's breadth-first search.
 
 The reference_* text-format and verifier functions are the package's
-parse_graph, serialize_graph, serialize_journal and verify_cvc as they
-were before their one-pass rewrites (edge-by-edge Graph.add_edge, a
-second sort after relabelling, one json.dumps per record, a sorted scan
-of every edge), kept as the references the rewrites are compared with.
+parse_graph, parse_solution, serialize_graph, serialize_journal,
+parse_journal_steps and verify_cvc as they were before their rewrites
+(edge-by-edge Graph.add_edge, one label per line, a second sort after
+relabelling, one json.dumps or json.loads per record, a sorted scan of
+every edge), kept as the references the rewrites are compared with.
 reference_parse_graph accepts counts and ids that a regular expression
 for ASCII digits matches; the package checks the text's characters.
 reference_maximum_matching is the blossom matcher before its searches
@@ -51,7 +52,7 @@ from planarcvc.fileio import GraphParseError
 from planarcvc.graph import Graph, VertexId
 from planarcvc.matching import Matching
 from planarcvc.pipeline import ReductionJournal
-from planarcvc.reductions import RuleId
+from planarcvc.reductions import ReductionStep, RuleId
 
 
 def graph_from_edges(
@@ -508,6 +509,19 @@ def _reference_decimal(token: str) -> int:
     return int(token)
 
 
+def reference_parse_solution(text: str) -> set[int]:
+    out = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        try:
+            out.add(_reference_decimal(line))
+        except ValueError:
+            raise GraphParseError(f"bad solution line {line!r}", line_no) from None
+    return out
+
+
 def reference_serialize_graph(g: Graph) -> str:
     order = {v: i for i, v in enumerate(g.vertices(), start=1)}
     edges = sorted(
@@ -531,6 +545,43 @@ def reference_serialize_journal(journal: ReductionJournal) -> str:
         }
         lines.append(json.dumps(record, sort_keys=True))
     return "".join(line + "\n" for line in lines)
+
+
+def reference_parse_journal_steps(text: str) -> list[ReductionStep]:
+    steps = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            index = record["step_index"]
+            step = ReductionStep(
+                rule=RuleId[record["rule"]],
+                site=record["site"],
+                created=tuple(record["created"]),
+                removed=tuple(record["removed"]),
+                k_delta=record["k_delta"],
+            )
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            raise GraphParseError(f"bad journal record: {exc}", line_no) from None
+        if type(index) is not int or type(step.k_delta) is not int:
+            raise GraphParseError("bad journal record: step_index and k_delta must be integers", line_no)
+        if not all(type(v) is int for v in step.created + step.removed):
+            raise GraphParseError("bad journal record: created/removed ids must be integers", line_no)
+        if not _reference_site_typed(step.rule, step.site):
+            raise GraphParseError("bad journal record: site values must be integers, R3's cut a bool", line_no)
+        if index != len(steps):
+            raise GraphParseError(f"journal records out of order at index {index}", line_no)
+        steps.append(step)
+    return steps
+
+
+def _reference_site_typed(rule: RuleId, site: object) -> bool:
+    return type(site) is dict and all(
+        type(value) is (bool if rule is RuleId.R3 and role == "cut" else int)
+        for role, value in site.items()
+    )
 
 
 def reference_verify_cvc(g: Graph, s: set[VertexId] | frozenset[VertexId]) -> bool:

@@ -583,7 +583,9 @@ def test_cli_round_trip_without_networkx():
     # options, its non-leaf cover must lift to a cover too, `kernelize
     # --stats` must find the partition bound holding, a random graph's
     # kernel, reached through R2, cut R3 and R4 contractions, must lift
-    # to a cover, so must one reached through R5, R6 and R7 steps, and
+    # to a cover, so must one reached through R5, R6 and R7 steps, a
+    # decorated copy of the first graph and of its kernel solution, read
+    # line by line, must give the same kernel, journal and lift, and
     # an input error, a journal record without one of its roles, a
     # missing --k and a non-planar K5 must exit 2.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
@@ -594,7 +596,7 @@ def test_cli_round_trip_without_networkx():
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
     assert steps == [
         "generate", "kernelize", "ring-merges", "abbreviated-options", "solve", "lift", "verify",
-        "nonleaf-lift", "stats", "contraction-round-trip", "r5-r7-round-trip", "input-error",
+        "nonleaf-lift", "stats", "contraction-round-trip", "r5-r7-round-trip", "decorated-input", "input-error",
         "missing-role", "usage-error", "nonplanar",
     ]
 

@@ -6,7 +6,8 @@ integers around Python's digit limit, records that are not objects,
 missing keys, values of the wrong type and plain garbage. Parsing must
 give a list of ReductionStep or a GraphParseError on the first line that
 does not continue the journal, which is the variant's line or, when the
-variant itself was accepted, the line after it. No other exception may
+variant itself was accepted, the line after it, with the same text as
+the per-line json.loads reader in tests/brute.py. No other exception may
 escape, and every accepted id, step_index and k_delta is an integer
 (R3's cut flag a bool).
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,8 @@ from planarcvc import fileio
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.pipeline import Instance, Kernel, kernelize
 from planarcvc.reductions import ReductionStep, RuleId
+
+from brute import reference_parse_journal_steps
 
 
 def _journal_lines(g, k) -> list[str]:
@@ -80,6 +84,35 @@ def _variant(draw, record: dict) -> str:
     return _object_text(fields)
 
 
+def _parsed(parse, text: str):
+    """The steps, or the GraphParseError's text and line."""
+    try:
+        return parse(text)
+    except fileio.GraphParseError as exc:
+        return str(exc), exc.line_no
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda rec: "\ufeff" + rec,  # byte-order mark
+        lambda rec: rec + " x",  # trailing data
+        lambda rec: rec + "\t ,",
+        lambda rec: rec + rec,  # two records on one line
+        lambda rec: rec + " " + rec,
+        lambda rec: rec[:-1],
+    ],
+    ids=["bom", "trailing-data", "trailing-comma", "two-records", "two-records-spaced", "truncated"],
+)
+def test_parse_journal_steps_error_texts_match_reference(variant):
+    lines = list(_JOURNALS[0])
+    lines[1] = variant(lines[1])
+    text = "".join(line + "\n" for line in lines)
+    parsed = _parsed(fileio.parse_journal_steps, text)
+    assert parsed[1] == 2
+    assert parsed == _parsed(reference_parse_journal_steps, text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from(_JOURNALS), st.booleans())
 def test_parse_journal_steps_on_one_malformed_line(data, lines, insert):
@@ -89,6 +122,7 @@ def test_parse_journal_steps_on_one_malformed_line(data, lines, insert):
     variant = data.draw(_variant(record))
     new_lines = lines[:at] + [variant] + lines[at + (not insert):]
     text = "".join(line + "\n" for line in new_lines)
+    assert _parsed(fileio.parse_journal_steps, text) == _parsed(reference_parse_journal_steps, text)
     try:
         steps = fileio.parse_journal_steps(text)
     except fileio.GraphParseError as exc:

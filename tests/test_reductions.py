@@ -108,7 +108,7 @@ def test_detect_r7_example():
 
 
 def test_r6_rejected_when_a_pair_keeps_graph_connected():
-    # The exception graph has the twins but G - {x, y} stays connected.
+    # The exception graph has the twins but G - {v, y} stays connected.
     g = gen_exception_graph()
     with pytest.raises(RuleApplicationError):
         apply_rule(g, RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6})
@@ -183,6 +183,33 @@ def test_apply_rejects_a_repeated_role(g, rule, site, message):
     with pytest.raises(RuleApplicationError, match=message):
         apply_rule(g, rule, site)
     assert g.edges() == before.edges()
+
+
+@pytest.mark.parametrize(
+    "g, rule, site, message",
+    [
+        (make_path(2), RuleId.R1, {"v": 1, "keep": 9}, "R1 site vertices missing"),
+        (make_path(2), RuleId.R1, {"v": 1, "keep": 2}, "R1: 1 does not have several pendants"),
+        (graph_from_edges([(1, 2), (1, 3), (1, 4), (4, 5)]), RuleId.R1, {"v": 1, "keep": 4},
+         "R1: 4 is not a pendant of 1"),
+        (make_path(3), RuleId.R2, {"v": 2, "u": 1, "w": 3}, "R2: uw is not an edge"),
+        (make_path(3), RuleId.R3, {"v": 2, "u": 3, "w": 1}, "R3: u and w must ascend, got 3, 1"),
+        (make_cycle(3), RuleId.R3, {"v": 1, "u": 2, "w": 3}, "R3: uw must not be an edge"),
+        (make_path(3), RuleId.R3, {"v": 2, "u": 1, "w": 3, "cut": False}, "R3: cut flag does not match the graph"),
+        (make_path(4), RuleId.R4, {"u": 1, "v": 3, "pu": 2, "pv": 4}, "R4: uv is not an edge"),
+        (make_path(2), RuleId.R4, {"u": 1, "v": 2, "pu": 2, "pv": 1}, "R4: roles must be four distinct vertices"),
+        (r6_example(), RuleId.R6, {"a": 3, "b": 3, "x": 1, "v": 5, "y": 6}, "R6: the twins must be two vertices, got 3 twice"),
+        (r6_example(), RuleId.R6, {"a": 3, "b": 4, "x": 5, "v": 1, "y": 6}, "R6: x, v and y must ascend, got 5, 1, 6"),
+        (gen_exception_graph(), RuleId.R6, {"a": 3, "b": 4, "x": 1, "v": 5, "y": 6},
+         "R6: removing (5, 6) leaves the graph connected"),
+        (r7_example(), RuleId.R7, dict(_R7_SITE, x=5, y=4), "R7: x and y must ascend, got 5, 4"),
+    ],
+)
+def test_apply_names_the_failed_check(g, rule, site, message):
+    # Each check raises with its whole message; none is formatted unless it fails.
+    with pytest.raises(RuleApplicationError) as err:
+        apply_rule(g, rule, site)
+    assert str(err.value) == message
 
 
 # (example, extra edges, rule, tampered roles, message): each pendant role
