@@ -30,7 +30,8 @@
 # with a self-loop, must exit 2 with a single `error:` line on stderr,
 # so must a lift whose journal lost the `w` role of its first R2 record
 # (n = 120), naming that step and the RuleApplicationError, with no
-# traceback; a kernelize without `--k` must exit 2 with argparse's
+# traceback, and so must one whose first R2 record gained a site key
+# that is not a role, naming that step; a kernelize without `--k` must exit 2 with argparse's
 # `usage:` line, and K5, whose Phase 1 fixpoint has no pendant owner and so only meets
 # the left-right planarity test, must exit 2 with the not-planar error.
 # Prints one "ok <step>" line per step.
@@ -163,14 +164,24 @@ if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/loop.err")" -ne 1 ] || ! grep -q '^e
 fi
 echo "ok input-error" >&2
 
-idx=$(python3 -c '
+# tamper ACTION OUT: copy the n = 120 journal to OUT with ACTION done to
+# the site of its first R2 record ("del" drops w, "add" adds an extra
+# key); prints that record's index.
+tamper() {
+  python3 -c '
 import json, sys
 records = [json.loads(line) for line in open(sys.argv[1])]
 idx = next(i for i, r in enumerate(records) if r["rule"] == "R2")
-del records[idx]["site"]["w"]
+if sys.argv[3] == "del":
+    del records[idx]["site"]["w"]
+else:
+    records[idx]["site"]["extra"] = 0
 open(sys.argv[2], "w").write("".join(json.dumps(r) + "\n" for r in records))
 print(idx)
-' "$g.journal" "$g-missing-role.journal")
+' "$g.journal" "$2" "$1"
+}
+
+idx=$(tamper del "$g-missing-role.journal")
 want="error: journal does not replay at step $idx: RuleApplicationError(\"R2: site lacks the roles ['w']\")"
 code=0
 run lift --input "$g.cvc" --journal "$g-missing-role.journal" --solution "$g-kernel.sol" \
@@ -181,6 +192,19 @@ if [ "$code" -ne 2 ] || [ "$(cat "$work/missing-role.err")" != "$want" ]; then
   exit 1
 fi
 echo "ok missing-role" >&2
+
+idx=$(tamper add "$g-unknown-role.journal")
+want="error: journal does not replay at step $idx: replayed ReductionStep(rule=<RuleId.R2: 2>, "
+code=0
+run lift --input "$g.cvc" --journal "$g-unknown-role.journal" --solution "$g-kernel.sol" \
+  > /dev/null 2> "$work/unknown-role.err" || code=$?
+if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/unknown-role.err")" -ne 1 ] \
+  || [[ "$(cat "$work/unknown-role.err")" != "$want"* ]]; then
+  echo "journal with an unknown site key: want exit 2 and '$want...', got exit $code and:" >&2
+  cat "$work/unknown-role.err" >&2
+  exit 1
+fi
+echo "ok unknown-role" >&2
 
 code=0
 run kernelize --input "$work/ring.cvc" > /dev/null 2> "$work/usage.err" || code=$?

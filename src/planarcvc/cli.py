@@ -33,7 +33,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import fileio
-from .graph import Graph, InputError, VertexId
+from .graph import Graph, InputError
 from .oracle import minimum_cvc, verify_cvc
 from .pipeline import (
     Instance,
@@ -49,6 +49,7 @@ from .reductions import RuleId
 
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Set
 
 # The parsed command line: build_parser()'s argparse.Namespace or the
 # table's SimpleNamespace, with the same fields.
@@ -70,15 +71,15 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(path: str) -> Graph:
+    # its ids are its labels: its solutions are read and written as ids
     g, _ = fileio.parse_graph(_read_text(path))
     return g
 
 
-def _solution_vertices(labels: set[int], by_label: dict[int, VertexId], what: str) -> set[VertexId]:
-    unknown = labels - by_label.keys()
+def _require_labels(labels: set[int], known: Set[int], what: str) -> None:
+    unknown = labels - known
     if unknown:
         raise InputError(f"solution label {min(unknown)} is not {what}")
-    return {by_label[lab] for lab in labels}
 
 
 def _cmd_kernelize(args: _Args) -> int:
@@ -128,8 +129,7 @@ def _cmd_solve(args: _Args) -> int:
     if cert is None:
         print(f"c no connected vertex cover within {limit}")
         return EXIT_NO
-    labels = fileio.canonical_labels(g)
-    sys.stdout.write(fileio.serialize_solution({labels[v] for v in cert.vertices}))
+    sys.stdout.write(fileio.serialize_solution(set(cert.vertices)))
     return EXIT_YES
 
 
@@ -141,10 +141,9 @@ def _cmd_lift(args: _Args) -> int:
     # the kernel file's labels, from the journal records; lift_solution
     # makes the only replay and rejects a journal that does not replay
     by_label = dict(enumerate(sorted(kernel_vertex_ids(journal)), start=1))
-    kernel_solution = _solution_vertices(kernel_labels, by_label, "a kernel vertex")
-    lifted = lift_solution(journal, kernel_solution)
-    input_labels = fileio.canonical_labels(g)
-    sys.stdout.write(fileio.serialize_solution({input_labels[v] for v in lifted}))
+    _require_labels(kernel_labels, by_label.keys(), "a kernel vertex")
+    kernel_solution = {by_label[lab] for lab in kernel_labels}
+    sys.stdout.write(fileio.serialize_solution(lift_solution(journal, kernel_solution)))
     return EXIT_YES
 
 
@@ -163,9 +162,8 @@ def _cmd_generate(args: _Args) -> int:
 
 def _cmd_verify(args: _Args) -> int:
     g = _read_graph(args.input)
-    labels = fileio.parse_solution(_read_text(args.solution))
-    by_label = {lab: v for v, lab in fileio.canonical_labels(g).items()}
-    solution = _solution_vertices(labels, by_label, "a vertex")
+    solution = fileio.parse_solution(_read_text(args.solution))
+    _require_labels(solution, g.adjacency().keys(), "a vertex")
     if verify_cvc(g, solution):
         print(f"c valid connected vertex cover of size {len(solution)}")
         return EXIT_YES

@@ -49,9 +49,9 @@ _CANONICAL_GRAPH = re.compile(r"p cvc (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n(?:e 
 def parse_graph(text: str) -> tuple[Graph, dict[int, VertexId]]:
     """Parse a graph file; returns the graph and the label -> id mapping.
 
-    File labels 1..n map onto the same internal ids, so the mapping is
-    the identity; it is returned anyway so callers never have to assume
-    that. Each edge is checked here, once, and the checked adjacency is
+    File labels 1..n are the internal ids: the mapping, and the parsed
+    graph's canonical_labels, are the identity, so callers may assume it.
+    Each edge is checked here, once, and the checked adjacency is
     handed to Graph.from_adjacency. Both readers add the edges in file
     order, so the neighbour sets iterate in the same order either way.
     """

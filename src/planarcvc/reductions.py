@@ -4,8 +4,8 @@ Rules are detected in strict priority order: rule i is only reported when
 no rule j < i matches anywhere in the graph. Among the sites of one rule
 the lexicographically smallest tuple of role vertices wins, which makes
 journals reproducible. Every application, by Phase 1, Phase 2 or journal
-replay, goes through apply_rule and is recorded as a ReductionStep
-carrying the matched roles, created/removed ids and the budget change.
+replay, goes through apply_rule, whose ReductionStep carries the matched
+roles and the applier's additions, created/removed ids and budget change.
 Each rule's lift, the exchange argument of its safety proof, sits next
 to its applier and reads those roles back: lift_rule maps a connected
 vertex cover of a step's post-graph to one of its pre-graph.
@@ -40,6 +40,7 @@ Rule summary (v is always the pattern's center):
 from __future__ import annotations
 
 from enum import IntEnum
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .graph import Graph, VertexId
@@ -189,19 +190,31 @@ def _separates(g: Graph, pair: tuple[VertexId, VertexId]) -> bool:
 def apply_rule(g: Graph, rule: RuleId, site: dict[str, int | bool]) -> ReductionStep:
     """Apply one rule of R1-R8 in place and return its record.
 
-    The site is re-validated against the current graph first, so replaying
-    a journal against the wrong graph fails loudly instead of corrupting it:
-    a site that lacks a role the applier reads, or that does not match the
-    graph, raises RuleApplicationError before the graph changes. The roles
-    that R3, R6 and R7 hang fresh pendants on must come in the detector's
-    ascending order (R3 u < w, R6 x < v < y, R7 x < y): a site with two of
-    them swapped would hang the pendants on other parents under the same
-    record, and replay would fail only at a later step.
+    The rule's applier gets the graph and the site's role values in the
+    rule's order, checks them against the graph, changes it and returns
+    the site's additions (new ids, R3's cut flag, R8's merged pendants),
+    the created and removed ids and the budget change. The record's site
+    is the roles plus those additions: a recorded site with any other
+    key does not replay. A site that lacks a role or does not match the
+    graph raises RuleApplicationError before the graph changes. The
+    roles that R3, R6 and R7 hang fresh pendants on must ascend (R3
+    u < w, R6 x < v < y, R7 x < y), or a swapped pair would hang them on
+    other parents under the same record and replay would fail later.
     """
     entry = _RULES[rule]
-    if not entry.roles <= site.keys():
-        raise RuleApplicationError(f"{rule.name}: site lacks the roles {sorted(entry.roles - site.keys())}")
-    return entry.apply(g, site)
+    try:
+        values = _READ_ROLES[rule](site)
+    except KeyError:
+        missing = sorted(set(entry.roles) - site.keys())
+        raise RuleApplicationError(f"{rule.name}: site lacks the roles {missing}") from None
+    if entry.checked:
+        values += (site.get(entry.checked),)
+    added, created, removed, k_delta = entry.apply(g, *values)
+    rec = site | added
+    if len(rec) != len(entry.roles) + len(added):
+        # the site has a key that is neither a role nor an addition
+        rec = dict(zip(entry.roles, values)) | added
+    return ReductionStep(rule, rec, created, removed, k_delta)
 
 
 def lift_rule(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -236,14 +249,17 @@ _R3_PENDANTS = (("pu", "u"), ("pw", "w"))
 _R6_PENDANTS = (("px", "x"), ("pv", "v"), ("py", "y"))
 _R7_PENDANTS = (("px", "x"), ("py", "y"))
 
+# an applier's site additions, created ids, removed ids and budget change
+_Applied = tuple[dict[str, int | bool], tuple[VertexId, ...], tuple[VertexId, ...], int]
 
-def _hang_pendants(g: Graph, rec: dict, pendants: _Pendants) -> tuple[VertexId, ...]:
-    """Hang a fresh pendant on each parent, in order, recording it under its role."""
-    for role, parent in pendants:
-        p = g.add_vertex()
-        g.add_edge(rec[parent], p)
-        rec[role] = p
-    return tuple(rec[role] for role, _ in pendants)
+
+def _hang_pendants(g: Graph, pendants: _Pendants, parents: tuple[VertexId, ...]) -> dict[str, VertexId]:
+    """Hang a fresh pendant on each parent, in order; map each pendant role to its id."""
+    added = {}
+    for (role, _), parent in zip(pendants, parents):
+        added[role] = p = g.add_vertex()
+        g.add_edge(parent, p)
+    return added
 
 
 def _fold_pendants(sol: set[VertexId], site: dict, pendants: _Pendants) -> None:
@@ -267,8 +283,7 @@ def _uncontract(sol: set[VertexId], site: dict, a: str, b: str) -> None:
     sol.update((site[a], site[b]))
 
 
-def _apply_r1(g: Graph, site: dict) -> ReductionStep:
-    v, keep = site["v"], site["keep"]
+def _apply_r1(g: Graph, v: VertexId, keep: VertexId) -> _Applied:
     if v not in g or keep not in g:
         raise RuleApplicationError("R1 site vertices missing")
     pendants = sorted(g.pendant_neighbors(v))
@@ -279,7 +294,7 @@ def _apply_r1(g: Graph, site: dict) -> ReductionStep:
     dropped = tuple(p for p in pendants if p != keep)
     for p in dropped:
         g.remove_vertex(p)
-    return ReductionStep(RuleId.R1, dict(site), (), dropped, 0)
+    return {}, (), dropped, 0
 
 
 def _lift_r1(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -287,15 +302,12 @@ def _lift_r1(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     _fold_pendants(sol, step.site, (("keep", "v"),))
 
 
-def _apply_r2(g: Graph, site: dict) -> ReductionStep:
-    v, u, w = site["v"], site["u"], site["w"]
+def _apply_r2(g: Graph, v: VertexId, u: VertexId, w: VertexId) -> _Applied:
     _require_neighbors(g, v, (u, w), "R2")
     if not g.has_edge(u, w):
         raise RuleApplicationError("R2: uw is not an edge")
     c = g.contract_edge(u, w)
-    rec = dict(site)
-    rec["c"] = c
-    return ReductionStep(RuleId.R2, rec, (c,), (u, w), -1)
+    return {"c": c}, (c,), (u, w), -1
 
 
 def _lift_r2(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -304,8 +316,7 @@ def _lift_r2(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     _uncontract(sol, step.site, "u", "w")
 
 
-def _apply_r3(g: Graph, site: dict) -> ReductionStep:
-    v, u, w = site["v"], site["u"], site["w"]
+def _apply_r3(g: Graph, v: VertexId, u: VertexId, w: VertexId, recorded_cut: bool | None) -> _Applied:
     _require_neighbors(g, v, (u, w), "R3")
     if not u < w:
         raise RuleApplicationError(f"R3: u and w must ascend, got {u}, {w}")
@@ -313,16 +324,14 @@ def _apply_r3(g: Graph, site: dict) -> ReductionStep:
         raise RuleApplicationError("R3: uw must not be an edge")
     # v cuts its component iff its two neighbors are apart in G - v.
     cut = g.split_side(u, w, v.__ne__) is not None
-    if cut != bool(site.get("cut", cut)):
+    if recorded_cut is not None and cut != bool(recorded_cut):
         raise RuleApplicationError("R3: cut flag does not match the graph")
-    rec = dict(site, cut=cut)
     if cut:
         c = g.contract_edge(u, v)
-        rec["c"] = c
-        return ReductionStep(RuleId.R3, rec, (c,), (u, v), -1)
+        return {"cut": True, "c": c}, (c,), (u, v), -1
     g.remove_vertex(v)
-    created = _hang_pendants(g, rec, _R3_PENDANTS)
-    return ReductionStep(RuleId.R3, rec, created, (v,), 0)
+    pendants = _hang_pendants(g, _R3_PENDANTS, (u, w))
+    return {"cut": False, **pendants}, tuple(pendants.values()), (v,), 0
 
 
 def _lift_r3(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -339,8 +348,7 @@ def _lift_r3(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
         sol.add(site["v"])
 
 
-def _apply_r4(g: Graph, site: dict) -> ReductionStep:
-    u, v, pu, pv = site["u"], site["v"], site["pu"], site["pv"]
+def _apply_r4(g: Graph, u: VertexId, v: VertexId, pu: VertexId, pv: VertexId) -> _Applied:
     if not g.has_edge(u, v):
         raise RuleApplicationError("R4: uv is not an edge")
     if len({u, v, pu, pv}) != 4:
@@ -349,9 +357,7 @@ def _apply_r4(g: Graph, site: dict) -> ReductionStep:
     _require_pendant(g, pv, v, "R4")
     g.remove_vertex(pu)
     c = g.contract_edge(u, v)
-    rec = dict(site)
-    rec["c"] = c
-    return ReductionStep(RuleId.R4, rec, (c,), (pu, u, v), -1)
+    return {"c": c}, (c,), (pu, u, v), -1
 
 
 def _lift_r4(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -359,14 +365,13 @@ def _lift_r4(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     _uncontract(sol, step.site, "u", "v")
 
 
-def _apply_r5(g: Graph, site: dict) -> ReductionStep:
-    v, x, y, z = site["v"], site["x"], site["y"], site["z"]
+def _apply_r5(g: Graph, v: VertexId, x: VertexId, y: VertexId, z: VertexId) -> _Applied:
     _require_neighbors(g, v, (x, y, z), "R5")
     _require_pendant(g, z, v, "R5")
     g.remove_vertex(v)
     g.remove_vertex(z)
     g.ensure_edge(x, y)
-    return ReductionStep(RuleId.R5, dict(site), (), (v, z), -1)
+    return {}, (), (v, z), -1
 
 
 def _lift_r5(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -374,8 +379,7 @@ def _lift_r5(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     sol.add(step.site["v"])
 
 
-def _apply_r6(g: Graph, site: dict) -> ReductionStep:
-    a, b, x, v, y = site["a"], site["b"], site["x"], site["v"], site["y"]
+def _apply_r6(g: Graph, a: VertexId, b: VertexId, x: VertexId, v: VertexId, y: VertexId) -> _Applied:
     if a == b:
         raise RuleApplicationError(f"R6: the twins must be two vertices, got {a} twice")
     for t in (a, b):
@@ -386,17 +390,15 @@ def _apply_r6(g: Graph, site: dict) -> ReductionStep:
         if not _separates(g, pair):
             raise RuleApplicationError(f"R6: removing {pair} leaves the graph connected")
     g.remove_vertex(a)
-    rec = dict(site)
-    created = _hang_pendants(g, rec, _R6_PENDANTS)
-    return ReductionStep(RuleId.R6, rec, created, (a,), 0)
+    pendants = _hang_pendants(g, _R6_PENDANTS, (x, v, y))
+    return pendants, tuple(pendants.values()), (a,), 0
 
 
 def _lift_r6(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     _fold_pendants(sol, step.site, _R6_PENDANTS)
 
 
-def _apply_r7(g: Graph, site: dict) -> ReductionStep:
-    a, v, q, x, y = site["a"], site["v"], site["q"], site["x"], site["y"]
+def _apply_r7(g: Graph, a: VertexId, v: VertexId, q: VertexId, x: VertexId, y: VertexId) -> _Applied:
     _require_neighbors(g, a, (x, v, y), "R7")
     _require_neighbors(g, v, (x, a, y, q), "R7")
     if not x < y:
@@ -406,9 +408,8 @@ def _apply_r7(g: Graph, site: dict) -> ReductionStep:
     g.remove_vertex(v)
     g.remove_vertex(q)
     g.ensure_edge(x, y)
-    rec = dict(site)
-    created = _hang_pendants(g, rec, _R7_PENDANTS)
-    return ReductionStep(RuleId.R7, rec, created, (a, v, q), -1)
+    pendants = _hang_pendants(g, _R7_PENDANTS, (x, y))
+    return pendants, tuple(pendants.values()), (a, v, q), -1
 
 
 def _lift_r7(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -416,17 +417,20 @@ def _lift_r7(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     sol.add(step.site["v"])
 
 
-def apply_identification(
-    g: Graph, u: VertexId, v: VertexId, face_id: int = -1
-) -> ReductionStep:
-    """Merge the pendants of u and v into one fresh 2-vertex (R8).
+def apply_identification(g: Graph, u: VertexId, v: VertexId, face_id: int) -> ReductionStep:
+    """Merge the pendants of owners u and v found on face face_id (R8)."""
+    return apply_rule(g, RuleId.R8, {"u": u, "v": v, "face": face_id})
+
+
+def _merge_pendants(g: Graph, u: VertexId, v: VertexId, face: int) -> _Applied:
+    """R8's applier: merge the pendants of u and v into one fresh 2-vertex c.
 
     The owners must be distinct and non-adjacent (guaranteed for Phase 1
     fixpoints because R4 removed adjacent pendant-owner pairs). A site
     that breaks this, as a tampered journal may, raises
     RuleApplicationError before the graph changes. In a connected graph
     c is never a cut vertex (u and v stay joined), so none is checked.
-    face_id, the face Phase 2 found the pair on, is only recorded.
+    face, the face Phase 2 found the pair on, is only recorded.
     """
     if u not in g or v not in g:
         raise RuleApplicationError(f"R8 owners {u}, {v} must be vertices")
@@ -442,14 +446,7 @@ def apply_identification(
     c = g.add_vertex()
     g.add_edge(u, c)
     g.add_edge(v, c)
-    site: dict[str, int | bool] = {
-        "u": u, "v": v, "xu": xu, "xv": xv, "c": c, "face": face_id,
-    }
-    return ReductionStep(RuleId.R8, site, (c,), (xu, xv), 0)
-
-
-def _apply_r8(g: Graph, site: dict) -> ReductionStep:
-    return apply_identification(g, site["u"], site["v"], site["face"])
+    return {"xu": xu, "xv": xv, "c": c}, (c,), (xu, xv), 0
 
 
 def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
@@ -494,22 +491,25 @@ def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 
 
 class _Rule(NamedTuple):
-    apply: Callable[[Graph, dict], ReductionStep]
+    apply: Callable[..., _Applied]
     lift: Callable[[Graph, ReductionStep, set[VertexId]], None]
-    # the site roles that apply reads; apply_rule checks them first
-    roles: frozenset[str]
+    roles: tuple[str, ...]
+    # R3's cut flag: apply takes it last (None if the site lacks it) and records it
+    checked: str | None = None
 
 
 _RULES = {
-    RuleId.R1: _Rule(_apply_r1, _lift_r1, frozenset({"v", "keep"})),
-    RuleId.R2: _Rule(_apply_r2, _lift_r2, frozenset({"v", "u", "w"})),
-    RuleId.R3: _Rule(_apply_r3, _lift_r3, frozenset({"v", "u", "w"})),
-    RuleId.R4: _Rule(_apply_r4, _lift_r4, frozenset({"u", "v", "pu", "pv"})),
-    RuleId.R5: _Rule(_apply_r5, _lift_r5, frozenset({"v", "x", "y", "z"})),
-    RuleId.R6: _Rule(_apply_r6, _lift_r6, frozenset({"a", "b", "x", "v", "y"})),
-    RuleId.R7: _Rule(_apply_r7, _lift_r7, frozenset({"a", "v", "q", "x", "y"})),
-    RuleId.R8: _Rule(_apply_r8, _lift_r8, frozenset({"u", "v", "face"})),
+    RuleId.R1: _Rule(_apply_r1, _lift_r1, ("v", "keep")),
+    RuleId.R2: _Rule(_apply_r2, _lift_r2, ("v", "u", "w")),
+    RuleId.R3: _Rule(_apply_r3, _lift_r3, ("v", "u", "w"), "cut"),
+    RuleId.R4: _Rule(_apply_r4, _lift_r4, ("u", "v", "pu", "pv")),
+    RuleId.R5: _Rule(_apply_r5, _lift_r5, ("v", "x", "y", "z")),
+    RuleId.R6: _Rule(_apply_r6, _lift_r6, ("a", "b", "x", "v", "y")),
+    RuleId.R7: _Rule(_apply_r7, _lift_r7, ("a", "v", "q", "x", "y")),
+    RuleId.R8: _Rule(_merge_pendants, _lift_r8, ("u", "v", "face")),
 }
+# site -> its role values in one C call (two roles or more: a tuple)
+_READ_ROLES = {rule: itemgetter(*entry.roles) for rule, entry in _RULES.items()}
 
 
 # ----------------------------------------------------------------------

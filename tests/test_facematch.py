@@ -141,7 +141,7 @@ def test_identification_merges_pendants():
         p = g.add_vertex()
         g.add_edge(corner, p)
         pend[corner] = p
-    step = apply_identification(g, 1, 3)
+    step = apply_identification(g, 1, 3, 0)
     assert step.rule is RuleId.R8
     assert set(step.removed) == set(pend.values())
     c = step.created[0]

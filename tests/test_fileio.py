@@ -342,7 +342,7 @@ def test_cli_applier_bug_exits_70_with_traceback(tmp_path, capsys, monkeypatch):
     kernel, _ = fileio.parse_graph(capsys.readouterr().out)
     sol_file = write(tmp_path / "ksol.txt", fileio.serialize_solution(dfs_tree_cover(kernel)))
 
-    def broken_apply(g, site):
+    def broken_apply(g, v, u, w):
         raise ValueError("bug inside an applier")
 
     r2 = reductions._RULES[reductions.RuleId.R2]
@@ -586,8 +586,8 @@ def test_cli_round_trip_without_networkx():
     # to a cover, so must one reached through R5, R6 and R7 steps, a
     # decorated copy of the first graph and of its kernel solution, read
     # line by line, must give the same kernel, journal and lift, and
-    # an input error, a journal record without one of its roles, a
-    # missing --k and a non-planar K5 must exit 2.
+    # an input error, a journal record without one of its roles or with
+    # a site key beyond them, a missing --k and a non-planar K5 must exit 2.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
@@ -597,7 +597,7 @@ def test_cli_round_trip_without_networkx():
     assert steps == [
         "generate", "kernelize", "ring-merges", "abbreviated-options", "solve", "lift", "verify",
         "nonleaf-lift", "stats", "contraction-round-trip", "r5-r7-round-trip", "decorated-input", "input-error",
-        "missing-role", "usage-error", "nonplanar",
+        "missing-role", "unknown-role", "usage-error", "nonplanar",
     ]
 
 

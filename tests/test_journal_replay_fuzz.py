@@ -8,7 +8,8 @@ either exit 0 with a connected vertex cover of the input, or exit 2
 with one `error:` line saying which step does not replay or which line
 does not parse. Anything else, a bug inside an applier that the
 mutated record reaches among it, exits 70 and fails here. The first
-record of each rule also loses each of its roles in turn, and the first
+record of each rule also loses each of its roles in turn, or gains a
+site key that is neither a role nor one the rule adds, and the first
 R3 (non-cut), R6 and R7 records get each pair of their pendant parents
 swapped: replay must reject every such journal at that record as an
 InputError.
@@ -78,6 +79,18 @@ def test_replay_of_a_record_without_one_role_is_an_input_error(kernels, rule):
         steps[idx] = step._replace(site={r: v for r, v in step.site.items() if r != role})
         with pytest.raises(InputError, match=f"^journal does not replay at step {idx}: "):
             replay_journal(ReductionJournal(journal.input_graph, journal.dropped_isolated, steps))
+
+
+@pytest.mark.parametrize("rule", list(RuleId), ids=lambda r: r.name)
+def test_replay_of_a_record_with_an_unknown_site_key_fails_at_that_record(kernels, rule):
+    # A record's site is its roles plus what applying the rule adds to
+    # them; a key beyond those is a mismatch at its own record.
+    journal = next(k.journal for k in kernels.values() if any(s.rule is rule for s in k.journal.steps))
+    idx = next(i for i, s in enumerate(journal.steps) if s.rule is rule)
+    steps = list(journal.steps)
+    steps[idx] = steps[idx]._replace(site=dict(steps[idx].site, extra=0))
+    with pytest.raises(InputError, match=f"^journal does not replay at step {idx}: replayed "):
+        replay_journal(ReductionJournal(journal.input_graph, journal.dropped_isolated, steps))
 
 
 @pytest.mark.parametrize(

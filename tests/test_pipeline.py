@@ -282,6 +282,35 @@ def test_lift_rejects_invalid_kernel_solution():
         lift_solution(out.journal, set())
 
 
+def test_lift_checks_the_input_only_after_a_step(monkeypatch):
+    # With no step the kernel is the input minus its isolated vertices, so
+    # the kernel cover, checked on the kernel, is the lifted one; with a
+    # step the lifted cover is checked on the input too.
+    from planarcvc import pipeline
+
+    checked = []
+
+    def counted(g, s):
+        checked.append(g)
+        return verify_cvc(g, s)
+
+    monkeypatch.setattr(pipeline, "verify_cvc", counted)
+    g = gen_exception_graph()
+    g.add_vertex()
+    out = kernelize(Instance(g, g.n_vertices))
+    assert isinstance(out, Kernel) and out.journal.steps == [] and out.journal.dropped_isolated
+    cover = dfs_tree_cover(out.instance.graph)
+    assert lift_solution(out.journal, cover) == cover
+    assert len(checked) == 1 and checked[0] is not g
+
+    checked.clear()
+    star = make_star(5)
+    out = kernelize(Instance(star, 1))
+    assert isinstance(out, Kernel) and out.journal.steps
+    assert lift_solution(out.journal, {1}) == {1}
+    assert len(checked) == 2 and checked[1] is star
+
+
 def test_lift_corpus_solutions(corpus_small):
     for g in corpus_small[:40]:
         mini = minimum_cvc(g, g.n_vertices).size
@@ -349,7 +378,7 @@ def test_lift_merge_undo_branches():
 
     g = graph_from_edges([(1, 2), (2, 3), (1, 4), (3, 5)])
     work = g.copy()
-    step = apply_identification(work, 1, 3)
+    step = apply_identification(work, 1, 3, 0)
     journal = ReductionJournal(
         input_graph=g.copy(), dropped_isolated=(), steps=[step]
     )
@@ -380,7 +409,7 @@ def test_lift_merge_reconnects_through_the_smallest_vertex():
 
     g = graph_from_edges([(1, 2), (2, 3), (1, 7), (7, 3), (1, 4), (3, 5)])
     work = g.copy()
-    step = apply_identification(work, 1, 3)
+    step = apply_identification(work, 1, 3, 0)
     journal = ReductionJournal(input_graph=g.copy(), dropped_isolated=(), steps=[step])
     assert lift_solution(journal, {1, 3, step.created[0]}) == {1, 2, 3}
 
@@ -448,7 +477,7 @@ def test_replay_rejects_phase1_step_after_r8():
 
     g = graph_from_edges([(1, 3), (3, 2), (2, 4), (4, 1), (1, 5), (2, 6)])
     work = g.copy()
-    merge = apply_identification(work, 1, 2)
+    merge = apply_identification(work, 1, 2, 0)
     r3 = apply_rule(work, RuleId.R3, {"v": 3, "u": 1, "w": 2, "cut": False})
     journal = ReductionJournal(
         input_graph=g.copy(), dropped_isolated=(), steps=[merge, r3]
