@@ -30,8 +30,10 @@
 # with a self-loop, must exit 2 with a single `error:` line on stderr,
 # so must a lift whose journal lost the `w` role of its first R2 record
 # (n = 120), naming that step and the RuleApplicationError, with no
-# traceback, and so must one whose first R2 record gained a site key
-# that is not a role, naming that step; a kernelize without `--k` must exit 2 with argparse's
+# traceback, so must one whose first R2 record gained a site key
+# that is not a role, naming that step, and so must one whose first cut
+# R3 record says `"cut": false`, naming that step, since replay records
+# the flag the graph gives; a kernelize without `--k` must exit 2 with argparse's
 # `usage:` line, and K5, whose Phase 1 fixpoint has no pendant owner and so only meets
 # the left-right planarity test, must exit 2 with the not-planar error.
 # Prints one "ok <step>" line per step.
@@ -165,17 +167,23 @@ fi
 echo "ok input-error" >&2
 
 # tamper ACTION OUT: copy the n = 120 journal to OUT with ACTION done to
-# the site of its first R2 record ("del" drops w, "add" adds an extra
-# key); prints that record's index.
+# the site of one record ("del" drops w of the first R2 record, "add"
+# adds an extra key to it, "cut" clears the flag of the first cut R3
+# record); prints that record's index.
 tamper() {
   python3 -c '
 import json, sys
 records = [json.loads(line) for line in open(sys.argv[1])]
-idx = next(i for i, r in enumerate(records) if r["rule"] == "R2")
-if sys.argv[3] == "del":
-    del records[idx]["site"]["w"]
+action = sys.argv[3]
+if action == "cut":
+    idx = next(i for i, r in enumerate(records) if r["rule"] == "R3" and r["site"]["cut"])
+    records[idx]["site"]["cut"] = False
 else:
-    records[idx]["site"]["extra"] = 0
+    idx = next(i for i, r in enumerate(records) if r["rule"] == "R2")
+    if action == "del":
+        del records[idx]["site"]["w"]
+    else:
+        records[idx]["site"]["extra"] = 0
 open(sys.argv[2], "w").write("".join(json.dumps(r) + "\n" for r in records))
 print(idx)
 ' "$g.journal" "$2" "$1"
@@ -193,18 +201,26 @@ if [ "$code" -ne 2 ] || [ "$(cat "$work/missing-role.err")" != "$want" ]; then
 fi
 echo "ok missing-role" >&2
 
-idx=$(tamper add "$g-unknown-role.journal")
-want="error: journal does not replay at step $idx: replayed ReductionStep(rule=<RuleId.R2: 2>, "
-code=0
-run lift --input "$g.cvc" --journal "$g-unknown-role.journal" --solution "$g-kernel.sol" \
-  > /dev/null 2> "$work/unknown-role.err" || code=$?
-if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/unknown-role.err")" -ne 1 ] \
-  || [[ "$(cat "$work/unknown-role.err")" != "$want"* ]]; then
-  echo "journal with an unknown site key: want exit 2 and '$want...', got exit $code and:" >&2
-  cat "$work/unknown-role.err" >&2
-  exit 1
-fi
-echo "ok unknown-role" >&2
+# replay_mismatch NAME ACTION RULE: a lift with the n = 120 journal
+# tampered by ACTION must exit 2 with one line, the replay mismatch of
+# the tampered RULE record at its own step.
+replay_mismatch() {
+  local name=$1 idx want code=0
+  idx=$(tamper "$2" "$g-$name.journal")
+  want="error: journal does not replay at step $idx: replayed ReductionStep(rule=<RuleId.$3: ${3#R}>, "
+  run lift --input "$g.cvc" --journal "$g-$name.journal" --solution "$g-kernel.sol" \
+    > /dev/null 2> "$work/$name.err" || code=$?
+  if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/$name.err")" -ne 1 ] \
+    || [[ "$(cat "$work/$name.err")" != "$want"* ]]; then
+    echo "$name journal: want exit 2 and '$want...', got exit $code and:" >&2
+    cat "$work/$name.err" >&2
+    exit 1
+  fi
+  echo "ok $name" >&2
+}
+
+replay_mismatch unknown-role add R2
+replay_mismatch flipped-cut cut R3
 
 code=0
 run kernelize --input "$work/ring.cvc" > /dev/null 2> "$work/usage.err" || code=$?

@@ -6,6 +6,8 @@ the lexicographically smallest tuple of role vertices wins, which makes
 journals reproducible. Every application, by Phase 1, Phase 2 or journal
 replay, goes through apply_rule, whose ReductionStep carries the matched
 roles and the applier's additions, created/removed ids and budget change.
+A rule's roles are its applier's parameters after the graph; what the
+rule decides, like R3's cut flag, is an addition that replay compares.
 Each rule's lift, the exchange argument of its safety proof, sits next
 to its applier and reads those roles back: lift_rule maps a connected
 vertex cover of a step's post-graph to one of its pre-graph.
@@ -66,10 +68,10 @@ class RuleApplicationError(Exception):
 class ReductionStep(NamedTuple):
     """One journaled rule application.
 
-    site maps role names to vertex ids (plus the boolean 'cut' flag for
-    R3, which applying the rule records and replay checks);
-    created/removed list fresh and deleted ids in a fixed per-rule
-    order. Replaying the step on the pre-graph reproduces the post-graph.
+    site maps the rule's roles to vertex ids, plus what applying it added
+    (fresh ids, R3's boolean 'cut' flag, R8's merged pendants);
+    created/removed list fresh and deleted ids in a fixed per-rule order.
+    Replaying the step on the pre-graph reproduces it and the post-graph.
     """
 
     rule: RuleId
@@ -80,10 +82,15 @@ class ReductionStep(NamedTuple):
 
 
 class Phase1Result(NamedTuple):
+    """Where Phase 1 stopped: its graph, budget and steps; k < 0 is a NO."""
+
     graph: Graph
     k: int
     steps: list[ReductionStep]
-    early_no: bool = False
+
+    @property
+    def early_no(self) -> bool:
+        return self.k < 0
 
 
 # ----------------------------------------------------------------------
@@ -190,30 +197,28 @@ def _separates(g: Graph, pair: tuple[VertexId, VertexId]) -> bool:
 def apply_rule(g: Graph, rule: RuleId, site: dict[str, int | bool]) -> ReductionStep:
     """Apply one rule of R1-R8 in place and return its record.
 
-    The rule's applier gets the graph and the site's role values in the
-    rule's order, checks them against the graph, changes it and returns
-    the site's additions (new ids, R3's cut flag, R8's merged pendants),
-    the created and removed ids and the budget change. The record's site
-    is the roles plus those additions: a recorded site with any other
-    key does not replay. A site that lacks a role or does not match the
-    graph raises RuleApplicationError before the graph changes. The
-    roles that R3, R6 and R7 hang fresh pendants on must ascend (R3
-    u < w, R6 x < v < y, R7 x < y), or a swapped pair would hang them on
-    other parents under the same record and replay would fail later.
+    The rule's roles are its applier's parameters after g. The applier
+    gets the graph and the site's role values, checks them against the
+    graph, changes it and returns the site's additions (new ids, R3's
+    cut flag, R8's merged pendants), the created and removed ids and the
+    budget change. The record's site is the roles plus those additions:
+    a recorded site with any other key or addition does not replay. A
+    site that lacks a role or does not match the graph raises
+    RuleApplicationError before the graph changes. The roles that R3, R6
+    and R7 hang fresh pendants on must ascend (R3 u < w, R6 x < v < y,
+    R7 x < y), or a swapped pair would hang them on other parents under
+    the same record and replay would fail later.
     """
-    entry = _RULES[rule]
     try:
         values = _READ_ROLES[rule](site)
     except KeyError:
-        missing = sorted(set(entry.roles) - site.keys())
+        missing = sorted(set(_ROLES[rule]) - site.keys())
         raise RuleApplicationError(f"{rule.name}: site lacks the roles {missing}") from None
-    if entry.checked:
-        values += (site.get(entry.checked),)
-    added, created, removed, k_delta = entry.apply(g, *values)
+    added, created, removed, k_delta = _RULES[rule].apply(g, *values)
     rec = site | added
-    if len(rec) != len(entry.roles) + len(added):
+    if len(rec) != len(values) + len(added):
         # the site has a key that is neither a role nor an addition
-        rec = dict(zip(entry.roles, values)) | added
+        rec = dict(zip(_ROLES[rule], values)) | added
     return ReductionStep(rule, rec, created, removed, k_delta)
 
 
@@ -316,17 +321,14 @@ def _lift_r2(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
     _uncontract(sol, step.site, "u", "w")
 
 
-def _apply_r3(g: Graph, v: VertexId, u: VertexId, w: VertexId, recorded_cut: bool | None) -> _Applied:
+def _apply_r3(g: Graph, v: VertexId, u: VertexId, w: VertexId) -> _Applied:
     _require_neighbors(g, v, (u, w), "R3")
     if not u < w:
         raise RuleApplicationError(f"R3: u and w must ascend, got {u}, {w}")
     if g.has_edge(u, w):
         raise RuleApplicationError("R3: uw must not be an edge")
     # v cuts its component iff its two neighbors are apart in G - v.
-    cut = g.split_side(u, w, v.__ne__) is not None
-    if recorded_cut is not None and cut != bool(recorded_cut):
-        raise RuleApplicationError("R3: cut flag does not match the graph")
-    if cut:
+    if g.split_side(u, w, v.__ne__) is not None:
         c = g.contract_edge(u, v)
         return {"cut": True, "c": c}, (c,), (u, v), -1
     g.remove_vertex(v)
@@ -493,23 +495,22 @@ def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
 class _Rule(NamedTuple):
     apply: Callable[..., _Applied]
     lift: Callable[[Graph, ReductionStep, set[VertexId]], None]
-    roles: tuple[str, ...]
-    # R3's cut flag: apply takes it last (None if the site lacks it) and records it
-    checked: str | None = None
 
 
 _RULES = {
-    RuleId.R1: _Rule(_apply_r1, _lift_r1, ("v", "keep")),
-    RuleId.R2: _Rule(_apply_r2, _lift_r2, ("v", "u", "w")),
-    RuleId.R3: _Rule(_apply_r3, _lift_r3, ("v", "u", "w"), "cut"),
-    RuleId.R4: _Rule(_apply_r4, _lift_r4, ("u", "v", "pu", "pv")),
-    RuleId.R5: _Rule(_apply_r5, _lift_r5, ("v", "x", "y", "z")),
-    RuleId.R6: _Rule(_apply_r6, _lift_r6, ("a", "b", "x", "v", "y")),
-    RuleId.R7: _Rule(_apply_r7, _lift_r7, ("a", "v", "q", "x", "y")),
-    RuleId.R8: _Rule(_merge_pendants, _lift_r8, ("u", "v", "face")),
+    RuleId.R1: _Rule(_apply_r1, _lift_r1),
+    RuleId.R2: _Rule(_apply_r2, _lift_r2),
+    RuleId.R3: _Rule(_apply_r3, _lift_r3),
+    RuleId.R4: _Rule(_apply_r4, _lift_r4),
+    RuleId.R5: _Rule(_apply_r5, _lift_r5),
+    RuleId.R6: _Rule(_apply_r6, _lift_r6),
+    RuleId.R7: _Rule(_apply_r7, _lift_r7),
+    RuleId.R8: _Rule(_merge_pendants, _lift_r8),
 }
+# each rule's roles, the site keys it reads: its applier's parameters after g
+_ROLES = {rule: e.apply.__code__.co_varnames[1 : e.apply.__code__.co_argcount] for rule, e in _RULES.items()}
 # site -> its role values in one C call (two roles or more: a tuple)
-_READ_ROLES = {rule: itemgetter(*entry.roles) for rule, entry in _RULES.items()}
+_READ_ROLES = {rule: itemgetter(*roles) for rule, roles in _ROLES.items()}
 
 
 # ----------------------------------------------------------------------
@@ -520,16 +521,13 @@ _READ_ROLES = {rule: itemgetter(*entry.roles) for rule, entry in _RULES.items()}
 def run_phase1(g: Graph, k: int) -> Phase1Result:
     """Apply R1-R7 exhaustively to g, in place.
 
-    The scan restarts from R1 after every application. Stops early with
-    early_no=True as soon as the budget becomes negative, since no graph
-    has a connected vertex cover of negative size.
+    The scan restarts from R1 after every application. Stops early, with
+    k < 0 (early_no), once the budget is negative, since no graph has a
+    connected vertex cover of negative size.
     """
     steps: list[ReductionStep] = []
-    while k >= 0:
-        found = detect_rule(g)
-        if found is None:
-            return Phase1Result(g, k, steps)
+    while k >= 0 and (found := detect_rule(g)) is not None:
         step = apply_rule(g, *found)
         k += step.k_delta
         steps.append(step)
-    return Phase1Result(g, k, steps, early_no=True)
+    return Phase1Result(g, k, steps)

@@ -586,8 +586,9 @@ def test_cli_round_trip_without_networkx():
     # to a cover, so must one reached through R5, R6 and R7 steps, a
     # decorated copy of the first graph and of its kernel solution, read
     # line by line, must give the same kernel, journal and lift, and
-    # an input error, a journal record without one of its roles or with
-    # a site key beyond them, a missing --k and a non-planar K5 must exit 2.
+    # an input error, a journal record without one of its roles, with
+    # a site key beyond them or with a cut R3's flag cleared, a missing
+    # --k and a non-planar K5 must exit 2.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
@@ -597,7 +598,7 @@ def test_cli_round_trip_without_networkx():
     assert steps == [
         "generate", "kernelize", "ring-merges", "abbreviated-options", "solve", "lift", "verify",
         "nonleaf-lift", "stats", "contraction-round-trip", "r5-r7-round-trip", "decorated-input", "input-error",
-        "missing-role", "unknown-role", "usage-error", "nonplanar",
+        "missing-role", "unknown-role", "flipped-cut", "usage-error", "nonplanar",
     ]
 
 

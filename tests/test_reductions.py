@@ -6,12 +6,14 @@ from itertools import combinations
 
 import pytest
 
+from planarcvc import reductions
 from planarcvc.embedding import is_planar
 from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
 from planarcvc.graph import Graph
 from planarcvc.oracle import minimum_cvc, verify_cvc
 from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, replay_journal
 from planarcvc.reductions import (
+    Phase1Result,
     RuleApplicationError,
     RuleId,
     apply_identification,
@@ -163,8 +165,11 @@ def test_apply_site_mismatch_rejected():
     g = make_cycle(4)
     with pytest.raises(RuleApplicationError):
         apply_rule(g, RuleId.R2, {"v": 1, "u": 2, "w": 4})  # uw not an edge
-    with pytest.raises(RuleApplicationError):
-        apply_rule(g, RuleId.R3, {"v": 1, "u": 2, "w": 4, "cut": True})
+    # R3's cut flag is what the rule finds on the graph, not a role: the
+    # record holds the 4-cycle's own flag whatever the site says.
+    for extra in ({"cut": True}, {"cut": False}, {}):
+        step = apply_rule(make_cycle(4), RuleId.R3, {"v": 1, "u": 2, "w": 4, **extra})
+        assert step.site["cut"] is False
 
 
 @pytest.mark.parametrize(
@@ -195,7 +200,6 @@ def test_apply_rejects_a_repeated_role(g, rule, site, message):
         (make_path(3), RuleId.R2, {"v": 2, "u": 1, "w": 3}, "R2: uw is not an edge"),
         (make_path(3), RuleId.R3, {"v": 2, "u": 3, "w": 1}, "R3: u and w must ascend, got 3, 1"),
         (make_cycle(3), RuleId.R3, {"v": 1, "u": 2, "w": 3}, "R3: uw must not be an edge"),
-        (make_path(3), RuleId.R3, {"v": 2, "u": 1, "w": 3, "cut": False}, "R3: cut flag does not match the graph"),
         (make_path(4), RuleId.R4, {"u": 1, "v": 3, "pu": 2, "pv": 4}, "R4: uv is not an edge"),
         (make_path(2), RuleId.R4, {"u": 1, "v": 2, "pu": 2, "pv": 1}, "R4: roles must be four distinct vertices"),
         (r6_example(), RuleId.R6, {"a": 3, "b": 3, "x": 1, "v": 5, "y": 6}, "R6: the twins must be two vertices, got 3 twice"),
@@ -289,17 +293,44 @@ def test_apply_rule_names_the_roles_a_site_lacks():
     assert g.edges() == [(1, 2), (2, 3)]
 
 
-@pytest.mark.parametrize("cut", [True, False], ids=["cut", "non-cut"])
-def test_replay_rejects_a_flipped_r3_cut_flag(cut):
-    # The recorded flag is untrusted: replay asks the cut question again.
+@pytest.mark.parametrize(
+    "cut, tampered", [(True, False), (False, True), (True, None)], ids=["cut", "non-cut", "deleted"]
+)
+def test_replay_rejects_a_flipped_r3_cut_flag(cut, tampered):
+    # The recorded flag is untrusted: replay asks the cut question again,
+    # records the answer and compares the record, so a flipped or missing
+    # flag fails at its own step.
     out = kernelize(Instance(gen_random_planar(100, 0.35, 1), 100))
     assert isinstance(out, Kernel)
     steps = list(out.journal.steps)
     idx = next(i for i, s in enumerate(steps) if s.rule is RuleId.R3 and s.site["cut"] is cut)
-    steps[idx] = steps[idx]._replace(site=dict(steps[idx].site, cut=not cut))
+    site = dict(steps[idx].site, cut=tampered)
+    if tampered is None:
+        del site["cut"]
+    steps[idx] = steps[idx]._replace(site=site)
     journal = ReductionJournal(out.journal.input_graph, out.journal.dropped_isolated, steps)
-    with pytest.raises(ValueError, match=f"at step {idx}: RuleApplicationError.*cut flag"):
+    with pytest.raises(ValueError, match=f"^journal does not replay at step {idx}: replayed "):
         replay_journal(journal)
+
+
+@pytest.mark.parametrize(
+    "rule, roles",
+    [
+        (RuleId.R1, ("v", "keep")),
+        (RuleId.R2, ("v", "u", "w")),
+        (RuleId.R3, ("v", "u", "w")),
+        (RuleId.R4, ("u", "v", "pu", "pv")),
+        (RuleId.R5, ("v", "x", "y", "z")),
+        (RuleId.R6, ("a", "b", "x", "v", "y")),
+        (RuleId.R7, ("a", "v", "q", "x", "y")),
+        (RuleId.R8, ("u", "v", "face")),
+    ],
+    ids=[rule.name for rule in RuleId],
+)
+def test_rule_roles_are_the_applier_parameters(rule, roles):
+    # A rule's roles are its applier's parameters after g and the keys
+    # its journal records carry: renaming a parameter changes the format.
+    assert reductions._ROLES[rule] == roles
 
 
 # One single-step case (graph, rule, site) per branch of the lift maps.
@@ -388,8 +419,10 @@ def test_phase1_exception_graph_unchanged():
 
 
 def test_phase1_budget_underflow():
+    # The NO is read off the budget: R2 on the triangle leaves k = -1.
     result = run_phase1(make_cycle(3), 0)
-    assert result.early_no
+    assert Phase1Result._fields == ("graph", "k", "steps")
+    assert result.k == -1 and result.early_no
 
 
 def test_phase1_star_keeps_one_pendant():
