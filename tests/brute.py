@@ -31,8 +31,10 @@ must be equal, face for face.
 The helpers at the top have no caller in the package and only state
 what tests check: graph_from_edges builds a graph from an edge list,
 check_graph asserts Graph's simple-graph invariants, check_matching
-asserts that a Matching is one of its graph, and tightness_cover is the
-ring family's canonical cover (pendant owners plus the two hubs).
+asserts that a Matching is one of its graph, tightness_cover is the
+ring family's canonical cover (pendant owners plus the two hubs), and
+pendant_wheel builds the wheel family, whose outer face holds every
+pendant owner.
 Whether a graph has a connected vertex cover of size at most k is
 minimum_cvc(g, k) is not None.
 """
@@ -101,6 +103,20 @@ def tightness_cover(g: Graph) -> set[VertexId]:
     """
     hubs = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))[:2]
     return set(pendant_owners(g)) | set(hubs)
+
+
+def pendant_wheel(m: int) -> Graph:
+    """A rim of 2m vertices 1..2m, each joined to the hub 2m + 1, with the
+    pendant 2m + 1 + i on the rim vertex 2i - 1 for i = 1..m.
+
+    No rule of R1-R7 fires on it, and the outer face holds all m pendant
+    owners, so Phase 2 matches m owners that share one face.
+    """
+    hub = 2 * m + 1
+    edges = [(r, r % (2 * m) + 1) for r in range(1, hub)]
+    edges += [(r, hub) for r in range(1, hub)]
+    edges += [(2 * i - 1, hub + i) for i in range(1, m + 1)]
+    return graph_from_edges(edges)
 
 
 def brute_matching_size(g: Graph) -> int:

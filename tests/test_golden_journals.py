@@ -36,7 +36,7 @@ from planarcvc.pipeline import (
 )
 from planarcvc.reductions import RuleId, lift_rule
 
-from brute import dfs_tree_cover, non_leaf_cover
+from brute import dfs_tree_cover, non_leaf_cover, pendant_wheel
 
 GOLDEN = Path(__file__).with_name("golden_journals.json")
 GOLDEN_LIFTS = Path(__file__).with_name("golden_lifts.json")
@@ -44,12 +44,23 @@ GOLDEN_NONLEAF_LIFTS = Path(__file__).with_name("golden_nonleaf_lifts.json")
 
 
 def golden_corpus():
-    """(label, graph, k): random planar graphs at k = n, ring family at 3l+2."""
+    """(label, graph, k): random planar graphs at k = n, ring family at 3l+2.
+
+    The larger rows are budgeted at their DFS-tree cover: sparse inputs
+    whose Phase 1 builds large hubs, a denser one where R5 fires, the
+    ring at l = 50, and the wheel at m = 200, whose one face holds 200
+    pendant owners (100 R8 steps).
+    """
     for n in (50, 100, 200, 400):
         for seed in range(5):
             yield f"random n={n} seed={seed}", gen_random_planar(n, 0.5, seed), n
     for copies in (3, 6, 12):
         yield f"tightness l={copies}", gen_tightness(copies), 3 * copies + 2
+    larger = [(f"random n={n} density={p} seed=1", gen_random_planar(n, p, 1))
+              for n, p in ((800, 0.35), (1600, 0.35), (800, 0.6))]
+    larger += [("tightness l=50", gen_tightness(50)), ("wheel m=200", pendant_wheel(200))]
+    for label, g in larger:
+        yield label, g, len(dfs_tree_cover(g))
 
 
 @functools.cache
