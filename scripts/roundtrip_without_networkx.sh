@@ -7,6 +7,10 @@
 # merged 2-vertex with both its owners, is lifted and verified too.
 # `kernelize --stats` on the same ring (fixpoint replay, exact solver,
 # partition) must report that the partition bound holds.
+# The pendant wheel at m = 50, written here with the standard library,
+# has all 50 pendant owners on its outer face: its journal must hold
+# exactly 25 R8 records, and its kernel's non-leaf cover must lift to a
+# cover of the wheel.
 # The ring's Phase 1 makes no step, so a random planar graph (n = 120,
 # density 0.5) makes the same round trip through Phase 1's contractions:
 # its journal must hold at least one R2, one cut R3 and one R4 record.
@@ -111,6 +115,30 @@ if ! grep -qx 'stats partition-bound holds' "$work/stats.err"; then
   exit 1
 fi
 echo "ok stats" >&2
+
+# The wheel: rim 1..2m, hub 2m + 1, and the pendant 2m + 1 + i on the rim
+# vertex 2i - 1. The rim, 2m vertices, is a connected vertex cover.
+python3 -c '
+import sys
+m = int(sys.argv[1])
+hub = 2 * m + 1
+edges = [(r, r + 1) for r in range(1, 2 * m)] + [(1, 2 * m)]
+edges += [(r, hub) for r in range(1, hub)] + [(2 * i - 1, hub + i) for i in range(1, m + 1)]
+sys.stdout.write(f"p cvc {3 * m + 1} {len(edges)}\n" + "".join(f"e {u} {w}\n" for u, w in sorted(edges)))
+' 50 > "$work/wheel.cvc"
+run kernelize --input "$work/wheel.cvc" --k 100 --journal "$work/wheel.journal" > "$work/wheel-kernel.out"
+merges=$(grep -c '"rule": "R8"' "$work/wheel.journal" || true)
+if [ "$merges" -ne 25 ]; then
+  echo "wheel m = 50: want 25 R8 records, got $merges" >&2
+  exit 1
+fi
+grep -v '^c ' "$work/wheel-kernel.out" > "$work/wheel-kernel.cvc"
+awk '$1 == "e" { d[$2]++; d[$3]++ } END { for (v in d) if (d[v] > 1) print v }' \
+  "$work/wheel-kernel.cvc" | sort -n > "$work/wheel-nonleaf.sol"
+run lift --input "$work/wheel.cvc" --journal "$work/wheel.journal" \
+  --solution "$work/wheel-nonleaf.sol" > "$work/wheel-lifted.sol"
+run verify --input "$work/wheel.cvc" --solution "$work/wheel-lifted.sol"
+echo "ok wheel-round-trip" >&2
 
 # Random planar graph of N vertices and density 0.5: kernelize at k = N,
 # require one journal record matching each PATTERN, then solve the

@@ -9,11 +9,11 @@ those indices, as half-edges. Roots and neighbour lists are taken in
 ascending id order, so the rotation system is the one
 ``networkx.check_planarity`` returns for the same graph with nodes and
 edges added in sorted order, down to the first neighbour of every
-rotation. The faces are numbered by one walk over the half-edges;
-the rotation system and the face list in vertex ids are built from the
-half-edges only when asked for, and Phase 2 reads the faces it needs
-without either. The checks of an embedding (Euler's formula, faces
-against an independent tracer) live with the tests.
+rotation. The faces are numbered by one walk over the half-edges; the
+face list in vertex ids is built from the half-edges only when asked
+for, and Phase 2 reads the faces it needs without it. The checks of an
+embedding (Euler's formula, faces against an independent tracer, the
+rotation system in vertex ids) live with the tests.
 Face orientation follows one fixed convention: the edge after (u, v) on
 a boundary walk is (v, w) where w is the cyclic successor of u in the
 rotation at v. Only the consistency of this convention matters, not
@@ -90,10 +90,9 @@ class Embedding:
     Vertex i is vertices[i], ids ascending. Half-edge h points to vertex
     ends[h] and leaves vertex ends[h ^ 1], h ^ 1 being its reverse; cw[h]
     is the half-edge after h around the vertex it leaves, and leftmost[i]
-    is the first half-edge at vertex i (-1 when there is none). The
-    rotation system and the face list, in vertex ids, are built on first
-    access; face_members reads faces without building either. Equality
-    is identity.
+    is the first half-edge at vertex i (-1 when there is none). The face
+    list, in vertex ids, is built on first access; face_members reads
+    faces without building it. Equality is identity.
     """
 
     def __init__(
@@ -111,22 +110,6 @@ class Embedding:
     @property
     def n_edges(self) -> int:
         return len(self.cw) // 2
-
-    @cached_property
-    def rotation(self) -> dict[VertexId, tuple[VertexId, ...]]:
-        """Each vertex's neighbors in rotation order, from its leftmost half-edge."""
-        vertices, ends, cw = self.vertices, self.ends, self.cw
-        rotation = {}
-        for v, first in zip(vertices, self.leftmost):
-            around = []
-            if first >= 0:
-                around.append(vertices[ends[first]])
-                h = cw[first]
-                while h != first:
-                    around.append(vertices[ends[h]])
-                    h = cw[h]
-            rotation[v] = tuple(around)
-        return rotation
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:

@@ -2,15 +2,16 @@
 
 Vertices that own a pendant and share a face can have their pendants
 identified into one 2-vertex. To squeeze out as many identifications as
-possible, an auxiliary graph over pendant owners is built (edges =
-co-faciality, a union of per-face cliques), a maximum matching of it is
-computed, and the matching is rearranged face by face into consecutive,
-hence non-crossing, pairs of equal total count before the merges are
-performed. Both the aux graph and the rearrangement read the faces off
-the embedding's half-edge face walk (Embedding.face_members): one scan
-of the walk for the owners' corners, then work only on the faces with
-two or more owners; no Face list or rotation dict is built. The merges
-themselves are R8 steps, applied and undone by reductions.
+possible, the owners on each face are handed to the matcher as one
+group of mutually adjacent vertices (co-faciality is the union of the
+per-face cliques, which is never built), and its maximum matching is
+rearranged face by face into consecutive, hence non-crossing, pairs of
+equal total count before the merges are performed. Both the groups and
+the rearrangement read the faces off the embedding's half-edge face
+walk (Embedding.face_members): one scan of the walk for the owners'
+corners, then work only on the faces with two or more owners; no Face
+list is built. The merges themselves are R8 steps, applied and undone
+by reductions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 from .embedding import Embedding, embed, is_planar
 from .graph import Graph, VertexId
-from .matching import Matching, maximum_matching
+from .matching import Matching, match_groups
 from .reductions import ReductionStep, apply_identification
 
 
@@ -30,6 +31,11 @@ class AuxGraph(NamedTuple):
     edges: frozenset[tuple[VertexId, VertexId]]
 
     def to_graph(self) -> Graph:
+        """The co-faciality graph as a Graph, for maximum_matching.
+
+        Kept, like build_aux_graph, for the reference matching in the
+        tests and for perfbench/tracing.py; Phase 2 calls neither.
+        """
         g = Graph()
         for v in self.vertices:
             g.add_named_vertex(v)
@@ -60,7 +66,11 @@ def pendant_owners(g: Graph) -> list[VertexId]:
 
 
 def build_aux_graph(g1: Graph, e: Embedding) -> AuxGraph:
-    """Union of per-face cliques on the pendant owners incident to each face."""
+    """Union of per-face cliques on the pendant owners incident to each face.
+
+    Phase 2 matches the same faces' owners without this graph; it stays
+    as the reference for the tests and for perfbench/tracing.py.
+    """
     owners = pendant_owners(g1)
     edges: set[tuple[VertexId, VertexId]] = set()
     for _, members in e.face_members(owners):
@@ -104,17 +114,12 @@ def run_phase2(g: Graph) -> list[ReductionStep]:
     realizable without re-embedding. With fewer than two pendant owners
     there is nothing to pair, so only planarity is decided and no
     embedding is built. A non-planar g raises NonPlanarGraphError either
-    way.
+    way. Each face's owners, ascending, are one group of match_groups,
+    so no co-faciality graph is built.
     """
-    if len(pendant_owners(g)) < 2 and is_planar(g):
+    owners = pendant_owners(g)
+    if len(owners) < 2 and is_planar(g):
         return []
     e = embed(g)  # raises NonPlanarGraphError for a non-planar g
-    aux = build_aux_graph(g, e)
-    if not aux.edges:
-        return []
-    m0 = maximum_matching(aux.to_graph())
-    planar = planarize_matching(m0, e)
-    steps = []
-    for u, v, face_id in planar.pairs:
-        steps.append(apply_identification(g, u, v, face_id))
-    return steps
+    m0 = match_groups([sorted(members) for _, members in e.face_members(owners)])
+    return [apply_identification(g, u, v, face_id) for u, v, face_id in planarize_matching(m0, e).pairs]

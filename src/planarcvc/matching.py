@@ -1,18 +1,31 @@
 """Maximum cardinality matching in general graphs (blossom algorithm).
 
-Augmenting-path search with blossom shrinking, O(V^3) overall. Each
-search resets and scans only the vertices of its own alternating tree,
-so a search that stays local costs its tree, not the whole graph. The
-input graph does not have to be planar or connected; correctness, not
-the sub-quadratic factor of fancier matchers, is the contract here.
-Small instances are cross-checked against an exhaustive matcher in the
-tests.
+The graph is given as groups of mutually adjacent vertices, each group
+ascending and without repeats: Phase 2 passes each face's pendant
+owners, and maximum_matching passes a Graph's edges, one group each. No
+clique is built. A vertex's neighbours are read in ascending order,
+without duplicates, by merging the groups it belongs to, and only when
+a search scans them.
+
+Roots are taken in ascending order. A root with an unmatched neighbour
+is matched to the smallest one, which is where its augmenting-path
+search would stop: that search scans the root's neighbours in ascending
+order and ends at the first unmatched one. One forward-only pointer per
+group finds that neighbour: it passes matched members, which stay
+matched, and roots already taken, whose searches either matched them or
+found every other member of their groups matched. Only a root with no
+free neighbour runs the blossom search: augmenting paths with blossom
+shrinking, which resets and scans only the vertices of its own
+alternating tree. Those roots still pay its O(V^3) worst case, and a
+search through one group of m members reads m^2 adjacencies. Planarity
+and connectivity are not required. Small instances are cross-checked
+against an exhaustive matcher in the tests.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Graph, VertexId
 
@@ -29,12 +42,27 @@ class Matching(NamedTuple):
 
 def maximum_matching(g: Graph) -> Matching:
     """Compute a maximum cardinality matching of g."""
-    verts = g.vertices()
+    return match_groups(g.edges())
+
+
+def match_groups(groups: Iterable[Sequence[VertexId]]) -> Matching:
+    """A maximum cardinality matching of the union of cliques on the groups.
+
+    Each group is ascending and holds no vertex twice.
+    """
+    groups = list(groups)
+    verts = sorted({v for group in groups for v in group})
     n = len(verts)
     if n == 0:
         return Matching()
     index = {v: i for i, v in enumerate(verts)}
-    adj = [[index[w] for w in g.neighbors(v)] for v in verts]
+    members = [[index[v] for v in group] for group in groups]
+    groups_of: list[list[int]] = [[] for _ in range(n)]
+    for gi, group in enumerate(members):
+        for i in group:
+            groups_of[i].append(gi)
+    adj: list[list[int] | None] = [None] * n  # filled when a search scans the vertex
+    first_free = [0] * len(members)  # per group, each member before it is matched or was a root
 
     match = [-1] * n
     parent = [-1] * n
@@ -44,6 +72,29 @@ def maximum_matching(g: Graph) -> Matching:
     # whose parent, base or in_queue entry differs from its reset value
     tree: set[int] = set()
     queue: deque[int] = deque()
+
+    def neighbours(v: int) -> list[int]:
+        nbrs = adj[v]
+        if nbrs is None:
+            nbrs = adj[v] = sorted({w for gi in groups_of[v] for w in members[gi]})
+            nbrs.remove(v)
+        return nbrs
+
+    def free_neighbour(v: int) -> int:
+        """The smallest unmatched neighbour of v, or n when there is none.
+
+        The pointers pass v too: v is matched next, or its search fails
+        because every other member of its groups is matched, for good.
+        """
+        best = n
+        for gi in groups_of[v]:
+            group, i = members[gi], first_free[gi]
+            while i < len(group) and (group[i] == v or match[group[i]] != -1):
+                i += 1
+            first_free[gi] = i
+            if i < len(group) and group[i] < best:
+                best = group[i]
+        return best
 
     def lca(a: int, b: int) -> int:
         used: set[int] = set()
@@ -82,7 +133,7 @@ def maximum_matching(g: Graph) -> Matching:
         enqueue(root)
         while queue:
             v = queue.popleft()
-            for to in adj[v]:
+            for to in neighbours(v):
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -109,9 +160,11 @@ def maximum_matching(g: Graph) -> Matching:
     for v in range(n):
         if match[v] != -1:
             continue
-        leaf = find_augmenting_path(v)
-        if leaf == -1:
+        w = free_neighbour(v)
+        if w < n:
+            match[v], match[w] = w, v
             continue
+        leaf = find_augmenting_path(v)
         # Alternate matched/unmatched edges back to the root.
         while leaf != -1:
             pv = parent[leaf]
@@ -120,10 +173,4 @@ def maximum_matching(g: Graph) -> Matching:
             match[pv] = leaf
             leaf = next_leaf
 
-    pairs = frozenset(
-        (min(verts[i], verts[match[i]]), max(verts[i], verts[match[i]]))
-        for i in range(n)
-        if match[i] > i
-    )
-    return Matching(edges=pairs)
-
+    return Matching(edges=frozenset((verts[i], verts[match[i]]) for i in range(n) if match[i] > i))

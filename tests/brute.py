@@ -26,7 +26,9 @@ reference_maximum_matching is the blossom matcher before its searches
 became local to their trees; the matchings must be equal, edge for edge.
 reference_faces is the face tracer on vertex ids and successor dicts
 that embed used before faces were walked on half-edges; the face lists
-must be equal, face for face.
+must be equal, face for face. rotation reads an Embedding's rotation
+system off its half-edges in vertex ids, the form networkx and
+reference_faces take; the package itself never needs it.
 
 The helpers at the top have no caller in the package and only state
 what tests check: graph_from_edges builds a graph from an edge list,
@@ -48,7 +50,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from planarcvc.embedding import Face
+from planarcvc.embedding import Embedding, Face
 from planarcvc.facematch import pendant_owners
 from planarcvc.fileio import GraphParseError
 from planarcvc.graph import Graph, VertexId
@@ -608,6 +610,22 @@ def reference_verify_cvc(g: Graph, s: set[VertexId] | frozenset[VertexId]) -> bo
         if u not in s and w not in s:
             return False
     return reference_is_connected(g, s)
+
+
+def rotation(e: Embedding) -> dict[VertexId, tuple[VertexId, ...]]:
+    """Each vertex's neighbors in rotation order, from its leftmost half-edge."""
+    vertices, ends, cw = e.vertices, e.ends, e.cw
+    out = {}
+    for v, first in zip(vertices, e.leftmost):
+        around = []
+        if first >= 0:
+            around.append(vertices[ends[first]])
+            h = cw[first]
+            while h != first:
+                around.append(vertices[ends[h]])
+                h = cw[h]
+        out[v] = tuple(around)
+    return out
 
 
 def reference_faces(rotation: dict[VertexId, tuple[VertexId, ...]]) -> tuple[Face, ...]:

@@ -28,12 +28,13 @@ import pytest
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.pipeline import Instance, Kernel, kernelize, lift_solution, replay_journal
 
-from brute import dfs_tree_cover, non_leaf_cover
+from brute import dfs_tree_cover, non_leaf_cover, pendant_wheel
 
 FAMILIES = {
     "sparse": lambda n: gen_random_planar(n, 0.35, 1),
     "ring": gen_tightness,
     "triangulation": lambda n: gen_random_planar(n, 1.0, 1),
+    "wheel": pendant_wheel,
 }
 
 
@@ -70,6 +71,7 @@ def layer_call(layer: str, family: str, size: int):
 
 SPARSE = (200, 400, 800)
 RING = (16, 33, 66)
+WHEEL = (50, 100, 200)
 ROWS = [
     ("generate", "sparse", SPARSE, 1.2),
     ("replay", "sparse", SPARSE, 1.2),
@@ -78,6 +80,7 @@ ROWS = [
     ("kernelize", "ring", RING, 1.2),
     ("replay", "ring", RING, 1.2),
     ("kernelize", "triangulation", SPARSE, 1.2),
+    ("kernelize", "wheel", WHEEL, 1.2),
 ]
 
 

@@ -581,8 +581,10 @@ def test_cli_round_trip_without_networkx():
     # but for generate, without loading argparse), the ring's kernel
     # must keep all three merges and be the same with abbreviated
     # options, its non-leaf cover must lift to a cover too, `kernelize
-    # --stats` must find the partition bound holding, a random graph's
-    # kernel, reached through R2, cut R3 and R4 contractions, must lift
+    # --stats` must find the partition bound holding, the pendant wheel
+    # at m = 50 must make 25 merges and lift its non-leaf cover, a
+    # random graph's kernel, reached through R2, cut R3 and R4
+    # contractions, must lift
     # to a cover, so must one reached through R5, R6 and R7 steps, a
     # decorated copy of the first graph and of its kernel solution, read
     # line by line, must give the same kernel, journal and lift, and
@@ -597,8 +599,8 @@ def test_cli_round_trip_without_networkx():
     steps = [ln.split()[1] for ln in proc.stderr.splitlines() if ln.startswith("ok ")]
     assert steps == [
         "generate", "kernelize", "ring-merges", "abbreviated-options", "solve", "lift", "verify",
-        "nonleaf-lift", "stats", "contraction-round-trip", "r5-r7-round-trip", "decorated-input", "input-error",
-        "missing-role", "unknown-role", "flipped-cut", "usage-error", "nonplanar",
+        "nonleaf-lift", "stats", "wheel-round-trip", "contraction-round-trip", "r5-r7-round-trip",
+        "decorated-input", "input-error", "missing-role", "unknown-role", "flipped-cut", "usage-error", "nonplanar",
     ]
 
 

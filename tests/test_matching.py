@@ -1,16 +1,32 @@
-"""matching: blossom correctness against the exhaustive matcher."""
+"""matching: blossom correctness against the exhaustive matcher.
+
+The group matcher that Phase 2 calls on each face's owners must give
+the matching that maximum_matching gives on the co-faciality graph
+(build_aux_graph(...).to_graph(), the union of the faces' cliques),
+edge for edge: the R8 pairs, and so the journals, come from it.
+"""
 
 from __future__ import annotations
+
+import random
+from itertools import combinations
 
 from hypothesis import given, settings
 
 from planarcvc.embedding import embed
-from planarcvc.facematch import build_aux_graph
+from planarcvc.facematch import build_aux_graph, pendant_owners
 from planarcvc.generators import gen_random_planar, gen_tightness
-from planarcvc.matching import maximum_matching
+from planarcvc.graph import Graph
+from planarcvc.matching import match_groups, maximum_matching
 from planarcvc.reductions import run_phase1
 
-from brute import brute_matching_size, check_matching, reference_maximum_matching
+from brute import (
+    brute_matching_size,
+    check_matching,
+    graph_from_edges,
+    pendant_wheel,
+    reference_maximum_matching,
+)
 from conftest import (
     make_complete,
     make_complete_bipartite,
@@ -117,3 +133,61 @@ def test_matching_equals_reference_on_ring_aux_graphs():
         m = maximum_matching(aux)
         assert m.size > 0
         assert m.edges == reference_maximum_matching(aux).edges
+
+
+def _face_group_and_clique_matchings(g: Graph):
+    """match_groups on the faces' owners, and maximum_matching on their cliques."""
+    e = embed(g)
+    groups = [sorted(members) for _, members in e.face_members(pendant_owners(g))]
+    return match_groups(groups), maximum_matching(build_aux_graph(g, e).to_graph())
+
+
+def test_group_matcher_equals_clique_graph_matcher_on_clique_unions():
+    # Non-planar unions included; the clique graph is also matched by the
+    # matcher as it was before groups, which shares no greedy step.
+    rng = random.Random(2026)
+    matched = 0
+    for i in range(1500):
+        n = rng.randint(2, 40)
+        groups = [
+            sorted(rng.sample(range(1, n + 1), rng.randint(2, min(n, 8))))
+            for _ in range(rng.randint(1, n))
+        ]
+        cliques = graph_from_edges(sorted({pair for group in groups for pair in combinations(group, 2)}))
+        m = match_groups(groups)
+        assert m.edges == maximum_matching(cliques).edges == reference_maximum_matching(cliques).edges, i
+        matched += m.size > 0
+    assert matched == 1500
+
+
+def test_group_matcher_equals_clique_graph_matcher_on_phase1_fixpoints():
+    # Pendants hung on a third of the vertices leave owners at the fixpoint.
+    rng = random.Random(7)
+    matched = 0
+    for i in range(120):
+        n = (20, 40, 80)[i % 3]
+        g = gen_random_planar(n, (0.35, 0.5, 0.8)[i // 3 % 3], 8800 + i)
+        if i % 2:
+            for v in rng.sample(g.vertices(), n // 3):
+                g.add_edge(v, g.add_vertex())
+        fixpoint = run_phase1(g, 10**6).graph
+        if fixpoint.n_vertices:
+            group, clique = _face_group_and_clique_matchings(fixpoint)
+            assert group.edges == clique.edges, i
+            matched += group.size > 0
+    assert matched >= 5
+
+
+def test_group_matcher_equals_clique_graph_matcher_on_ring_family():
+    for l in range(3, 101):
+        group, clique = _face_group_and_clique_matchings(gen_tightness(l))
+        assert group.size == l
+        assert group.edges == clique.edges, l
+
+
+def test_group_matcher_equals_clique_graph_matcher_on_wheels():
+    # One face holds all m owners; odd m leaves one root to the blossom search.
+    for m in (2, 3, 4, 5, 7, 50, 101, 200, 401, 800):
+        group, clique = _face_group_and_clique_matchings(pendant_wheel(m))
+        assert group.size == m // 2
+        assert group.edges == clique.edges, m

@@ -33,7 +33,7 @@ from planarcvc.pipeline import (
 )
 from planarcvc.reductions import RuleId, apply_rule, run_phase1
 
-from brute import brute_minimum_cvc, dfs_tree_cover, graph_from_edges, tightness_cover
+from brute import brute_minimum_cvc, dfs_tree_cover, graph_from_edges, rotation, tightness_cover
 from conftest import (
     make_complete,
     make_complete_bipartite,
@@ -146,44 +146,44 @@ def test_kernelize_nonplanar_fixed_graphs():
 
 
 def _count_embedding_builds(monkeypatch) -> dict[str, int]:
-    """Count half-edge embeddings, rotation dicts and Face lists built from now on."""
-    calls = {"half_edges": 0, "rotation": 0, "faces": 0}
+    """Count half-edge embeddings and Face lists built from now on."""
+    calls = {"half_edges": 0, "faces": 0}
     build = embedding._LRPlanarity.embedding
 
     def counted_build(self):
         calls["half_edges"] += 1
         return build(self)
 
-    monkeypatch.setattr(embedding._LRPlanarity, "embedding", counted_build)
-    for name in ("rotation", "faces"):
-        def counted(self, built=vars(embedding.Embedding)[name].func, name=name):
-            calls[name] += 1
-            return built(self)
+    def counted_faces(self, built=vars(embedding.Embedding)["faces"].func):
+        calls["faces"] += 1
+        return built(self)
 
-        lazy = functools.cached_property(counted)
-        lazy.__set_name__(embedding.Embedding, name)
-        monkeypatch.setattr(embedding.Embedding, name, lazy)
+    monkeypatch.setattr(embedding._LRPlanarity, "embedding", counted_build)
+    lazy = functools.cached_property(counted_faces)
+    lazy.__set_name__(embedding.Embedding, "faces")
+    monkeypatch.setattr(embedding.Embedding, "faces", lazy)
     return calls
 
 
 def test_kernelize_embeds_only_with_two_owners(monkeypatch):
-    # Phase 2 reads faces off the half-edges: kernelize builds neither
-    # the rotation dict nor the Face list, and embeds only with two owners.
+    # Phase 2 reads faces off the half-edges: kernelize builds no Face
+    # list, and embeds only with two owners.
     calls = _count_embedding_builds(monkeypatch)
     triangulation = gen_random_planar(60, 1.0, 7)
     assert pendant_owners(run_phase1(triangulation.copy(), 60).graph) == []
     assert isinstance(kernelize(Instance(triangulation, 60)), Kernel)
-    assert calls == {"half_edges": 0, "rotation": 0, "faces": 0}
+    assert calls == {"half_edges": 0, "faces": 0}
 
     ring = gen_tightness(3)
     assert len(pendant_owners(run_phase1(ring.copy(), 11).graph)) >= 2
     assert isinstance(kernelize(Instance(ring, 11)), Kernel)
-    assert calls == {"half_edges": 1, "rotation": 0, "faces": 0}
+    assert calls == {"half_edges": 1, "faces": 0}
 
-    # the hooks see every build, and each is built once per embedding
+    # the hooks see every build, and the Face list is built once per
+    # embedding; the rotation dict in vertex ids is brute.rotation's
     e = embedding.embed(ring)
-    assert e.faces is e.faces and e.rotation is e.rotation
-    assert calls == {"half_edges": 2, "rotation": 1, "faces": 1}
+    assert e.faces is e.faces and not hasattr(e, "rotation")
+    assert rotation(e)[1] and calls == {"half_edges": 2, "faces": 1}
 
 
 def _k5_with(extra: list[tuple[int, int]]) -> Graph:

@@ -208,6 +208,11 @@ def test_apply_rejects_a_repeated_role(g, rule, site, message):
          "R6: removing (5, 6) leaves the graph connected"),
         (r7_example(), RuleId.R7, dict(_R7_SITE, x=5, y=4), "R7: x and y must ascend, got 5, 4"),
     ],
+    ids=[
+        "R1 missing vertex", "R1 one pendant", "R1 keep not a pendant", "R2 uw not an edge",
+        "R3 descending ends", "R3 uw an edge", "R4 uv not an edge", "R4 repeated roles",
+        "R6 one twin", "R6 descending x v y", "R6 still connected", "R7 descending x y",
+    ],
 )
 def test_apply_names_the_failed_check(g, rule, site, message):
     # Each check raises with its whole message; none is formatted unless it fails.
