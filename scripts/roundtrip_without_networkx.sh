@@ -16,6 +16,10 @@
 # its journal must hold at least one R2, one cut R3 and one R4 record.
 # A larger one (n = 400, density 0.5, seed 16) makes it through the
 # rules that remove 3-vertices: at least one R5, one R6 and one R7 record.
+# A sparse one (n = 3200, density 0.35, seed 1), whose contractions grow
+# hubs, takes Phase 1 through at least 3000 steps: its journal must hold
+# that many records, and its kernel's non-leaf cover must lift to a
+# cover of the input.
 # Graph and solution files in the form the CLI writes are read in bulk,
 # others line by line: a decorated copy of the n = 120 graph (comment
 # lines, CRLF line ends, doubled spaces) must give the same kernel and
@@ -26,8 +30,9 @@
 # fails if any networkx module got loaded anyway; a step other than
 # `generate` also fails if it loaded argparse, which only help and usage
 # errors need, and a `lift`, `verify` or `solve` step fails if it loaded
-# Phase 2 (planarcvc.embedding, .facematch, .matching) or
-# planarcvc.generators, which load on first use. The ring's kernelize
+# Phase 2 (planarcvc.embedding, .facematch, .matching), the Phase 1
+# detection index (planarcvc.detection) or planarcvc.generators, which
+# load on first use. The ring's kernelize
 # with abbreviated options and
 # `--k=11`, which argparse parses, must write the same kernel and
 # journal as the long form. Then one input error, a graph file
@@ -69,7 +74,7 @@ if loaded:
     sys.exit(f"networkx modules loaded: {loaded}")
 if "argparse" in sys.modules and not argparse:
     sys.exit(f"argparse loaded by {argv}")
-lazy = {f"planarcvc.{m}" for m in ("embedding", "facematch", "matching", "generators")}
+lazy = {f"planarcvc.{m}" for m in ("embedding", "facematch", "matching", "detection", "generators")}
 if argv[0] in ("lift", "verify", "solve") and lazy & sys.modules.keys():
     sys.exit(f"{sorted(lazy & sys.modules.keys())} loaded by {argv}")
 sys.exit(code)
@@ -167,6 +172,21 @@ random_round_trip() {
 
 random_round_trip contraction-round-trip 120 1 '"rule": "R2"' '"cut": true' '"rule": "R4"'
 random_round_trip r5-r7-round-trip 400 16 '"rule": "R5"' '"rule": "R6"' '"rule": "R7"'
+
+run generate random --n 3200 --density 0.35 --seed 1 > "$work/sparse.cvc"
+run kernelize --input "$work/sparse.cvc" --k 3200 --journal "$work/sparse.journal" > "$work/sparse-kernel.out"
+records=$(wc -l < "$work/sparse.journal")
+if [ "$records" -lt 3000 ]; then
+  echo "sparse n = 3200: want at least 3000 journal records, got $records" >&2
+  exit 1
+fi
+grep -v '^c ' "$work/sparse-kernel.out" > "$work/sparse-kernel.cvc"
+awk '$1 == "e" { d[$2]++; d[$3]++ } END { for (v in d) if (d[v] > 1) print v }' \
+  "$work/sparse-kernel.cvc" | sort -n > "$work/sparse-nonleaf.sol"
+run lift --input "$work/sparse.cvc" --journal "$work/sparse.journal" \
+  --solution "$work/sparse-nonleaf.sol" > "$work/sparse-lifted.sol"
+run verify --input "$work/sparse.cvc" --solution "$work/sparse-lifted.sol"
+echo "ok sparse-scale-round-trip" >&2
 
 g="$work/contraction-round-trip"
 awk '{ gsub(/ /, "  "); printf "c decorated\r\n%s\r\n", $0 }' "$g.cvc" > "$g-decorated.cvc"

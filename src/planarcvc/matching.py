@@ -14,9 +14,14 @@ order and ends at the first unmatched one. One forward-only pointer per
 group finds that neighbour: it passes matched members, which stay
 matched, and roots already taken, whose searches either matched them or
 found every other member of their groups matched. Only a root with no
-free neighbour runs the blossom search: augmenting paths with blossom
+free neighbour runs the blossom search (augmenting paths with blossom
 shrinking, which resets and scans only the vertices of its own
-alternating tree. Those roots still pay its O(V^3) worst case, and a
+alternating tree), and only while an unmatched vertex after it is
+left: the search can end only at such a vertex, since one whose own
+search failed never ends an augmenting path later. Once none is left
+the loop stops, so a last unmatched root, as on a face with an odd
+number of owners, runs no search. A root with no free neighbour but
+unmatched vertices after it still pays the O(V^3) worst case, and its
 search through one group of m members reads m^2 adjacencies. Planarity
 and connectivity are not required. Small instances are cross-checked
 against an exhaustive matcher in the tests.
@@ -157,6 +162,7 @@ def match_groups(groups: Iterable[Sequence[VertexId]]) -> Matching:
                         enqueue(match[to])
         return -1
 
+    last_free = n - 1  # every vertex after it is matched
     for v in range(n):
         if match[v] != -1:
             continue
@@ -164,6 +170,10 @@ def match_groups(groups: Iterable[Sequence[VertexId]]) -> Matching:
         if w < n:
             match[v], match[w] = w, v
             continue
+        while match[last_free] != -1:
+            last_free -= 1
+        if last_free == v:
+            break  # no unmatched vertex after v is left to end a path at
         leaf = find_augmenting_path(v)
         # Alternate matched/unmatched edges back to the root.
         while leaf != -1:

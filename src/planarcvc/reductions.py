@@ -12,11 +12,9 @@ Each rule's lift, the exchange argument of its safety proof, sits next
 to its applier and reads those roles back: lift_rule maps a connected
 vertex cover of a step's post-graph to one of its pre-graph.
 
-Detection makes one pass over the adjacency per step. The pass indexes
-each 1-vertex under its single neighbor (its owner) and lists the 2- and
-3-vertices; all seven rules are read off that index. R6 groups the
-3-vertices by neighbourhood, and R7 looks only at owners of degree 4,
-whose one pendant the index holds once R1 has found no owner with two.
+detect_rule and run_phase1 read R1-R7 off the index of
+planarcvc.detection, which Phase 1 keeps alive across its steps and
+which loads on first use.
 
 Rule summary (v is always the pattern's center):
   R1  v with several 1-neighbors: keep one pendant, drop the rest.
@@ -101,87 +99,12 @@ class Phase1Result(NamedTuple):
 def detect_rule(g: Graph) -> tuple[RuleId, dict[str, int | bool]] | None:
     """Lowest-numbered applicable rule among R1-R7 with its smallest site.
 
-    All seven are read off one indexing pass (see the module docstring).
+    Builds the detection index in one pass and asks it once (see
+    planarcvc.detection).
     """
-    adj = g.adjacency()
-    owned: dict[VertexId, list[VertexId]] = {}
-    degree2: list[VertexId] = []
-    degree3: list[VertexId] = []
-    for v, nbrs in adj.items():
-        d = len(nbrs)
-        if d == 1:
-            (owner,) = nbrs
-            pendants = owned.get(owner)
-            if pendants is None:
-                owned[owner] = [v]
-            else:
-                pendants.append(v)
-        elif d == 2:
-            degree2.append(v)
-        elif d == 3:
-            degree3.append(v)
+    from .detection import Phase1Index
 
-    crowded = [v for v, pendants in owned.items() if len(pendants) > 1]
-    if crowded:
-        v = min(crowded)
-        return RuleId.R1, {"v": v, "keep": min(owned[v])}
-
-    if degree2:
-        degree2.sort()
-        r3_site = None
-        for v in degree2:
-            u, w = sorted(adj[v])
-            if w in adj[u]:
-                return RuleId.R2, {"v": v, "u": u, "w": w}
-            if r3_site is None:
-                r3_site = (v, u, w)
-        v, u, w = r3_site
-        return RuleId.R3, {"v": v, "u": u, "w": w}
-
-    # From here on every owner has exactly one pendant. Owners of degree 1
-    # are the two ends of an isolated edge, a fixpoint for R4 and R5.
-    owners = sorted(v for v in owned if len(adj[v]) > 1)
-    owner_set = set(owners)
-    for u in owners:
-        later = [v for v in adj[u] if v > u and v in owner_set]
-        if later:
-            v = min(later)
-            return RuleId.R4, {"u": u, "v": v, "pu": owned[u][0], "pv": owned[v][0]}
-
-    for v in owners:
-        if len(adj[v]) == 3:
-            z = owned[v][0]
-            x, y = sorted(adj[v] - {z})
-            return RuleId.R5, {"v": v, "x": x, "y": y, "z": z}
-
-    # R6: the two smallest 3-vertices that share a neighbourhood. With
-    # degree3 sorted, the classes follow in the order of their smallest
-    # member, so the first class that passes holds the smallest site.
-    degree3.sort()
-    twins: dict[frozenset[VertexId], list[VertexId]] = {}
-    for v in degree3:
-        twins.setdefault(frozenset(adj[v]), []).append(v)
-    for members in twins.values():
-        if len(members) > 1:
-            a, b = members[0], members[1]
-            x, v, y = sorted(adj[a])
-            if all(_separates(g, pair) for pair in ((x, v), (x, y), (v, y))):
-                return RuleId.R6, {"a": a, "b": b, "x": x, "v": v, "y": y}
-
-    # R7: an owner v of degree 4, its pendant q, and a 3-vertex neighbour
-    # a that sees v's two other neighbours x and y.
-    r7 = []
-    for v in owners:
-        if len(adj[v]) == 4:
-            q = owned[v][0]
-            r7.extend(
-                (a, v, q) for a in adj[v] if len(adj[a]) == 3 and adj[a] - {v} == adj[v] - {a, q}
-            )
-    if r7:
-        a, v, q = min(r7)
-        x, y = sorted(adj[v] - {a, q})
-        return RuleId.R7, {"a": a, "v": v, "q": q, "x": x, "y": y}
-    return None
+    return Phase1Index(g).detect()
 
 
 def _separates(g: Graph, pair: tuple[VertexId, VertexId]) -> bool:
@@ -521,13 +444,17 @@ _READ_ROLES = {rule: itemgetter(*roles) for rule, roles in _ROLES.items()}
 def run_phase1(g: Graph, k: int) -> Phase1Result:
     """Apply R1-R7 exhaustively to g, in place.
 
-    The scan restarts from R1 after every application. Stops early, with
-    k < 0 (early_no), once the budget is negative, since no graph has a
+    Detection restarts from R1 after every application, on one index
+    that each application keeps up to date. Stops early, with k < 0
+    (early_no), once the budget is negative, since no graph has a
     connected vertex cover of negative size.
     """
+    from .detection import Phase1Index
+
     steps: list[ReductionStep] = []
-    while k >= 0 and (found := detect_rule(g)) is not None:
-        step = apply_rule(g, *found)
+    index = Phase1Index(g)
+    while k >= 0 and (found := index.detect()) is not None:
+        step = index.apply(*found)
         k += step.k_delta
         steps.append(step)
     return Phase1Result(g, k, steps)

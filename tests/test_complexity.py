@@ -74,6 +74,7 @@ RING = (16, 33, 66)
 WHEEL = (50, 100, 200)
 ROWS = [
     ("generate", "sparse", SPARSE, 1.2),
+    ("kernelize", "sparse", SPARSE, 1.2),
     ("replay", "sparse", SPARSE, 1.2),
     ("lift-dfs", "sparse", SPARSE, 1.2),
     ("lift-nonleaf", "ring", RING, 1.2),

@@ -2,9 +2,10 @@
 
 The indexed single pass must report the same rule and the same smallest
 site as one rescan per rule, on arbitrary graphs (disconnected and
-non-planar included), on pendant-rich small graphs, whose first rule is
-each of R1-R7, and at every step of Phase 1, on inputs where each of
-R1-R7 fires.
+non-planar included) and on pendant-rich small graphs, whose first rule
+is each of R1-R7. So must the index that run_phase1 keeps up across its
+steps, at every step, on inputs where each of R1-R7 fires, the
+pendant-rich graphs and a sparse graph with large hubs among them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 
 from planarcvc.generators import gen_exception_graph, gen_random_planar
 from planarcvc.graph import Graph
-from planarcvc.reductions import RuleId, apply_rule, detect_rule
+from planarcvc import detection
+from planarcvc.reductions import RuleId, detect_rule, run_phase1
 
 from brute import reference_detect_rule
 from conftest import r6_example, r7_example, relabelled
@@ -86,24 +88,49 @@ def test_detect_rule_matches_reference_on_pendant_rich_graphs():
     assert {RuleId.R4, RuleId.R5, RuleId.R6, RuleId.R7} <= reported
 
 
-def test_detect_rule_matches_reference_at_every_phase1_step(corpus_small):
+def _phase1_checked(monkeypatch, g: Graph) -> set[RuleId]:
+    """Run Phase 1 on a copy of g and compare each answer of run_phase1's
+    own index, kept alive across its steps, with the reference detector
+    on the graph at that step; returns the rules reported."""
+    work = g.copy()
+    reported = set()
+    detect = detection.Phase1Index.detect
+
+    def checked(index):
+        found = detect(index)
+        assert found == reference_detect_rule(work)
+        if found is not None:
+            reported.add(found[0])
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(detection.Phase1Index, "detect", checked)
+        run_phase1(work, work.n_vertices)
+    return reported
+
+
+def test_detect_rule_matches_reference_at_every_phase1_step(corpus_small, monkeypatch):
     # corpus_small never reports R6; the R6 and R7 examples, the
     # exception graph (a fixpoint) under relabellings and three random
-    # graphs of n = 120 and 400 report both.
+    # graphs of n = 120 and 400 report both. Contractions in the sparse
+    # graph of n = 800 grow a hub of 30 neighbours.
     examples = (r6_example(), r7_example(), gen_exception_graph())
     inputs = [
         *corpus_small,
         *(h for g in examples for h in (g, *(relabelled(g, random.Random(seed)) for seed in range(3)))),
-        *(gen_random_planar(*args) for args in ((400, 0.5, 16), (400, 0.6, 12), (120, 0.6, 17))),
+        *(gen_random_planar(*args) for args in ((400, 0.5, 16), (400, 0.6, 12), (120, 0.6, 17), (800, 0.35, 1))),
     ]
     reported = set()
     for g in inputs:
-        work = g.copy()
-        while True:
-            found = detect_rule(work)
-            assert found == reference_detect_rule(work)
-            if found is None:
-                break
-            reported.add(found[0])
-            apply_rule(work, *found)
+        reported |= _phase1_checked(monkeypatch, g)
     assert {RuleId.R6, RuleId.R7} <= reported
+
+
+def test_phase1_index_matches_reference_on_pendant_rich_graphs(monkeypatch):
+    # the graphs of test_detect_rule_matches_reference_on_pendant_rich_graphs,
+    # driven through Phase 1 with the index checked at every step
+    rng = random.Random(1)
+    reported = set()
+    for _ in range(2000):
+        reported |= _phase1_checked(monkeypatch, _pendant_rich_graph(rng))
+    assert {RuleId.R4, RuleId.R5, RuleId.R6, RuleId.R7} <= reported

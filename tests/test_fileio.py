@@ -585,7 +585,8 @@ def test_cli_round_trip_without_networkx():
     # at m = 50 must make 25 merges and lift its non-leaf cover, a
     # random graph's kernel, reached through R2, cut R3 and R4
     # contractions, must lift
-    # to a cover, so must one reached through R5, R6 and R7 steps, a
+    # to a cover, so must one reached through R5, R6 and R7 steps and
+    # one of n = 3200 with more than 3000 journal records, a
     # decorated copy of the first graph and of its kernel solution, read
     # line by line, must give the same kernel, journal and lift, and
     # an input error, a journal record without one of its roles, with
@@ -600,7 +601,7 @@ def test_cli_round_trip_without_networkx():
     assert steps == [
         "generate", "kernelize", "ring-merges", "abbreviated-options", "solve", "lift", "verify",
         "nonleaf-lift", "stats", "wheel-round-trip", "contraction-round-trip", "r5-r7-round-trip",
-        "decorated-input", "input-error", "missing-role", "unknown-role", "flipped-cut", "usage-error", "nonplanar",
+        "sparse-scale-round-trip", "decorated-input", "input-error", "missing-role", "unknown-role", "flipped-cut", "usage-error", "nonplanar",
     ]
 
 

@@ -8,7 +8,8 @@ are NamedTuples or plain classes instead. `pathlib` pulls in
 `open()`. A well-formed command line is parsed without `argparse`,
 which also loads `gettext`. Phase 2 (`embedding`, `facematch`,
 `matching`) and the generators load on first use: a lift, a verify or a
-kernelize that Phase 1 answers NO never imports them. `-S` keeps what
+kernelize that Phase 1 answers NO never imports them. Nor does a lift or
+a verify import the Phase 1 detection index (`detection`). `-S` keeps what
 site-packages' start-up hooks import out of the checked process.
 """
 
@@ -141,3 +142,38 @@ def test_every_public_name_is_its_submodule_object():
         assert planarcvc.__getattr__(name) is getattr(planarcvc, name)
     with pytest.raises(AttributeError, match="^module 'planarcvc' has no attribute 'no_such_name'$"):
         planarcvc.no_such_name
+
+
+# `import planarcvc`, then `planarcvc ARGV` for each argument (split at
+# blanks); prints whether planarcvc.detection was loaded after each.
+_DETECTION_LOADS = """
+import sys
+import planarcvc, planarcvc.cli
+loaded = ["planarcvc.detection" in sys.modules]
+for argv in sys.argv[1:]:
+    planarcvc.cli.main(argv.split())
+    loaded.append("planarcvc.detection" in sys.modules)
+print(loaded, file=sys.stderr)
+"""
+
+
+def test_detection_loads_only_for_phase1(tmp_path, capsys):
+    # The Phase 1 detection index is compiled only by a process that runs
+    # Phase 1: not by `import planarcvc`, a lift or a verify.
+    ring, journal = tmp_path / "ring.cvc", tmp_path / "ring.journal"
+    ring.write_text(fileio.serialize_graph(gen_tightness(3)))
+    assert main(["kernelize", "--input", str(ring), "--k", "11", "--journal", str(journal)]) == 0
+    kernel, solution = tmp_path / "kernel.cvc", tmp_path / "kernel.sol"
+    kernel.write_text(capsys.readouterr().out)
+    assert main(["solve", "--input", str(kernel)]) == 0
+    solution.write_text(capsys.readouterr().out)
+
+    proc = run_python(
+        ["-S", "-c", _DETECTION_LOADS,
+         f"lift --input {ring} --journal {journal} --solution {solution}",
+         f"verify --input {kernel} --solution {solution}",
+         f"kernelize --input {ring} --k 11"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[False, False, False, True]"

@@ -8,6 +8,7 @@ edge for edge: the R8 pairs, and so the journals, come from it.
 
 from __future__ import annotations
 
+import cProfile
 import random
 from itertools import combinations
 
@@ -191,3 +192,16 @@ def test_group_matcher_equals_clique_graph_matcher_on_wheels():
         group, clique = _face_group_and_clique_matchings(pendant_wheel(m))
         assert group.size == m // 2
         assert group.edges == clique.edges, m
+
+
+def test_odd_wheel_runs_no_blossom_search():
+    # The greedy steps match all but the last of the wheel's m owners, all
+    # on one face. No unmatched vertex after that root is left for an
+    # augmenting path to end at, so its blossom search is not started.
+    g = pendant_wheel(101)
+    groups = [sorted(members) for _, members in embed(g).face_members(pendant_owners(g))]
+    prof = cProfile.Profile()
+    m = prof.runcall(match_groups, groups)
+    assert m.size == 50
+    searches = [e.callcount for e in prof.getstats() if getattr(e.code, "co_name", "") == "find_augmenting_path"]
+    assert searches == []
