@@ -4,13 +4,13 @@ Detection reads R1-R5 off an index that Phase 1 keeps alive across its
 steps. It holds each 1-vertex under its single neighbor (its owner), the
 owners with several pendants, the 2-vertices and those whose two
 neighbors are adjacent, and the owners that may be R4 or R5 sites. One
-pass over the adjacency seeds it. After each step only the vertices that
-the step touched, read off its site and record, are indexed again, so a
-step costs what it changed, not the size of the graph. The full pass
-runs again only when R1-R5 find nothing after a step: for R6, R7 and
-the fixpoint. R6 groups the pass's 3-vertices by neighbourhood, and R7
-looks only at owners of degree 4, whose one pendant the index holds once
-R1 has found no owner with two.
+routine files a vertex by its degree: it files every vertex of degree
+below 3 to build the index, then after each step only the vertices that
+the step touched, read off its site and record, so a step costs what it
+changed, not the size of the graph. When R1-R5 find nothing, one pass
+over the adjacency lists the 3-vertices, which R6 groups by
+neighbourhood; R7 looks only at owners of degree 4, whose one pendant
+the index holds once R1 has found no owner with two.
 
 reductions.detect_rule and run_phase1 import this module on first use,
 so a lift, verify or solve, which detect nothing, never loads it.
@@ -18,7 +18,7 @@ so a lift, verify or solve, which detect nothing, never loads it.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .graph import Graph, VertexId
 from .reductions import ReductionStep, RuleId, _separates, apply_rule
@@ -38,50 +38,25 @@ class Phase1Index:
     have become R4 or R5 sites since R4 was last looked for; that look
     moves the smaller end of each of their edges to another owner into
     r4_heap and those of degree 3 into r5_heap, whose tops are checked
-    the same way. degree3 lists the 3-vertices of the last full pass
-    until a step changes the graph.
+    the same way.
     """
 
     def __init__(self, g: Graph) -> None:
         self._g = g
         self._adj = g.adjacency()
-        self._scan()
-
-    def _scan(self) -> None:
-        adj = self._adj
-        owner_of: dict[VertexId, VertexId] = {}
-        owned: dict[VertexId, set[VertexId]] = {}
-        degree2: list[VertexId] = []
-        r2: list[VertexId] = []
-        degree3: list[VertexId] = []
-        for v, nbrs in adj.items():
-            d = len(nbrs)
-            if d == 1:
-                (owner,) = nbrs
-                owner_of[v] = owner
-                pendants = owned.get(owner)
-                if pendants is None:
-                    owned[owner] = {v}
-                else:
-                    pendants.add(v)
-            elif d == 2:
-                degree2.append(v)
-                u, w = nbrs
-                if w in adj[u]:
-                    r2.append(v)
-            elif d == 3:
-                degree3.append(v)
-        self._owner_of = owner_of
-        self._owned = owned
-        self._crowded = {v for v, pendants in owned.items() if len(pendants) > 1}
-        self._candidates = set(owned)
+        self._owner_of: dict[VertexId, VertexId] = {}
+        self._owned: dict[VertexId, set[VertexId]] = {}
+        self._crowded: set[VertexId] = set()
+        self._candidates: set[VertexId] = set()
+        self._degree2: set[VertexId] = set()
+        self._r2: set[VertexId] = set()
+        self._degree2_heap: list[VertexId] = []
+        self._r2_heap: list[VertexId] = []
         self._r4_heap: list[VertexId] = []
         self._r5_heap: list[VertexId] = []
-        self._degree2, self._r2 = set(degree2), set(r2)
-        heapify(degree2)
-        heapify(r2)
-        self._degree2_heap, self._r2_heap = degree2, r2
-        self._degree3: list[VertexId] | None = degree3
+        # Filing a vertex of degree 3 or more only makes an owner of degree 3
+        # a candidate, which filing its first pendant does too.
+        self._refresh([v for v, nbrs in self._adj.items() if len(nbrs) < 3])
 
     def detect(self) -> tuple[RuleId, dict[str, int | bool]] | None:
         """Lowest-numbered applicable rule among R1-R7 with its smallest site."""
@@ -131,19 +106,16 @@ class Phase1Index:
                 x, y = sorted(nbrs - pendants)
                 return RuleId.R5, {"v": v, "x": x, "y": y, "z": z}
             heappop(r5_heap)
-
-        if self._degree3 is None:
-            # the fixpoint of R1-R5: one full pass again, for R6 and R7
-            self._scan()
         return self._r6_r7()
 
     def _r6_r7(self) -> tuple[RuleId, dict[str, int | bool]] | None:
         adj, owned = self._adj, self._owned
         # R6: the two smallest 3-vertices that share a neighbourhood. With
-        # degree3 sorted, the classes follow in the order of their smallest
-        # member, so the first class that passes holds the smallest site.
+        # the 3-vertices in ascending order, the classes follow in the order
+        # of their smallest member, so the first class that passes holds the
+        # smallest site.
         twins: dict[frozenset[VertexId], list[VertexId]] = {}
-        for v in sorted(self._degree3):
+        for v in sorted([v for v, nbrs in adj.items() if len(nbrs) == 3]):
             twins.setdefault(frozenset(adj[v]), []).append(v)
         for members in twins.values():
             if len(members) > 1:
@@ -194,7 +166,8 @@ class Phase1Index:
         return step
 
     def _refresh(self, touched: list[VertexId]) -> None:
-        """Index each touched vertex again from its current neighbourhood.
+        """File each touched vertex by its current degree, after taking out
+        what the index held for it.
 
         Only a touched vertex changes degree, and two owners become
         adjacent only where one of them is a new owner (see apply). So
@@ -203,7 +176,6 @@ class Phase1Index:
         """
         adj, owner_of, owned = self._adj, self._owner_of, self._owned
         crowded, candidates, degree2, r2 = self._crowded, self._candidates, self._degree2, self._r2
-        self._degree3 = None
         for v in touched:
             nbrs = adj.get(v, ())
             if v in owner_of:
@@ -219,10 +191,10 @@ class Phase1Index:
                         del owned[owner]
             elif v in degree2:
                 if len(nbrs) == 2:
+                    # no step takes an edge from two vertices it keeps, so
+                    # only a renamed neighbour can make v an R2 2-vertex
                     u, w = nbrs
-                    if w not in adj[u]:
-                        r2.discard(v)
-                    elif v not in r2:
+                    if v not in r2 and w in adj[u]:
                         r2.add(v)
                         heappush(self._r2_heap, v)
                     continue

@@ -80,12 +80,10 @@ class Graph:
         self._adj[w].add(u)
         self._n_edges += 1
 
-    def ensure_edge(self, u: VertexId, w: VertexId) -> bool:
-        """Add edge u-w if absent; return True when it was actually added."""
+    def ensure_edge(self, u: VertexId, w: VertexId) -> None:
+        """Add edge u-w if absent."""
         if u != w and w not in self._adj[u]:
             self.add_edge(u, w)
-            return True
-        return False
 
     def remove_edge(self, u: VertexId, w: VertexId) -> None:
         if u not in self._adj or w not in self._adj[u]:

@@ -32,6 +32,7 @@ from brute import dfs_tree_cover, non_leaf_cover, pendant_wheel
 
 FAMILIES = {
     "sparse": lambda n: gen_random_planar(n, 0.35, 1),
+    "medium": lambda n: gen_random_planar(n, 0.6, 1),
     "ring": gen_tightness,
     "triangulation": lambda n: gen_random_planar(n, 1.0, 1),
     "wheel": pendant_wheel,
@@ -75,6 +76,7 @@ WHEEL = (50, 100, 200)
 ROWS = [
     ("generate", "sparse", SPARSE, 1.2),
     ("kernelize", "sparse", SPARSE, 1.2),
+    ("kernelize", "medium", SPARSE, 1.2),
     ("replay", "sparse", SPARSE, 1.2),
     ("lift-dfs", "sparse", SPARSE, 1.2),
     ("lift-nonleaf", "ring", RING, 1.2),

@@ -5,7 +5,9 @@ site as one rescan per rule, on arbitrary graphs (disconnected and
 non-planar included) and on pendant-rich small graphs, whose first rule
 is each of R1-R7. So must the index that run_phase1 keeps up across its
 steps, at every step, on inputs where each of R1-R7 fires, the
-pendant-rich graphs and a sparse graph with large hubs among them.
+pendant-rich graphs and a sparse graph with large hubs among them. Since
+nothing rebuilds that index once it is built, it must also equal an
+index built afresh after every step and every answer.
 """
 
 from __future__ import annotations
@@ -91,20 +93,49 @@ def test_detect_rule_matches_reference_on_pendant_rich_graphs():
 def _phase1_checked(monkeypatch, g: Graph) -> set[RuleId]:
     """Run Phase 1 on a copy of g and compare each answer of run_phase1's
     own index, kept alive across its steps, with the reference detector
-    on the graph at that step; returns the rules reported."""
+    on the graph at that step; returns the rules reported.
+
+    After every step and every answer the kept index must also hold the
+    facts of an index built afresh on the graph, keep each live member
+    of a lazy heap in that heap, and keep every R4 or R5 site it has not
+    ruled out either in a heap or among its candidates.
+    """
     work = g.copy()
     reported = set()
-    detect = detection.Phase1Index.detect
+    detect, apply = detection.Phase1Index.detect, detection.Phase1Index.apply
+
+    def assert_kept(index):
+        fresh = detection.Phase1Index(work)
+        for name in ("_owner_of", "_owned", "_crowded", "_degree2", "_r2"):
+            assert getattr(index, name) == getattr(fresh, name), name
+        assert index._degree2 <= set(index._degree2_heap)
+        assert index._r2 <= set(index._r2_heap)
+        adj, owned, candidates = work.adjacency(), index._owned, index._candidates
+        r4_heap, r5_heap = set(index._r4_heap), set(index._r5_heap)
+        for u in owned:
+            if len(adj[u]) > 1:
+                for v in adj[u] & owned.keys():
+                    if u < v and len(adj[v]) > 1:
+                        assert u in r4_heap or u in candidates or v in candidates, ("R4", u, v)
+                if len(adj[u]) == 3:
+                    assert u in r5_heap or u in candidates, ("R5", u)
 
     def checked(index):
         found = detect(index)
         assert found == reference_detect_rule(work)
+        assert_kept(index)
         if found is not None:
             reported.add(found[0])
         return found
 
+    def applied(index, rule, site):
+        step = apply(index, rule, site)
+        assert_kept(index)
+        return step
+
     with monkeypatch.context() as patch:
         patch.setattr(detection.Phase1Index, "detect", checked)
+        patch.setattr(detection.Phase1Index, "apply", applied)
         run_phase1(work, work.n_vertices)
     return reported
 
