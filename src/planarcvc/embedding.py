@@ -103,14 +103,6 @@ class Embedding:
         self.cw = cw
         self.leftmost = leftmost
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.cw) // 2
-
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         """The faces in face-id order (see _walk)."""

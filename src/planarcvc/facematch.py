@@ -49,10 +49,6 @@ class PlanarizedMatching(NamedTuple):
 
     pairs: tuple[tuple[VertexId, VertexId, int], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
 
 def pendant_owners(g: Graph) -> list[VertexId]:
     """Vertices of degree >= 2 with at least one 1-neighbor, ascending.

@@ -175,9 +175,10 @@ def test_criterion_8_embedding_soundness(corpus_acceptance):
         assert sum(len(f.boundary) for f in e.faces) == 2 * g.n_edges
         count += 1
     for copies in range(3, 9):
-        e = embed(gen_tightness(copies))
-        assert e.n_vertices - e.n_edges + len(e.faces) == 2
-        assert sum(len(f.boundary) for f in e.faces) == 2 * e.n_edges
+        g = gen_tightness(copies)
+        e = embed(g)
+        assert g.n_vertices - g.n_edges + len(e.faces) == 2
+        assert sum(len(f.boundary) for f in e.faces) == 2 * g.n_edges
         count += 1
     with pytest.raises(NonPlanarGraphError):
         embed(make_complete(5))

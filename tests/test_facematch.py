@@ -74,7 +74,7 @@ def test_planarize_uncrosses_within_a_face():
     e = embed(g)
     m0 = Matching(edges=frozenset({(1, 5), (3, 7)}))
     out = planarize_matching(m0, e)
-    assert out.size == 2
+    assert len(out.pairs) == 2
     face_ids = {fid for _, _, fid in out.pairs}
     assert len(face_ids) == 1
     face = e.faces[face_ids.pop()]
@@ -131,7 +131,7 @@ def test_planarize_preserves_count_on_random_fixpoints():
             continue
         m0 = maximum_matching(aux.to_graph())
         out = planarize_matching(m0, e)
-        assert out.size == m0.size
+        assert len(out.pairs) == m0.size
 
 
 def test_identification_merges_pendants():

@@ -42,6 +42,8 @@ def test_parse_triangle_with_comments():
         ("e 1 2\n", 1, "header"),
         ("p cvc 2 2\ne 1 2\n", 2, "announced 2 edges"),
         ("p cvc 2 1\nq 1 2\n", 2, "unknown line type"),
+        ("", 1, "missing header"),
+        ("c only a comment\n", 1, "missing header"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no, fragment):
@@ -613,6 +615,15 @@ def test_cli_solve_and_verify(tmp_path, capsys):
     sol_file = write(tmp_path / "sol.txt", solution)
     assert main(["verify", "--input", graph_file, "--solution", sol_file]) == 0
     assert "valid" in capsys.readouterr().out
+
+
+def test_cli_solve_answers_no_below_the_minimum(tmp_path, capsys):
+    # The path 1-2-3-4-5-6: its minimum connected vertex cover is {2, 3, 4, 5}.
+    graph_file = write(tmp_path / "path.cvc", "p cvc 6 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\n")
+    assert main(["solve", "--input", graph_file, "--limit", "3"]) == 1
+    assert capsys.readouterr().out == "c no connected vertex cover within 3\n"
+    assert main(["solve", "--input", graph_file, "--limit", "4"]) == 0
+    assert capsys.readouterr().out == "2\n3\n4\n5\n"
 
 
 def test_cli_verify_rejects_bad_solution(tmp_path, capsys):

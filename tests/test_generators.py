@@ -79,7 +79,7 @@ def test_random_planar_connected_and_planar():
         g = gen_random_planar(n, (0.4, 0.7, 1.0)[i % 3], 1300 + i)
         assert g.is_connected()
         e = embed(g)
-        assert e.n_vertices - e.n_edges + len(e.faces) == 2
+        assert g.n_vertices - g.n_edges + len(e.faces) == 2
 
 
 def test_random_planar_embeds_with_euler():

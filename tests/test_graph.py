@@ -255,3 +255,27 @@ def test_cut_vertex_matches_component_count():
 def test_add_named_vertex_rejects_non_positive_ids():
     with pytest.raises(ValueError, match="positive"):
         Graph().add_named_vertex(0)
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message",
+    [
+        pytest.param(lambda g: g.add_named_vertex(5), ValueError, "vertex 5 already present", id="named-present"),
+        pytest.param(lambda g: g.add_edge(2, 2), ValueError, "self-loop at 2", id="edge-self-loop"),
+        pytest.param(lambda g: g.add_edge(1, 9), KeyError, "unknown vertex", id="edge-unknown-end"),
+        pytest.param(lambda g: g.add_edge(9, 1), KeyError, "unknown vertex", id="edge-unknown-start"),
+        pytest.param(lambda g: g.add_edge(5, 2), ValueError, r"edge \(5,2\) already present", id="edge-present"),
+        pytest.param(lambda g: g.remove_edge(1, 5), KeyError, r"edge \(1,5\) not present", id="remove-absent-edge"),
+        pytest.param(lambda g: g.remove_edge(9, 1), KeyError, r"edge \(9,1\) not present", id="remove-unknown-edge"),
+        pytest.param(lambda g: g.remove_vertex(9), KeyError, "vertex 9 not present", id="remove-absent-vertex"),
+    ],
+)
+def test_rejected_mutation_leaves_graph_unchanged(mutate, error, message):
+    edges = [(1, 2), (2, 5)]
+    g, ref = graph_from_edges(edges), graph_from_edges(edges)
+    with pytest.raises(error, match=message):
+        mutate(g)
+    check_graph(g)
+    assert g.adjacency() == ref.adjacency()
+    assert g.n_edges == ref.n_edges
+    assert g.add_vertex() == ref.add_vertex() == 6
