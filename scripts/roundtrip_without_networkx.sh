@@ -32,7 +32,10 @@
 # errors need, and a `lift`, `verify` or `solve` step fails if it loaded
 # Phase 2 (planarcvc.embedding, .facematch, .matching), the Phase 1
 # detection index (planarcvc.detection) or planarcvc.generators, which
-# load on first use. The ring's kernelize
+# load on first use. A `lift`, a `verify` or a `kernelize` without
+# `--stats` fails if it loaded the exact solver (planarcvc.exact), and
+# a `kernelize`, `verify` or `solve` fails if it loaded json, which only
+# the journal reader of `lift` needs. The ring's kernelize
 # with abbreviated options and
 # `--k=11`, which argparse parses, must write the same kernel and
 # journal as the long form. Then one input error, a graph file
@@ -77,6 +80,10 @@ if "argparse" in sys.modules and not argparse:
 lazy = {f"planarcvc.{m}" for m in ("embedding", "facematch", "matching", "detection", "generators")}
 if argv[0] in ("lift", "verify", "solve") and lazy & sys.modules.keys():
     sys.exit(f"{sorted(lazy & sys.modules.keys())} loaded by {argv}")
+if "planarcvc.exact" in sys.modules and (argv[0] in ("lift", "verify") or argv[0] == "kernelize" and "--stats" not in argv):
+    sys.exit(f"planarcvc.exact loaded by {argv}")
+if "json" in sys.modules and argv[0] in ("kernelize", "verify", "solve"):
+    sys.exit(f"json loaded by {argv}")
 sys.exit(code)
 ' "$argparse" "$@"
 }

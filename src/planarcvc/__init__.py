@@ -1,7 +1,7 @@
 """11/3k kernelization for Connected Vertex Cover on planar graphs."""
 
 from .graph import Graph, InputError, VertexId
-from .oracle import CoverCertificate, TooLargeError, minimum_cvc, verify_cvc
+from .oracle import verify_cvc
 from .pipeline import (
     Instance,
     Kernel,
@@ -9,13 +9,10 @@ from .pipeline import (
     No,
     NonPlanarInputError,
     NoReason,
-    Partition,
     ReductionJournal,
     check_size_bound,
     kernelize,
-    partition_bound_holds,
     lift_solution,
-    partition_stats,
 )
 from .reductions import (
     ReductionStep,
@@ -26,11 +23,12 @@ from .reductions import (
     run_phase1,
 )
 
-# Phase 2 (embedding, facematch, matching) and the generators are imported
-# from their own modules, which load on first use: a lift, a verify, a solve
-# and a kernelize that Phase 1 answers NO never run them.
+# Phase 2 (embedding, facematch, matching), the generators and the exact
+# solver with the `--stats` partition (exact) are imported from their own
+# modules, which load on first use: a lift, a verify and a kernelize that
+# Phase 1 answers NO never run Phase 2, and only `solve` and
+# `kernelize --stats` run the exact solver.
 __all__ = [
-    "CoverCertificate",
     "Graph",
     "InputError",
     "Instance",
@@ -39,21 +37,16 @@ __all__ = [
     "No",
     "NoReason",
     "NonPlanarInputError",
-    "Partition",
     "ReductionJournal",
     "ReductionStep",
     "RuleId",
-    "TooLargeError",
     "VertexId",
     "apply_rule",
     "check_size_bound",
     "detect_rule",
     "kernelize",
-    "partition_bound_holds",
     "lift_rule",
     "lift_solution",
-    "minimum_cvc",
-    "partition_stats",
     "run_phase1",
     "verify_cvc",
 ]

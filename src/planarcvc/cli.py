@@ -8,7 +8,8 @@ nothing on stderr.
 Commands raise on bad input; main alone turns that into one `error:` line
 on stderr and exit 2. Bad input is an OSError or UnicodeDecodeError of
 reading or writing a file, or the package's InputError (graph.py), whose
-subclasses are GraphParseError, TooLargeError and NonPlanarInputError.
+subclasses are GraphParseError (fileio.py), TooLargeError (exact.py) and
+NonPlanarInputError (pipeline.py).
 Any other exception is a bug: main prints its traceback and exits 70.
 
 Commands:
@@ -17,6 +18,8 @@ Commands:
   lift      --input FILE --journal FILE --solution FILE
   generate  {tightness --l INT | exception | random --n INT --density F --seed S}
   verify    --input FILE --solution FILE
+solve and kernelize --stats import the exact solver (exact.py) when they
+run, as generate imports the generators; no other command loads them.
 
 Every option of kernelize, solve, lift and verify is declared once, in
 `_COMMANDS`. build_parser() builds the argparse parser of all commands
@@ -34,17 +37,8 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import fileio
 from .graph import Graph, InputError
-from .oracle import minimum_cvc, verify_cvc
-from .pipeline import (
-    Instance,
-    Kernel,
-    kernel_vertex_ids,
-    kernelize,
-    partition_bound_holds,
-    lift_solution,
-    partition_stats,
-    replay_journal,
-)
+from .oracle import verify_cvc
+from .pipeline import Instance, Kernel, kernel_vertex_ids, kernelize, lift_solution, replay_journal
 from .reductions import RuleId
 
 if TYPE_CHECKING:
@@ -106,6 +100,8 @@ def _cmd_kernelize(args: _Args) -> int:
 
 def _stats_lines(outcome: Kernel) -> list[str]:
     """Partition of the Phase 1 fixpoint wrt its minimum cover, and the bound."""
+    from .exact import minimum_cvc, partition_bound_holds, partition_stats
+
     journal = outcome.journal
     m_star = sum(1 for s in journal.steps if s.rule is RuleId.R8)
     g1, _ = replay_journal(journal)
@@ -123,6 +119,8 @@ def _stats_lines(outcome: Kernel) -> list[str]:
 
 
 def _cmd_solve(args: _Args) -> int:
+    from .exact import minimum_cvc
+
     g = _read_graph(args.input)
     limit = args.limit if args.limit is not None else g.n_vertices
     cert = minimum_cvc(g, limit)

@@ -20,14 +20,14 @@ rule, site, created, removed and k_delta; step_index, k_delta, ids and
 site values are JSON integers, except R3's cut flag, a boolean. Each
 record is written with one format string, byte for byte what
 ``json.JSONEncoder(sort_keys=True)`` writes, and read with one
-``JSONDecoder.raw_decode``, with json.loads's error texts. Replaying a
+``JSONDecoder.raw_decode``, with json.loads's error texts; json loads
+only with the reader, so writing a journal does not import it. Replaying a
 journal against its input file (after stripping isolated vertices)
 reproduces the kernel file byte for byte under canonical serialization.
 """
 
 from __future__ import annotations
 
-import json
 import re
 
 from .graph import Graph, InputError, VertexId
@@ -234,16 +234,17 @@ def serialize_journal(journal: ReductionJournal) -> str:
     )
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def parse_journal_steps(text: str) -> list[ReductionStep]:
     """Parse journal records; the input graph is supplied separately.
 
     Each stripped line is decoded as json.loads would, with its error
     texts: a leading byte-order mark and text after the object are
-    rejected before and after one raw_decode.
+    rejected before and after one raw_decode. json is imported here, on
+    the first journal read: only `lift` reads one.
     """
+    import json
+
+    raw_decode = json.JSONDecoder().raw_decode
     steps = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -252,7 +253,7 @@ def parse_journal_steps(text: str) -> list[ReductionStep]:
         try:
             if line[0] == "\ufeff":
                 raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-            record, end = _raw_decode(line)
+            record, end = raw_decode(line)
             if end != len(line):
                 raise json.JSONDecodeError("Extra data", line, json.decoder.WHITESPACE.match(line, end).end())
             index = record["step_index"]

@@ -9,7 +9,9 @@ fixpoint and the kernel on one working graph; lift_solution walks the
 journal in reverse on that kernel as an undo log, mapping a connected
 vertex cover of the kernel back to one of the original instance without
 exceeding the spent budget. Neither has per-rule code: reductions
-applies and lifts every rule (apply_rule, lift_rule).
+applies and lifts every rule (apply_rule, lift_rule). The exact solver
+and the `--stats` partition, which only check this pipeline, are in
+`exact`.
 """
 
 from __future__ import annotations
@@ -217,75 +219,3 @@ def lift_solution(
         raise AssertionError("lifted solution failed verification; lift map bug")
     return sol
 
-
-# ----------------------------------------------------------------------
-# statistics and property checkers
-# ----------------------------------------------------------------------
-
-
-class Partition(NamedTuple):
-    """The (S1, S>=3, I1, I3, I>=4) decomposition relative to a cover."""
-
-    s1: frozenset[VertexId]
-    s_ge3: frozenset[VertexId]
-    i1: frozenset[VertexId]
-    i3: frozenset[VertexId]
-    i_ge4: frozenset[VertexId]
-
-    def sizes(self) -> dict[str, int]:
-        return {
-            "S1": len(self.s1),
-            "S>=3": len(self.s_ge3),
-            "I1": len(self.i1),
-            "I3": len(self.i3),
-            "I>=4": len(self.i_ge4),
-        }
-
-
-def partition_stats(g: Graph, cover: set[VertexId]) -> Partition:
-    """Partition V(g) relative to a connected vertex cover.
-
-    Non-cover vertices of degree 0 or 2 cannot occur in a reduced graph,
-    so they are reported as a consistency error rather than classified.
-    """
-    cover = set(cover)
-    if not verify_cvc(g, cover):
-        raise ValueError("partition_stats requires a connected vertex cover")
-    i1, i3, i_ge4 = set(), set(), set()
-    for v in g.vertices():
-        if v in cover:
-            continue
-        d = g.degree(v)
-        if d == 1:
-            i1.add(v)
-        elif d == 3:
-            i3.add(v)
-        elif d >= 4:
-            i_ge4.add(v)
-        else:
-            raise ValueError(
-                f"non-cover vertex {v} has degree {d}; graph is not reduced"
-            )
-    s1 = {v for v in cover if any(w in i1 for w in g.neighbors(v))}
-    return Partition(
-        s1=frozenset(s1),
-        s_ge3=frozenset(cover - s1),
-        i1=frozenset(i1),
-        i3=frozenset(i3),
-        i_ge4=frozenset(i_ge4),
-    )
-
-
-def partition_bound_holds(g1: Graph, cover: set[VertexId], m_star: int) -> bool:
-    """Checker for |S>=3| + |I>=4| + |M*| >= |S| / 3 on a Phase 1 fixpoint.
-
-    This inequality is a theorem when cover is a minimum connected vertex
-    cover and every cover vertex has degree >= 3, so False indicates a
-    pipeline bug, not a property of the input. The one reduced graph where
-    the degree hypothesis fails is the single edge, which is trivially
-    fine (2 vertices against a bound of 11/3).
-    """
-    if g1.n_vertices == 2 and g1.n_edges == 1:
-        return True
-    part = partition_stats(g1, cover)
-    return 3 * (len(part.s_ge3) + len(part.i_ge4) + m_star) >= len(cover)

@@ -9,18 +9,12 @@ from __future__ import annotations
 import pytest
 
 from planarcvc.embedding import NonPlanarGraphError, embed
+from planarcvc.exact import minimum_cvc, partition_bound_holds, partition_stats
 from planarcvc.facematch import pendant_owners
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.matching import maximum_matching
-from planarcvc.oracle import minimum_cvc, verify_cvc
-from planarcvc.pipeline import (
-    Instance,
-    Kernel,
-    kernelize,
-    lift_solution,
-    partition_bound_holds,
-    partition_stats,
-)
+from planarcvc.oracle import verify_cvc
+from planarcvc.pipeline import Instance, Kernel, kernelize, lift_solution
 from planarcvc.reductions import RuleId, run_phase1
 
 from brute import brute_matching_size, check_matching, reference_detect_rule, tightness_cover

@@ -21,9 +21,9 @@ import random
 from itertools import combinations
 
 from planarcvc.embedding import embed
+from planarcvc.exact import minimum_cvc
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.graph import Graph
-from planarcvc.oracle import minimum_cvc
 from planarcvc.pipeline import Instance, Kernel, No, kernelize
 
 from brute import dfs_tree_cover

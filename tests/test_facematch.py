@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from planarcvc.embedding import Embedding, embed, is_planar
+from planarcvc.exact import minimum_cvc
 from planarcvc.facematch import (
     apply_identification,
     build_aux_graph,
@@ -17,7 +18,6 @@ from planarcvc.facematch import (
 from planarcvc.generators import gen_exception_graph, gen_tightness
 from planarcvc.graph import Graph
 from planarcvc.matching import Matching, maximum_matching
-from planarcvc.oracle import minimum_cvc
 from planarcvc.reductions import RuleId, run_phase1
 
 from brute import graph_from_edges

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from planarcvc.embedding import embed
+from planarcvc.exact import minimum_cvc
 from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
-from planarcvc.oracle import minimum_cvc, verify_cvc
+from planarcvc.oracle import verify_cvc
 from planarcvc.pipeline import Instance, Kernel, kernelize
 
 from brute import reference_is_cut_vertex, tightness_cover

@@ -1,12 +1,13 @@
-"""oracle: verifier semantics and branch-and-bound exactness."""
+"""oracle and exact: verifier semantics and branch-and-bound exactness."""
 
 from __future__ import annotations
 
 import pytest
 
+from planarcvc.exact import TooLargeError, minimum_cvc
 from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
 from planarcvc.graph import Graph
-from planarcvc.oracle import TooLargeError, minimum_cvc, verify_cvc
+from planarcvc.oracle import verify_cvc
 
 from brute import brute_minimum_cvc, graph_from_edges
 from conftest import make_cycle, make_path, make_random_graph

@@ -9,6 +9,7 @@ import pytest
 
 from planarcvc import embedding
 from planarcvc.embedding import is_planar
+from planarcvc.exact import minimum_cvc, partition_bound_holds, partition_stats
 from planarcvc.facematch import pendant_owners
 from planarcvc.generators import (
     gen_exception_graph,
@@ -16,7 +17,7 @@ from planarcvc.generators import (
     gen_tightness,
 )
 from planarcvc.graph import Graph
-from planarcvc.oracle import minimum_cvc, verify_cvc
+from planarcvc.oracle import verify_cvc
 from planarcvc.pipeline import (
     Instance,
     Kernel,
@@ -26,9 +27,7 @@ from planarcvc.pipeline import (
     ReductionJournal,
     check_size_bound,
     kernelize,
-    partition_bound_holds,
     lift_solution,
-    partition_stats,
     replay_journal,
 )
 from planarcvc.reductions import RuleId, apply_rule, run_phase1

@@ -8,9 +8,10 @@ import pytest
 
 from planarcvc import reductions
 from planarcvc.embedding import is_planar
+from planarcvc.exact import minimum_cvc
 from planarcvc.generators import gen_exception_graph, gen_random_planar, gen_tightness
 from planarcvc.graph import Graph
-from planarcvc.oracle import minimum_cvc, verify_cvc
+from planarcvc.oracle import verify_cvc
 from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, replay_journal
 from planarcvc.reductions import (
     Phase1Result,
