@@ -46,8 +46,9 @@
 # that is not a role, naming that step, and so must one whose first cut
 # R3 record says `"cut": false`, naming that step, since replay records
 # the flag the graph gives; a kernelize without `--k` must exit 2 with argparse's
-# `usage:` line, and K5, whose Phase 1 fixpoint has no pendant owner and so only meets
-# the left-right planarity test, must exit 2 with the not-planar error.
+# `usage:` line. K5 is its own Phase 1 fixpoint, with no pendant owner, so
+# only a failing size gate tests its planarity: at k = 1 it must exit 2
+# with the not-planar error, and at k = 5 exit 0 with itself as kernel.
 # Prints one "ok <step>" line per step.
 #
 #   bash scripts/roundtrip_without_networkx.sh
@@ -287,12 +288,21 @@ fi
 echo "ok usage-error" >&2
 
 printf 'p cvc 5 10\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 2 3\ne 2 4\ne 2 5\ne 3 4\ne 3 5\ne 4 5\n' > "$work/k5.cvc"
+# At k = 1 the size gate fails, and its NO would need planarity: exit 2.
 want='error: input graph is not planar (graph with 5 vertices / 10 edges is not planar)'
 code=0
-run kernelize --input "$work/k5.cvc" --k 5 > /dev/null 2> "$work/k5.err" || code=$?
+run kernelize --input "$work/k5.cvc" --k 1 > /dev/null 2> "$work/k5.err" || code=$?
 if [ "$code" -ne 2 ] || [ "$(cat "$work/k5.err")" != "$want" ]; then
-  echo "K5: want exit 2 and '$want', got exit $code and:" >&2
+  echo "K5 at k = 1: want exit 2 and '$want', got exit $code and:" >&2
   cat "$work/k5.err" >&2
+  exit 1
+fi
+# At k = 5 it passes, and K5 is its own kernel.
+code=0
+run kernelize --input "$work/k5.cvc" --k 5 > "$work/k5-kernel.out" || code=$?
+if [ "$code" -ne 0 ] || [ "$(tail -n 1 "$work/k5-kernel.out")" != "c kernel-k 5" ]; then
+  echo "K5 at k = 5: want exit 0 and 'c kernel-k 5', got exit $code and:" >&2
+  cat "$work/k5-kernel.out" >&2
   exit 1
 fi
 echo "ok nonplanar" >&2

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .embedding import Embedding, embed, is_planar
+from .embedding import Embedding, embed
 from .graph import Graph, VertexId
 from .matching import Matching, match_groups
 from .reductions import ReductionStep, apply_identification
@@ -108,13 +108,13 @@ def run_phase2(g: Graph) -> list[ReductionStep]:
     The embedding is computed once here; the merges themselves never
     consult it again, since consecutive pairs inside a face are
     realizable without re-embedding. With fewer than two pendant owners
-    there is nothing to pair, so only planarity is decided and no
-    embedding is built. A non-planar g raises NonPlanarGraphError either
-    way. Each face's owners, ascending, are one group of match_groups,
-    so no co-faciality graph is built.
+    there is nothing to pair: g is returned untouched, with no
+    planarity test. Otherwise a non-planar g raises NonPlanarGraphError.
+    Each face's owners, ascending, are one group of match_groups, so no
+    co-faciality graph is built.
     """
     owners = pendant_owners(g)
-    if len(owners) < 2 and is_planar(g):
+    if len(owners) < 2:
         return []
     e = embed(g)  # raises NonPlanarGraphError for a non-planar g
     m0 = match_groups([sorted(members) for _, members in e.face_members(owners)])

@@ -1,9 +1,11 @@
 """Kernelization pipeline: phases 1-3, journal replay and solution lifting.
 
 kernelize runs Phase 1 to a fixpoint, runs Phase 2, then applies the
-size gate 3*|V| <= 11*k in exact integer arithmetic. Phase 2 embeds the
-fixpoint once when it has at least two pendant owners to pair; with
-fewer, only the left-right planarity test runs. Every
+size gate 3*|V| <= 11*k in exact integer arithmetic. The left-right
+planarity test runs at most once, and only where an answer depends on
+planarity: Phase 2 embeds the fixpoint when it has at least two pendant
+owners to pair, and a size-gate NO on a fixpoint that Phase 2 did not
+embed is preceded by the decision half of the test. Every
 graph modification is journaled. replay_journal rebuilds the Phase 1
 fixpoint and the kernel on one working graph; lift_solution walks the
 journal in reverse on that kernel as an undo log, mapping a connected
@@ -25,13 +27,17 @@ from .reductions import ReductionStep, RuleApplicationError, RuleId, apply_rule,
 
 
 class NonPlanarInputError(InputError):
-    """kernelize's Phase 1 fixpoint has no planar embedding.
+    """kernelize needed a planar Phase 1 fixpoint and found none.
 
-    R1-R7 turn planar graphs into planar graphs, so the input is not
-    planar either. kernelize tests only the fixpoint: a non-planar input
-    whose fixpoint is planar gets an answer, and R1-R7 keep it equal to
-    the input's (the tests check it against the exact solver on small
-    non-planar graphs).
+    Raised where an answer depends on planarity: Phase 2's embedding
+    with two or more pendant owners, and the size gate's NO, which the
+    paper's bound justifies on planar graphs only. R1-R7 turn planar
+    graphs into planar graphs, so the input is not planar either. Every
+    other answer holds on any graph: R1-R7 keep the input's answer, and
+    a NO for budget underflow or for two components with edges needs no
+    planarity. So a non-planar input whose fixpoint is planar, or has
+    fewer than two owners and passes the gate, gets its answer (the
+    tests check it against the exact solver on small non-planar graphs).
     """
 
 
@@ -103,7 +109,9 @@ def kernelize(inst: Instance) -> KernelOutcome:
     Isolated vertices are dropped up front. Inputs where two or more
     components carry an edge are NO instances outright (no connected set
     can cover both); an edgeless input is a YES instance with the empty
-    cover and kernelizes to the empty graph.
+    cover and kernelizes to the empty graph. Raises NonPlanarInputError
+    when Phase 2 must embed a non-planar fixpoint, or when the size gate
+    fails on one; a call runs at most one left-right planarity test.
     """
     work = inst.graph.copy()
     dropped = tuple(work.isolated_vertices())
@@ -122,18 +130,30 @@ def kernelize(inst: Instance) -> KernelOutcome:
     g1, k1 = phase1.graph, phase1.k
 
     # Phase 2 loads on first use: a NO from Phase 1 never needs it.
-    from .embedding import NonPlanarGraphError
-    from .facematch import run_phase2
+    from .embedding import NonPlanarGraphError, is_planar
+    from .facematch import pendant_owners, run_phase2
 
     try:
         phase2_steps = run_phase2(g1)
     except NonPlanarGraphError as exc:
-        raise NonPlanarInputError(f"input graph is not planar ({exc})") from exc
+        raise _nonplanar(g1) from exc
     journal.steps = list(phase1.steps) + phase2_steps
 
-    if not check_size_bound(g1.n_vertices, k1):
-        return No(NoReason.SIZE_GATE)
-    return Kernel(Instance(g1, k1), journal)
+    if check_size_bound(g1.n_vertices, k1):
+        return Kernel(Instance(g1, k1), journal)
+    # The bound behind this NO holds on planar graphs only. Phase 2 has
+    # embedded g1 iff it found two owners; with no R8 step, g1 is still
+    # the graph it found them on.
+    if not phase2_steps and len(pendant_owners(g1)) < 2 and not is_planar(g1):
+        raise _nonplanar(g1)
+    return No(NoReason.SIZE_GATE)
+
+
+def _nonplanar(fixpoint: Graph) -> NonPlanarInputError:
+    return NonPlanarInputError(
+        f"input graph is not planar (graph with {fixpoint.n_vertices} vertices"
+        f" / {fixpoint.n_edges} edges is not planar)"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,15 @@ Each rule's lift, the exchange argument of its safety proof, sits next
 to its applier and reads those roles back: lift_rule maps a connected
 vertex cover of a step's post-graph to one of its pre-graph.
 
+Priority is a precondition of safety: a rule keeps the answer only on a
+graph where no lower-numbered rule applies. R3 at the centre of the path
+1-3-2, where R1 has priority, contracts the path to one edge with
+k' = k - 1 and turns the YES at k = 1 into a NO. Neither apply_rule nor
+journal replay checks priority; they check only that a site fits its
+rule. So a journal that skips priority can break the decision, but not
+the lift: each lift is a local exchange, and lift_solution checks its
+result with verify_cvc.
+
 detect_rule and run_phase1 read R1-R7 off the index of
 planarcvc.detection, which Phase 1 keeps alive across its steps and
 which loads on first use.

@@ -128,7 +128,15 @@ def test_cli_kernelize_rejects_nonplanar(tmp_path, capsys):
         f"e {i} {j}\n" for i in range(1, 6) for j in range(i + 1, 6)
     )
     graph_file = write(tmp_path / "k5.cvc", k5)
-    assert main(["kernelize", "--input", graph_file, "--k", "5"]) == 2
+    # the size gate fails at k = 1, and its NO would need planarity
+    assert main(["kernelize", "--input", graph_file, "--k", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: input graph is not planar (graph with 5 vertices / 10 edges is not planar)\n"
+    )
+    # at k = 5 it passes, and K5 is its own kernel
+    assert main(["kernelize", "--input", graph_file, "--k", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "p cvc 5 10" and out[-1] == "c kernel-k 5"
 
 
 def test_cli_kernelize_stats(tmp_path, capsys):
@@ -389,7 +397,7 @@ _INPUT_ERROR_ROWS = {
         "kernelize --input {d}/signed.cvc --k 3", "line 1: malformed header 'p cvc +3 1'",
     ),
     "kernelize-nonplanar": (
-        "kernelize --input {d}/k5.cvc --k 5",
+        "kernelize --input {d}/k5.cvc --k 1",
         "input graph is not planar (graph with 5 vertices / 10 edges is not planar)",
     ),
     "kernelize-unwritable-journal": ("kernelize --input {d}/ring.cvc --k 11 --journal {d}", ("write", "{d}")),

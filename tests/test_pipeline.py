@@ -102,8 +102,14 @@ def test_kernelize_strips_isolated_vertices():
 
 
 def test_kernelize_rejects_nonplanar():
+    # R1-R7 leave K5 as it is. At k = 1 the size gate fails, and its NO
+    # would need planarity; at k = 5 it passes, and K5 is its own kernel.
+    k5 = make_complete(5)
     with pytest.raises(NonPlanarInputError):
-        kernelize(Instance(make_complete(5), 5))
+        kernelize(Instance(k5, 1))
+    out = kernelize(Instance(k5, 5))
+    assert isinstance(out, Kernel) and out.instance.k == 5
+    assert out.instance.graph.edges() == k5.edges()
 
 
 def _subdivided_k5() -> Graph:
@@ -132,9 +138,16 @@ def _kernelize_or_nonplanar(g: Graph, k: int):
 
 
 def test_kernelize_nonplanar_fixed_graphs():
+    # Both are their own fixpoints with no owner: kernelize raises where
+    # the gate fails and returns the input as its kernel where it passes.
     for g in (make_complete(5), make_complete_bipartite(3, 3)):
         for k in range(g.n_vertices + 1):
-            assert _kernelize_or_nonplanar(g, k) is None
+            out = _kernelize_or_nonplanar(g, k)
+            if check_size_bound(g.n_vertices, k):
+                assert isinstance(out, Kernel) and out.instance.k == k
+                assert out.instance.graph.edges() == g.edges()
+            else:
+                assert out is None
     # R3 removes every subdivision vertex, so the only planarity check
     # sees a planar fixpoint and the answer is the input's.
     sub = _subdivided_k5()
@@ -185,6 +198,79 @@ def test_kernelize_embeds_only_with_two_owners(monkeypatch):
     assert rotation(e)[1] and calls == {"half_edges": 2, "faces": 1}
 
 
+def _count_lr_passes(monkeypatch) -> list[str]:
+    """Record each left-right test from now on: "embedding" if it built
+    one, else "decision"."""
+    passes: list[str] = []
+
+    class Counted(embedding._LRPlanarity):
+        __slots__ = ()
+
+        def __init__(self, g: Graph) -> None:
+            super().__init__(g)
+            passes.append("decision")
+
+        def embedding(self):
+            passes[-1] = "embedding"
+            return super().embedding()
+
+    monkeypatch.setattr(embedding, "_LRPlanarity", Counted)
+    return passes
+
+
+def test_kernelize_tests_planarity_only_where_an_answer_needs_it(monkeypatch):
+    passes = _count_lr_passes(monkeypatch)
+    triangulation = gen_random_planar(60, 1.0, 7)
+    assert isinstance(kernelize(Instance(triangulation, 60)), Kernel)
+    assert passes == []
+    # the gate's NO on a fixpoint with no owner: one decision
+    assert kernelize(Instance(triangulation, 10)) == No(NoReason.SIZE_GATE)
+    assert passes == ["decision"]
+
+    passes.clear()
+    ring = gen_tightness(3)
+    assert isinstance(kernelize(Instance(ring, 11)), Kernel)
+    assert passes == ["embedding"]
+    # the gate's NO after Phase 2 has embedded and merged: no second test
+    assert kernelize(Instance(ring, 9)) == No(NoReason.SIZE_GATE)
+    assert passes == ["embedding"] * 2
+
+    # two owners on no common face: Phase 2 embeds and merges nothing
+    passes.clear()
+    far = triangulation.copy()
+    u = max(far.vertices(), key=far.degree)
+    w = max((v for v in far.vertices() if v != u and not far.has_edge(u, v)), key=far.degree)
+    for owner in (u, w):
+        far.add_edge(owner, far.add_vertex())
+    assert pendant_owners(run_phase1(far.copy(), 62).graph) == sorted((u, w))
+    out = kernelize(Instance(far, 62))
+    assert isinstance(out, Kernel) and all(s.rule is not RuleId.R8 for s in out.journal.steps)
+    assert kernelize(Instance(far, 10)) == No(NoReason.SIZE_GATE)
+    assert passes == ["embedding"] * 2
+
+
+def test_kernelize_nonplanar_fixpoint_never_gets_size_gate_no():
+    # The gate's NO rests on the paper's bound, which holds on planar
+    # graphs only. A non-planar input whose fixpoint is planar may get it
+    # (R3 and R5 can remove what made the input non-planar); one whose
+    # fixpoint is not never does. Every kernel answers as the input does,
+    # the non-planar kernels included.
+    counts = {"kernel": 0, "nonplanar kernel": 0, "gate": 0}
+    for g in _nonplanar_corpus(400) + [make_complete(5), make_complete_bipartite(3, 3)]:
+        for k in range(g.n_vertices + 1):
+            out = _kernelize_or_nonplanar(g, k)
+            if out == No(NoReason.SIZE_GATE):
+                counts["gate"] += 1
+                assert is_planar(run_phase1(g.copy(), k).graph), (g.edges(), k)
+                assert minimum_cvc(g, k) is None, (g.edges(), k)
+            elif isinstance(out, Kernel):
+                counts["kernel"] += 1
+                counts["nonplanar kernel"] += not is_planar(out.instance.graph)
+                got = minimum_cvc(out.instance.graph, out.instance.k) is not None
+                assert got == (minimum_cvc(g, k) is not None), (g.edges(), k)
+    assert min(counts.values()) > 0, counts
+
+
 def _k5_with(extra: list[tuple[int, int]]) -> Graph:
     return graph_from_edges([(i, j) for i in range(1, 6) for j in range(i + 1, 6)] + extra)
 
@@ -199,10 +285,16 @@ def _k5_with(extra: list[tuple[int, int]]) -> Graph:
     ],
 )
 def test_kernelize_nonplanar_fixpoint_message(extra, owners, size):
+    # Phase 2 embeds with two owners and raises at every k; with fewer,
+    # only a failing size gate asks, and the message is the same.
     g = _k5_with(extra)
-    for k in (0, 5, g.n_vertices):
+    for k in (0, 1, 5, g.n_vertices):
         fixpoint = run_phase1(g.copy(), k).graph
         assert len(pendant_owners(fixpoint)) == owners
+        if owners < 2 and check_size_bound(fixpoint.n_vertices, k):
+            out = kernelize(Instance(g, k))
+            assert isinstance(out, Kernel) and out.instance.graph.edges() == fixpoint.edges()
+            continue
         with pytest.raises(NonPlanarInputError) as info:
             kernelize(Instance(g, k))
         assert str(info.value) == f"input graph is not planar (graph with {size} is not planar)"
