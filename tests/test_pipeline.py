@@ -204,8 +204,6 @@ def _count_lr_passes(monkeypatch) -> list[str]:
     passes: list[str] = []
 
     class Counted(embedding._LRPlanarity):
-        __slots__ = ()
-
         def __init__(self, g: Graph) -> None:
             super().__init__(g)
             passes.append("decision")
