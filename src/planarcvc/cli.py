@@ -105,13 +105,12 @@ def _stats_lines(outcome: Kernel) -> list[str]:
     journal = outcome.journal
     m_star = sum(1 for s in journal.steps if s.rule is RuleId.R8)
     g1, _ = replay_journal(journal)
-    cert = minimum_cvc(g1, g1.n_vertices)
-    if cert is None:
+    cover = minimum_cvc(g1, g1.n_vertices)
+    if cover is None:
         raise InputError("--stats: fixpoint has no connected vertex cover")
-    cover = set(cert.vertices)
     verdict = "holds" if partition_bound_holds(g1, cover, m_star) else "VIOLATED"
     return [
-        f"stats minimum-cover {cert.size}",
+        f"stats minimum-cover {len(cover)}",
         *(f"stats {name} {size}" for name, size in partition_stats(g1, cover).sizes().items()),
         f"stats M* {m_star}",
         f"stats partition-bound {verdict}",
@@ -123,11 +122,11 @@ def _cmd_solve(args: _Args) -> int:
 
     g = _read_graph(args.input)
     limit = args.limit if args.limit is not None else g.n_vertices
-    cert = minimum_cvc(g, limit)
-    if cert is None:
+    cover = minimum_cvc(g, limit)
+    if cover is None:
         print(f"c no connected vertex cover within {limit}")
         return EXIT_NO
-    sys.stdout.write(fileio.serialize_solution(set(cert.vertices)))
+    sys.stdout.write(fileio.serialize_solution(set(cover)))
     return EXIT_YES
 
 

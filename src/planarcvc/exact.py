@@ -2,18 +2,19 @@
 
 Branch and bound on uncovered edges with a matching lower bound and a
 connectivity repair phase; exactness at desk scale is the contract, not
-speed. The solver is the ground truth that every reduction rule and
-every lift map is validated against, and `solve` and `kernelize --stats`
-run it; the partition (S1, S>=3, I1, I3, I>=4) of a Phase 1 fixpoint
-relative to its minimum cover checks the paper's counting bound. Neither
-is part of the pipeline, so this module loads on first use: `import
-planarcvc`, a `lift`, a `verify` and a `kernelize` without `--stats`
-never compile it.
+speed. The solver, `minimum_cvc`, answers with a minimum cover itself,
+a frozenset, or None. It is the ground truth that every reduction rule
+and every lift map is validated against, and `solve` and `kernelize
+--stats` run it; the partition (S1, S>=3, I1, I3, I>=4) of a Phase 1
+fixpoint relative to its minimum cover checks the paper's counting
+bound. Neither is part of the pipeline, so this module loads on first
+use: `import planarcvc`, a `lift`, a `verify` and a `kernelize` without
+`--stats` never compile it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import AbstractSet, NamedTuple
 
 from .graph import Graph, InputError, VertexId
 from .oracle import verify_cvc
@@ -29,35 +30,26 @@ class TooLargeError(InputError):
     """Instance outside the exact solver's declared comfort zone."""
 
 
-class CoverCertificate(NamedTuple):
-    """A connected vertex cover witnessing the solver's answer."""
-
-    vertices: frozenset[VertexId]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-def minimum_cvc(g: Graph, limit: int) -> CoverCertificate | None:
+def minimum_cvc(g: Graph, limit: int) -> frozenset[VertexId] | None:
     """Smallest connected vertex cover of size <= limit, or None.
 
-    Isolated vertices are ignored. When two or more components carry
-    edges no connected set can cover both, so the answer is None for
-    every limit. Raises TooLargeError instead of attempting instances
-    where the exhaustive search would be unreasonable.
+    The cover itself is the certificate; the empty cover of an edgeless
+    graph is falsy, so callers test the answer against None. Isolated
+    vertices are ignored. When two or more components carry edges no
+    connected set can cover both, so the answer is None for every limit.
+    Raises TooLargeError instead of attempting instances where the
+    exhaustive search would be unreasonable.
     """
     if limit < 0:
         return None
     edgeful = [c for c in g.components() if len(c) > 1]
     if not edgeful:
-        return CoverCertificate(frozenset())
+        return frozenset()
     if len(edgeful) > 1:
         return None
     core = sorted(edgeful[0])
     _guard_size(len(core), limit)
-    best = _branch_and_bound(g, core, min(limit, len(core)))
-    return None if best is None else CoverCertificate(frozenset(best))
+    return _branch_and_bound(g, core, min(limit, len(core)))
 
 
 def _guard_size(n: int, budget: int) -> None:
@@ -71,7 +63,7 @@ def _branch_and_bound(
     g: Graph,
     core: list[VertexId],
     limit: int,
-) -> set[VertexId] | None:
+) -> frozenset[VertexId] | None:
     """Exhaustive search over connected vertex covers of the edgeful core.
 
     Branches on an uncovered edge (take one endpoint or the other); once
@@ -81,8 +73,8 @@ def _branch_and_bound(
     through one of them.
     """
     edges = g.edges()  # the core is the only component carrying edges
-    adj = {v: g.neighbor_set(v) for v in core}
-    best: list[set[VertexId] | None] = [None]
+    adj = g.adjacency()
+    best: list[frozenset[VertexId] | None] = [None]
     best_size = [limit + 1]
 
     def matching_lower_bound(chosen: set[VertexId]) -> int:
@@ -116,7 +108,7 @@ def _branch_and_bound(
 
         comp = g.component(min(chosen), chosen)
         if len(comp) == len(chosen):
-            best[0] = set(chosen)
+            best[0] = frozenset(chosen)
             best_size[0] = len(chosen)
             return
         # One more vertex may merge every component at once (a common
@@ -157,7 +149,7 @@ class Partition(NamedTuple):
         }
 
 
-def partition_stats(g: Graph, cover: set[VertexId]) -> Partition:
+def partition_stats(g: Graph, cover: AbstractSet[VertexId]) -> Partition:
     """Partition V(g) relative to a connected vertex cover.
 
     Non-cover vertices of degree 0 or 2 cannot occur in a reduced graph,
@@ -191,7 +183,7 @@ def partition_stats(g: Graph, cover: set[VertexId]) -> Partition:
     )
 
 
-def partition_bound_holds(g1: Graph, cover: set[VertexId], m_star: int) -> bool:
+def partition_bound_holds(g1: Graph, cover: AbstractSet[VertexId], m_star: int) -> bool:
     """Checker for |S>=3| + |I>=4| + |M*| >= |S| / 3 on a Phase 1 fixpoint.
 
     This inequality is a theorem when cover is a minimum connected vertex

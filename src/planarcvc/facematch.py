@@ -102,18 +102,17 @@ def planarize_matching(m0: Matching, e: Embedding) -> PlanarizedMatching:
     return PlanarizedMatching(pairs=tuple(pairs))
 
 
-def run_phase2(g: Graph) -> list[ReductionStep]:
+def run_phase2(g: Graph, owners: list[VertexId]) -> list[ReductionStep]:
     """Apply R8 a maximum number of times, mutating g; returns the steps.
 
-    The embedding is computed once here; the merges themselves never
-    consult it again, since consecutive pairs inside a face are
-    realizable without re-embedding. With fewer than two pendant owners
-    there is nothing to pair: g is returned untouched, with no
-    planarity test. Otherwise a non-planar g raises NonPlanarGraphError.
-    Each face's owners, ascending, are one group of match_groups, so no
-    co-faciality graph is built.
+    `owners` is pendant_owners(g), which kernelize also reads for its
+    size gate. With fewer than two there is nothing to pair: g is
+    returned untouched, with no planarity test. Otherwise g is embedded
+    once (a non-planar g raises NonPlanarGraphError); the merges never
+    consult the embedding again, since consecutive pairs inside a face
+    are realizable without re-embedding. Each face's owners, ascending,
+    are one group of match_groups, so no co-faciality graph is built.
     """
-    owners = pendant_owners(g)
     if len(owners) < 2:
         return []
     e = embed(g)  # raises NonPlanarGraphError for a non-planar g

@@ -27,7 +27,6 @@ class Graph:
     def __init__(self) -> None:
         self._adj: dict[VertexId, set[VertexId]] = {}
         self._next_id: VertexId = 1
-        self._n_edges = 0
 
     @classmethod
     def from_adjacency(cls, adj: dict[VertexId, set[VertexId]]) -> Graph:
@@ -41,7 +40,6 @@ class Graph:
         g = cls()
         g._adj = adj
         g._next_id = max(adj, default=0) + 1
-        g._n_edges = sum(map(len, adj.values())) // 2
         return g
 
     # ------------------------------------------------------------------
@@ -78,7 +76,6 @@ class Graph:
             raise ValueError(f"edge ({u},{w}) already present")
         self._adj[u].add(w)
         self._adj[w].add(u)
-        self._n_edges += 1
 
     def ensure_edge(self, u: VertexId, w: VertexId) -> None:
         """Add edge u-w if absent."""
@@ -90,14 +87,12 @@ class Graph:
             raise KeyError(f"edge ({u},{w}) not present")
         self._adj[u].discard(w)
         self._adj[w].discard(u)
-        self._n_edges -= 1
 
     def remove_vertex(self, v: VertexId) -> None:
         if v not in self._adj:
             raise KeyError(f"vertex {v} not present")
         for w in self._adj[v]:
             self._adj[w].discard(v)
-        self._n_edges -= len(self._adj[v])
         del self._adj[v]
 
     def contract_edge(self, u: VertexId, w: VertexId) -> VertexId:
@@ -116,7 +111,6 @@ class Graph:
         if len(adj[u]) < len(adj[w]):
             u, w = w, u
         big, small = adj.pop(u), adj.pop(w)
-        lost = len(big) + len(small) - 1  # the edges at u or w, u-w once
         big.discard(w)
         small.discard(u)
         for x in small:
@@ -128,7 +122,6 @@ class Graph:
             nbrs.discard(u)
             nbrs.add(c)
         adj[c] = big
-        self._n_edges -= lost - len(big)
         return c
 
     # ------------------------------------------------------------------
@@ -144,7 +137,7 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        return sum(map(len, self._adj.values())) // 2
 
     def vertices(self) -> list[VertexId]:
         return sorted(self._adj)
@@ -159,9 +152,6 @@ class Graph:
     def neighbors(self, v: VertexId) -> list[VertexId]:
         """Neighbors of v in ascending id order."""
         return sorted(self._adj[v])
-
-    def neighbor_set(self, v: VertexId) -> set[VertexId]:
-        return set(self._adj[v])
 
     def degree(self, v: VertexId) -> int:
         return len(self._adj[v])
@@ -262,7 +252,6 @@ class Graph:
         g = Graph()
         g._adj = {v: set(adj) for v, adj in self._adj.items()}
         g._next_id = self._next_id
-        g._n_edges = self._n_edges
         return g
 
     def __repr__(self) -> str:

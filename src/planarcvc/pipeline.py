@@ -133,18 +133,17 @@ def kernelize(inst: Instance) -> KernelOutcome:
     from .embedding import NonPlanarGraphError, is_planar
     from .facematch import pendant_owners, run_phase2
 
+    owners = pendant_owners(g1)
     try:
-        phase2_steps = run_phase2(g1)
+        journal.steps = list(phase1.steps) + run_phase2(g1, owners)
     except NonPlanarGraphError as exc:
         raise _nonplanar(g1) from exc
-    journal.steps = list(phase1.steps) + phase2_steps
 
     if check_size_bound(g1.n_vertices, k1):
         return Kernel(Instance(g1, k1), journal)
-    # The bound behind this NO holds on planar graphs only. Phase 2 has
-    # embedded g1 iff it found two owners; with no R8 step, g1 is still
-    # the graph it found them on.
-    if not phase2_steps and len(pendant_owners(g1)) < 2 and not is_planar(g1):
+    # The bound behind this NO holds on planar graphs only; Phase 2 has
+    # embedded g1 iff it found two owners.
+    if len(owners) < 2 and not is_planar(g1):
         raise _nonplanar(g1)
     return No(NoReason.SIZE_GATE)
 

@@ -417,7 +417,7 @@ def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
             if not joins:
                 raise AssertionError("no reconnecting vertex found; upstream bug")
             sol.add(min(joins))
-    assert g.neighbor_set(c) == {u, v}, "R8 undo needs the merged 2-vertex"
+    assert g.adjacency()[c] == {u, v}, "R8 undo needs the merged 2-vertex"
     g.remove_vertex(c)
     for owner, pendant in ((u, site["xu"]), (v, site["xv"])):
         g.add_named_vertex(pendant)

@@ -47,7 +47,7 @@ def test_criterion_1_oracle_equivalence(corpus_with_minimums):
     for g, cert in corpus_with_minimums:
         instances += 1
         for k in range(0, g.n_vertices + 1):
-            expected = k >= cert.size
+            expected = k >= len(cert)
             assert (minimum_cvc(g, k) is not None) == expected
             out = kernelize(Instance(g.copy(), k))
             if isinstance(out, Kernel):
@@ -65,7 +65,7 @@ def test_criterion_2_kernel_size_bound(corpus_with_minimums):
     """YES instances at the exact budget always pass the 11/3 gate."""
     count = 0
     for g, cert in corpus_with_minimums:
-        k = cert.size
+        k = len(cert)
         out = kernelize(Instance(g.copy(), k))
         assert isinstance(out, Kernel), f"gate rejected a YES instance, k={k}"
         assert 3 * out.instance.graph.n_vertices <= 11 * k
@@ -95,7 +95,7 @@ def test_criterion_3_tight_family_regression():
         assert lhs == len(cover) + 4  # equality with (|S| + 4) / 3
     for copies in (3, 4):
         cert = minimum_cvc(gen_tightness(copies), 3 * copies + 2)
-        assert cert is not None and cert.size == 3 * copies + 2
+        assert cert is not None and len(cert) == 3 * copies + 2
     report("criterion 3 PASS: ring family exact for l in 3..8, oracle for l in 3..4")
 
 
@@ -118,12 +118,12 @@ def test_criterion_5_lifting_soundness(corpus_with_minimums):
     """Lifted kernel optima are covers of the input within the budget."""
     count = 0
     for g, cert in corpus_with_minimums:
-        k = cert.size
+        k = len(cert)
         out = kernelize(Instance(g.copy(), k))
         assert isinstance(out, Kernel)
         kernel_cert = minimum_cvc(out.instance.graph, out.instance.k)
         assert kernel_cert is not None
-        lifted = lift_solution(out.journal, set(kernel_cert.vertices))
+        lifted = lift_solution(out.journal, set(kernel_cert))
         assert verify_cvc(g, lifted)
         assert len(lifted) <= k
         count += 1

@@ -1,9 +1,25 @@
 """The benchmark's traced decomposition still runs against the package.
 
-perfbench/tracing.py imports pipeline internals by name (run_phase1,
-embed, apply_identification, replay_journal, ReductionJournal with
-dropped_isolated, build_parser, ...) and reads Embedding.faces and
-Face.boundary; perfbench/run.py imports it even when it traces nothing.
+perfbench/tracing.py imports or reads these names of the package, and
+perfbench/run.py imports it even when it traces nothing:
+- cli.build_parser;
+- fileio.parse_graph, parse_journal_steps, parse_solution,
+  journal_for_input, canonical_labels, serialize_graph,
+  serialize_journal and serialize_solution;
+- embedding.embed, Embedding.faces and Face.boundary;
+- facematch.build_aux_graph (AuxGraph.vertices, .edges and .to_graph),
+  planarize_matching (PlanarizedMatching.pairs) and
+  apply_identification;
+- matching.maximum_matching (Matching.size);
+- reductions.run_phase1 (Phase1Result.steps, .early_no, .graph and .k;
+  ReductionStep.rule);
+- pipeline.NoReason, ReductionJournal (input_graph, dropped_isolated,
+  steps and k_spent), check_size_bound, replay_journal and
+  lift_solution;
+- oracle.verify_cvc;
+- Graph.copy, isolated_vertices, remove_vertex, is_connected and
+  n_vertices.
+
 Loading it here and running its kernelize and lift once on the ring
 family (l = 3, k = 11) makes a deletion that breaks the benchmark fail
 in the test suite. Both traced outputs must equal the CLI's.

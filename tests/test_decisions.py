@@ -65,7 +65,7 @@ def test_ring_mutants_pass_the_gate_at_their_optimum():
         if cert is None:
             skipped += 1
             continue
-        opt = cert.size
+        opt = len(cert)
         out = kernelize(Instance(h.copy(), opt))
         assert isinstance(out, Kernel), (h.edges(), opt)
         assert 3 * out.instance.graph.n_vertices <= 11 * out.instance.k

@@ -152,7 +152,7 @@ def test_identification_merges_pendants():
 def test_phase2_tightness_counts():
     for copies in (3, 4):
         g = gen_tightness(copies)
-        steps = run_phase2(g)
+        steps = run_phase2(g, pendant_owners(g))
         assert len(steps) == copies
         assert g.n_vertices == 11 * copies + 2
 
@@ -160,26 +160,26 @@ def test_phase2_tightness_counts():
 def test_phase2_exception_graph_unchanged():
     g = gen_exception_graph()
     before = g.edges()
-    assert run_phase2(g) == []
+    assert run_phase2(g, pendant_owners(g)) == []
     assert g.edges() == before
 
 
 def test_phase2_empty_graph_has_no_steps():
-    assert run_phase2(Graph()) == []
+    assert run_phase2(Graph(), []) == []
 
 
 def test_phase2_single_owner_unchanged():
     g = make_cycle(4)
     p = g.add_vertex()
     g.add_edge(1, p)
-    assert run_phase2(g) == []
+    assert run_phase2(g, pendant_owners(g)) == []
 
 
 def test_phase2_steps_consume_valid_pendant_pairs(corpus_small):
     for g in corpus_small[:40]:
         fixed = run_phase1(g.copy(), g.n_vertices).graph
         before = fixed.copy()
-        steps = run_phase2(fixed)
+        steps = run_phase2(fixed, pendant_owners(fixed))
         for step in steps:
             u, v = step.site["u"], step.site["v"]
             assert not before.has_edge(u, v)
@@ -191,6 +191,6 @@ def test_phase2_preserves_decision(corpus_small):
     for g in corpus_small[:25]:
         fixed = run_phase1(g.copy(), g.n_vertices).graph
         before = fixed.copy()
-        run_phase2(fixed)
+        run_phase2(fixed, pendant_owners(fixed))
         for k in range(0, before.n_vertices + 1):
             assert (minimum_cvc(before, k) is None) == (minimum_cvc(fixed, k) is None)

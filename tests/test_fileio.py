@@ -594,14 +594,14 @@ def test_cli_round_trip_without_networkx():
     # --stats` must find the partition bound holding, the pendant wheel
     # at m = 50 must make 25 merges and lift its non-leaf cover, a
     # random graph's kernel, reached through R2, cut R3 and R4
-    # contractions, must lift
-    # to a cover, so must one reached through R5, R6 and R7 steps and
-    # one of n = 3200 with more than 3000 journal records, a
-    # decorated copy of the first graph and of its kernel solution, read
-    # line by line, must give the same kernel, journal and lift, and
-    # an input error, a journal record without one of its roles, with
-    # a site key beyond them or with a cut R3's flag cleared, a missing
-    # --k and a non-planar K5 must exit 2.
+    # contractions, must lift to a cover, so must one reached through
+    # R5, R6 and R7 steps and one of n = 3200 with more than 3000
+    # journal records, a decorated copy of the first graph and of its
+    # kernel solution, read line by line, must give the same kernel,
+    # journal and lift, and an input error, a journal record without
+    # one of its roles, with a site key beyond them or with a cut R3's
+    # flag cleared, a missing --k and the non-planar K5 at k = 1 must
+    # exit 2, while K5 at k = 5 exits 0 with `c kernel-k 5`.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300

@@ -27,7 +27,7 @@ def test_tightness_rejects_small_ell():
 
 def test_tightness_minimum_cover_l3():
     cert = minimum_cvc(gen_tightness(3), 11)
-    assert cert is not None and cert.size == 11
+    assert cert is not None and len(cert) == 11
 
 
 def test_tightness_canonical_cover_valid():
@@ -52,7 +52,7 @@ def test_exception_graph_shape():
     assert g.pendant_neighbors(v) == {q}
     assert reference_is_cut_vertex(g, v)
     cert = minimum_cvc(g, 6)
-    assert cert.size == 3
+    assert len(cert) == 3
 
 
 def test_random_planar_single_vertex():

@@ -88,7 +88,7 @@ def test_contract_matches_reference_on_a_growing_hub():
             at_hub = [e for e in edges if hub in e]
             u, w = rng.choice(at_hub if at_hub and rng.random() < 0.8 else edges)
             biggest_hub = max(biggest_hub, g.degree(hub))
-            common += bool(g.neighbor_set(u) & g.neighbor_set(w))
+            common += bool(g.adjacency()[u] & g.adjacency()[w])
             c = g.contract_edge(u, w)
             assert c == reference_contract_edge(ref, u, w)
             assert dict(g.adjacency()) == dict(ref.adjacency())

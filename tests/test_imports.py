@@ -153,8 +153,7 @@ def test_phase2_loads_only_for_a_kernelize_that_reaches_it(tmp_path, capsys):
 # package does not re-export.
 _MODULE_ONLY = {
     "embedding": ("Embedding", "Face", "NonPlanarGraphError", "embed"),
-    "exact": ("CoverCertificate", "Partition", "TooLargeError", "minimum_cvc", "partition_bound_holds",
-              "partition_stats"),
+    "exact": ("Partition", "TooLargeError", "minimum_cvc", "partition_bound_holds", "partition_stats"),
     "facematch": ("AuxGraph", "PlanarizedMatching", "build_aux_graph", "planarize_matching", "run_phase2"),
     "generators": ("gen_exception_graph", "gen_random_planar", "gen_tightness"),
     "matching": ("Matching", "maximum_matching"),

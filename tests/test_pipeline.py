@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from planarcvc import embedding
+from planarcvc import embedding, facematch
 from planarcvc.embedding import is_planar
 from planarcvc.exact import minimum_cvc, partition_bound_holds, partition_stats
 from planarcvc.facematch import pendant_owners
@@ -218,20 +218,23 @@ def _count_lr_passes(monkeypatch) -> list[str]:
 
 def test_kernelize_tests_planarity_only_where_an_answer_needs_it(monkeypatch):
     passes = _count_lr_passes(monkeypatch)
+    # Phase 2 and the size gate share one owner scan per call
+    scans: list[Graph] = []
+    monkeypatch.setattr(facematch, "pendant_owners", lambda g: scans.append(g) or pendant_owners(g))
     triangulation = gen_random_planar(60, 1.0, 7)
     assert isinstance(kernelize(Instance(triangulation, 60)), Kernel)
-    assert passes == []
+    assert passes == [] and len(scans) == 1
     # the gate's NO on a fixpoint with no owner: one decision
     assert kernelize(Instance(triangulation, 10)) == No(NoReason.SIZE_GATE)
-    assert passes == ["decision"]
+    assert passes == ["decision"] and len(scans) == 2
 
     passes.clear()
     ring = gen_tightness(3)
     assert isinstance(kernelize(Instance(ring, 11)), Kernel)
-    assert passes == ["embedding"]
+    assert passes == ["embedding"] and len(scans) == 3
     # the gate's NO after Phase 2 has embedded and merged: no second test
     assert kernelize(Instance(ring, 9)) == No(NoReason.SIZE_GATE)
-    assert passes == ["embedding"] * 2
+    assert passes == ["embedding"] * 2 and len(scans) == 4
 
     # two owners on no common face: Phase 2 embeds and merges nothing
     passes.clear()
@@ -244,7 +247,7 @@ def test_kernelize_tests_planarity_only_where_an_answer_needs_it(monkeypatch):
     out = kernelize(Instance(far, 62))
     assert isinstance(out, Kernel) and all(s.rule is not RuleId.R8 for s in out.journal.steps)
     assert kernelize(Instance(far, 10)) == No(NoReason.SIZE_GATE)
-    assert passes == ["embedding"] * 2
+    assert passes == ["embedding"] * 2 and len(scans) == 6
 
 
 def test_kernelize_nonplanar_fixpoint_never_gets_size_gate_no():
@@ -402,12 +405,12 @@ def test_lift_checks_the_input_only_after_a_step(monkeypatch):
 
 def test_lift_corpus_solutions(corpus_small):
     for g in corpus_small[:40]:
-        mini = minimum_cvc(g, g.n_vertices).size
+        mini = len(minimum_cvc(g, g.n_vertices))
         out = kernelize(Instance(g.copy(), mini))
         assert isinstance(out, Kernel), "YES instances must pass the gate"
         kernel_cert = minimum_cvc(out.instance.graph, out.instance.k)
         assert kernel_cert is not None
-        lifted = lift_solution(out.journal, set(kernel_cert.vertices))
+        lifted = lift_solution(out.journal, set(kernel_cert))
         assert verify_cvc(g, lifted)
         assert len(lifted) <= mini
 
@@ -419,11 +422,11 @@ def test_lift_every_feasible_budget():
             out = kernelize(Instance(g.copy(), k))
             assert isinstance(out, Kernel)
             cert = minimum_cvc(out.instance.graph, out.instance.k)
-            lifted = lift_solution(out.journal, set(cert.vertices))
+            lifted = lift_solution(out.journal, set(cert))
             assert verify_cvc(g, lifted)
             assert len(lifted) <= k
             # Each undone step grows the cover by at most the budget it spent.
-            assert len(lifted) <= cert.size + out.journal.k_spent
+            assert len(lifted) <= len(cert) + out.journal.k_spent
 
 
 # ----------------------------------------------------------------------
@@ -592,7 +595,7 @@ def test_r8_connectivity_checks_do_not_grow_with_the_ring(monkeypatch, target):
         with monkeypatch.context() as m:
             m.setattr(Graph, "component", lambda self, *a: calls.append(a) or component(self, *a))
             if target == "run_phase2":
-                steps = run_phase2(g)
+                steps = run_phase2(g, pendant_owners(g))
             else:
                 replay_journal(out.journal)
                 steps = out.journal.steps
@@ -606,7 +609,7 @@ def test_lift_tightness_covers_with_merged_vertices():
     out = kernelize(Instance(g.copy(), 11))
     assert isinstance(out, Kernel)
     kernel = out.instance.graph
-    base = set(minimum_cvc(kernel, 11).vertices)
+    base = set(minimum_cvc(kernel, 11))
     merged = [s.created[0] for s in out.journal.steps]
     assert len(merged) == 3
     for extra in range(1, 4):
@@ -725,5 +728,5 @@ def test_partition_bound_on_reduced_corpus(corpus_small):
             continue
         cover = minimum_cvc(g1, g1.n_vertices)
         g2 = g1.copy()
-        m_star = len(run_phase2(g2))
-        assert partition_bound_holds(g1, set(cover.vertices), m_star)
+        m_star = len(run_phase2(g2, pendant_owners(g2)))
+        assert partition_bound_holds(g1, cover, m_star)
