@@ -39,14 +39,16 @@
 # with abbreviated options and
 # `--k=11`, which argparse parses, must write the same kernel and
 # journal as the long form. Then one input error, a graph file
-# with a self-loop, must exit 2 with a single `error:` line on stderr,
-# so must a lift whose journal lost the `w` role of its first R2 record
-# (n = 120), naming that step and the RuleApplicationError, with no
-# traceback, so must one whose first R2 record gained a site key
-# that is not a role, naming that step, and so must one whose first cut
-# R3 record says `"cut": false`, naming that step, since replay records
-# the flag the graph gives; a kernelize without `--k` must exit 2 with argparse's
-# `usage:` line. K5 is its own Phase 1 fixpoint, with no pendant owner, so
+# with a self-loop, must exit 2 with a single `error:` line on stderr.
+# The n = 120 journal holds no R8 record, so `lift` checks its records
+# without replaying them: a lift whose journal lost the `w` role of its
+# first R2 record must exit 2 with one `error:` line naming that step
+# and the site keys, with no traceback, so must one whose first R2
+# record gained a site key that is not a role, and one whose first cut
+# R3 record says `"cut": false`, whose keys are those of a cut R3. An
+# empty kernel solution of that kernel lifts to a set that is no cover:
+# exit 2 with one `error:` line, under `python3` and `python3 -O` alike.
+# A kernelize without `--k` must exit 2 with argparse's `usage:` line. K5 is its own Phase 1 fixpoint, with no pendant owner, so
 # only a failing size gate tests its planarity: at k = 1 it must exit 2
 # with the not-planar error, and at k = 5 exit 0 with itself as kernel.
 # Prints one "ok <step>" line per step.
@@ -59,15 +61,19 @@ export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# run [--argparse] ARGS...: `planarcvc ARGS`; with --argparse the step
-# may load argparse.
+# run [-O] [--argparse] ARGS...: `planarcvc ARGS`; -O runs it under
+# `python3 -O`, and with --argparse the step may load argparse.
 run() {
-  local argparse=no
+  local optimize="" argparse=no
+  if [ "$1" = -O ]; then
+    optimize=-O
+    shift
+  fi
   if [ "$1" = --argparse ]; then
     argparse=yes
     shift
   fi
-  python3 -c '
+  python3 $optimize -c '
 import sys
 sys.modules["networkx"] = None  # any import of networkx now fails
 from planarcvc.cli import main
@@ -245,38 +251,40 @@ print(idx)
 ' "$g.journal" "$2" "$1"
 }
 
-idx=$(tamper del "$g-missing-role.journal")
-want="error: journal does not replay at step $idx: RuleApplicationError(\"R2: site lacks the roles ['w']\")"
-code=0
-run lift --input "$g.cvc" --journal "$g-missing-role.journal" --solution "$g-kernel.sol" \
-  > /dev/null 2> "$work/missing-role.err" || code=$?
-if [ "$code" -ne 2 ] || [ "$(cat "$work/missing-role.err")" != "$want" ]; then
-  echo "journal without a role: want exit 2 and '$want', got exit $code and:" >&2
-  cat "$work/missing-role.err" >&2
-  exit 1
-fi
-echo "ok missing-role" >&2
-
-# replay_mismatch NAME ACTION RULE: a lift with the n = 120 journal
-# tampered by ACTION must exit 2 with one line, the replay mismatch of
-# the tampered RULE record at its own step.
-replay_mismatch() {
+# bad_record NAME ACTION DETAIL: a lift with the n = 120 journal tampered
+# by ACTION must exit 2 with one line, the record check's DETAIL at the
+# tampered record's own step.
+bad_record() {
   local name=$1 idx want code=0
   idx=$(tamper "$2" "$g-$name.journal")
-  want="error: journal does not replay at step $idx: replayed ReductionStep(rule=<RuleId.$3: ${3#R}>, "
+  want="error: bad journal record at step $idx: $3"
   run lift --input "$g.cvc" --journal "$g-$name.journal" --solution "$g-kernel.sol" \
     > /dev/null 2> "$work/$name.err" || code=$?
-  if [ "$code" -ne 2 ] || [ "$(wc -l < "$work/$name.err")" -ne 1 ] \
-    || [[ "$(cat "$work/$name.err")" != "$want"* ]]; then
-    echo "$name journal: want exit 2 and '$want...', got exit $code and:" >&2
+  if [ "$code" -ne 2 ] || [ "$(cat "$work/$name.err")" != "$want" ]; then
+    echo "$name journal: want exit 2 and '$want', got exit $code and:" >&2
     cat "$work/$name.err" >&2
     exit 1
   fi
   echo "ok $name" >&2
 }
 
-replay_mismatch unknown-role add R2
-replay_mismatch flipped-cut cut R3
+bad_record missing-role del "R2: site keys ['c', 'u', 'v'] are not ['c', 'u', 'v', 'w']"
+bad_record unknown-role add "R2: site keys ['c', 'extra', 'u', 'v', 'w'] are not ['c', 'u', 'v', 'w']"
+bad_record flipped-cut cut "R3: site keys ['c', 'cut', 'u', 'v', 'w'] are not ['cut', 'pu', 'pw', 'u', 'v', 'w']"
+
+: > "$work/empty.sol"
+want='error: kernel solution does not lift to a connected vertex cover of the input'
+for optimize in "" -O; do
+  code=0
+  run $optimize lift --input "$g.cvc" --journal "$g.journal" --solution "$work/empty.sol" \
+    > /dev/null 2> "$work/empty.err" || code=$?
+  if [ "$code" -ne 2 ] || [ "$(cat "$work/empty.err")" != "$want" ]; then
+    echo "empty kernel solution, python3 $optimize: want exit 2 and '$want', got exit $code and:" >&2
+    cat "$work/empty.err" >&2
+    exit 1
+  fi
+done
+echo "ok empty-solution" >&2
 
 code=0
 run kernelize --input "$work/ring.cvc" > /dev/null 2> "$work/usage.err" || code=$?

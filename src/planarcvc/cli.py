@@ -136,7 +136,8 @@ def _cmd_lift(args: _Args) -> int:
     kernel_labels = fileio.parse_solution(_read_text(args.solution))
     journal = fileio.journal_for_input(g, steps)
     # the kernel file's labels, from the journal records; lift_solution
-    # makes the only replay and rejects a journal that does not replay
+    # checks the records (replaying only a journal with an R8 record) and
+    # the lifted cover, and rejects what fails
     by_label = dict(enumerate(sorted(kernel_vertex_ids(journal)), start=1))
     _require_labels(kernel_labels, by_label.keys(), "a kernel vertex")
     kernel_solution = {by_label[lab] for lab in kernel_labels}

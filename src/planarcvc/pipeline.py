@@ -6,12 +6,16 @@ planarity test runs at most once, and only where an answer depends on
 planarity: Phase 2 embeds the fixpoint when it has at least two pendant
 owners to pair, and a size-gate NO on a fixpoint that Phase 2 did not
 embed is preceded by the decision half of the test. Every
-graph modification is journaled. replay_journal rebuilds the Phase 1
-fixpoint and the kernel on one working graph; lift_solution walks the
-journal in reverse on that kernel as an undo log, mapping a connected
-vertex cover of the kernel back to one of the original instance without
-exceeding the spent budget. Neither has per-rule code: reductions
-applies and lifts every rule (apply_rule, lift_rule). The exact solver
+graph modification is journaled. lift_solution walks the journal in
+reverse as an undo log, mapping a connected vertex cover of the kernel
+back to one of the original instance without exceeding the spent
+budget. Only the R8 lift reads a graph, so only a journal with an R8
+record is replayed first (replay_journal rebuilds the Phase 1 fixpoint
+and the kernel on one working graph, which also serves `--stats`); any
+other journal is lifted from its records alone, each checked without a
+graph, and the lifted cover is checked on the input. None of these has
+per-rule code: reductions applies, checks and lifts every rule
+(apply_rule, check_record, lift_rule). The exact solver
 and the `--stats` partition, which only check this pipeline, are in
 `exact`.
 """
@@ -23,7 +27,15 @@ from typing import NamedTuple
 
 from .graph import Graph, InputError, VertexId
 from .oracle import verify_cvc
-from .reductions import ReductionStep, RuleApplicationError, RuleId, apply_rule, lift_rule, run_phase1
+from .reductions import (
+    ReductionStep,
+    RuleApplicationError,
+    RuleId,
+    apply_rule,
+    check_record,
+    lift_rule,
+    run_phase1,
+)
 
 
 class NonPlanarInputError(InputError):
@@ -66,7 +78,8 @@ class ReductionJournal:
     steps in order. Fresh ids allocated during replay coincide with the
     recorded ones because allocation is deterministic. input_graph is
     the input graph itself, not a copy: replay and lift only read it, so
-    it must not be mutated while the journal is in use.
+    it must not be mutated while the journal is in use. A journal without
+    R8 records lifts without replay (lift_solution).
     """
 
     __slots__ = ("input_graph", "dropped_isolated", "steps")
@@ -163,10 +176,12 @@ def _nonplanar(fixpoint: Graph) -> NonPlanarInputError:
 def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
     """Replay the journal on one graph; return (Phase 1 fixpoint, kernel).
 
-    Starts from the input minus its isolated vertices and applies the
-    steps in order, checking that each replayed step equals its record
-    (rule, site, created and removed ids, budget change), so that lifting
-    may trust the recorded sites. The fixpoint is copied once, before the
+    It serves lift_solution on a journal with an R8 record, whose lift
+    needs the kernel graph, and `kernelize --stats`, which needs the
+    fixpoint. Starts from the input minus its isolated vertices and
+    applies the steps in order, checking that each replayed step equals
+    its record (rule, site, created and removed ids, budget change), so
+    that lifting may trust the recorded sites. The fixpoint is copied once, before the
     first R8 step; the kernel is the working graph itself. A journal with
     no R8 step has the kernel as its fixpoint, and both elements are then
     the same object. Raises InputError naming the step index when the
@@ -202,7 +217,8 @@ def kernel_vertex_ids(journal: ReductionJournal) -> set[VertexId]:
 
     The input's non-isolated vertices, minus each step's removed ids and
     plus its created ids; ids are never reused, so this is the vertex set
-    of replay_journal's kernel whenever the journal replays.
+    of replay_journal's kernel whenever the journal replays, and the ids
+    left live when every record passes check_record.
     """
     ids = {v for v, nbrs in journal.input_graph.adjacency().items() if nbrs}
     for step in journal.steps:
@@ -221,20 +237,41 @@ def lift_solution(
 ) -> set[VertexId]:
     """Map a connected vertex cover of the kernel back to the input graph.
 
-    Replays the journal once, then lifts the cover across its steps in
-    reverse order on the kernel graph with lift_rule; the R8 steps, the
-    journal's tail, undo their merges on it as they go. The result grows
-    by at most the budget each step spent, i.e. |result| <=
-    |kernel_solution| + sum of -k_delta over the steps. Without steps, the
-    kernel is the input minus isolated vertices: one check is enough.
+    Only the R8 lift reads a graph, so only a journal with an R8 record
+    is replayed: the kernel solution must cover the replayed kernel
+    (InputError otherwise), then lifts across the steps in reverse order
+    on it with lift_rule, the R8 steps, the journal's tail, undoing their
+    merges as they go; a lifted set that fails verify_cvc on the input is
+    a lift-map bug. Any other journal, one without steps included, is
+    lifted with no graph: each record must pass check_record, R1-R7 lift
+    from the records alone, and the lifted set must pass verify_cvc on
+    the input and hold at most |kernel_solution| + k_spent vertices; each
+    failure is an InputError. Either way the result grows by at most the
+    budget each step spent.
     """
-    _, g = replay_journal(journal)
     sol = set(kernel_solution)
-    if not verify_cvc(g, sol):
-        raise InputError("kernel solution is not a connected vertex cover")
+    if any(step.rule is RuleId.R8 for step in journal.steps):
+        _, g = replay_journal(journal)
+        if not verify_cvc(g, sol):
+            raise InputError("kernel solution is not a connected vertex cover")
+        for step in reversed(journal.steps):
+            lift_rule(g, step, sol)
+        if not verify_cvc(journal.input_graph, sol):
+            raise AssertionError("lifted solution failed verification; lift map bug")
+        return sol
+    adj = journal.input_graph.adjacency()
+    live = {v for v, nbrs in adj.items() if nbrs}
+    top = max(adj, default=0)
+    for idx, step in enumerate(journal.steps):
+        try:
+            top = check_record(step, live, top)
+        except RuleApplicationError as exc:
+            raise InputError(f"bad journal record at step {idx}: {exc}") from None
+    budget = len(sol) + journal.k_spent
     for step in reversed(journal.steps):
-        lift_rule(g, step, sol)
-    if journal.steps and not verify_cvc(journal.input_graph, sol):
-        raise AssertionError("lifted solution failed verification; lift map bug")
+        lift_rule(None, step, sol)
+    if not (sol <= adj.keys() and verify_cvc(journal.input_graph, sol)):
+        raise InputError("kernel solution does not lift to a connected vertex cover of the input")
+    if len(sol) > budget:
+        raise InputError(f"kernel solution lifts to {len(sol)} vertices, more than {budget}")
     return sol
-

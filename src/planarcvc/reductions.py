@@ -10,16 +10,22 @@ A rule's roles are its applier's parameters after the graph; what the
 rule decides, like R3's cut flag, is an addition that replay compares.
 Each rule's lift, the exchange argument of its safety proof, sits next
 to its applier and reads those roles back: lift_rule maps a connected
-vertex cover of a step's post-graph to one of its pre-graph.
+vertex cover of a step's post-graph to one of its pre-graph. The rule
+table declares, next to each applier and lift, what the applier writes
+into its record beside the roles (its additions, which of them are
+fresh ids, which ids it removes, its budget change); check_record holds
+a record to those facts without a graph.
 
 Priority is a precondition of safety: a rule keeps the answer only on a
 graph where no lower-numbered rule applies. R3 at the centre of the path
 1-3-2, where R1 has priority, contracts the path to one edge with
-k' = k - 1 and turns the YES at k = 1 into a NO. Neither apply_rule nor
-journal replay checks priority; they check only that a site fits its
-rule. So a journal that skips priority can break the decision, but not
+k' = k - 1 and turns the YES at k = 1 into a NO. Neither apply_rule,
+journal replay nor check_record checks priority; they check only that a
+site fits its rule, on the graph or, for check_record, in the record
+alone. So a journal that skips priority can break the decision, but not
 the lift: each lift is a local exchange, and lift_solution checks its
-result with verify_cvc.
+result with verify_cvc on the input graph, and, for a journal it lifts
+without replay, that the result stays within the journal's budget.
 
 detect_rule and run_phase1 read R1-R7 off the index of
 planarcvc.detection, which Phase 1 keeps alive across its steps and
@@ -154,14 +160,15 @@ def apply_rule(g: Graph, rule: RuleId, site: dict[str, int | bool]) -> Reduction
     return ReductionStep(rule, rec, created, removed, k_delta)
 
 
-def lift_rule(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
+def lift_rule(g: Graph | None, step: ReductionStep, sol: set[VertexId]) -> None:
     """Turn a connected vertex cover of step's post-graph into one of its pre-graph.
 
     sol is edited in place and grows by at most -step.k_delta. R1-R7
-    lift from their recorded site alone and do not touch g. An R8 step
-    needs g to be its post-graph and turns it into the pre-graph; R8
-    steps are a journal's tail, so a journal lifts step by step in
-    reverse order on its kernel.
+    lift from their recorded site alone and do not touch g, which may be
+    None, and never raise on a record that passes check_record, whatever
+    sol holds. An R8 step needs g to be its post-graph and turns it
+    into the pre-graph; R8 steps are a journal's tail, so a journal lifts
+    step by step in reverse order on its kernel.
     """
     _RULES[step.rule].lift(g, step, sol)
 
@@ -204,20 +211,23 @@ def _fold_pendants(sol: set[VertexId], site: dict, pendants: _Pendants) -> None:
 
     Safe because a pendant is a leaf of the induced subgraph (dropping it
     keeps connectivity) and its parent dominates it (covers a superset of
-    edges, including the pendant edge itself). One of the two covers that
-    edge, so the parent is in the solution afterwards.
+    edges, including the pendant edge itself). When sol is a cover, one of
+    the two covers that edge, so the parent is in sol afterwards.
     """
     for role, parent in pendants:
         if site[role] in sol:
             sol.discard(site[role])
             sol.add(site[parent])
-        assert site[parent] in sol, f"pendant edge at {site[parent]} is not covered"
 
 
 def _uncontract(sol: set[VertexId], site: dict, a: str, b: str) -> None:
-    """Swap the contracted vertex c in the solution back for the ends a and b."""
-    sol.remove(site["c"])
-    sol.update((site[a], site[b]))
+    """Swap the contracted vertex c in the solution back for the ends a and b.
+
+    A cover holds c here; a solution without it is left as it is.
+    """
+    if site["c"] in sol:
+        sol.remove(site["c"])
+        sol.update((site[a], site[b]))
 
 
 def _apply_r1(g: Graph, v: VertexId, keep: VertexId) -> _Applied:
@@ -424,25 +434,93 @@ def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
         g.add_edge(owner, pendant)
 
 
+# What an applier writes into its record beside the site's roles: the
+# site additions that hold its fresh ids, in the order it creates them;
+# the site keys of the ids it removes, in its order (None for R1, whose
+# dropped pendants no key names); its budget change; and its other
+# additions (R3's cut flag, R8's merged pendants).
+_Record = tuple[tuple[str, ...], tuple[str, ...] | None, int, tuple[str, ...]]
+
+
 class _Rule(NamedTuple):
     apply: Callable[..., _Applied]
-    lift: Callable[[Graph, ReductionStep, set[VertexId]], None]
+    lift: Callable[[Graph | None, ReductionStep, set[VertexId]], None]
+    # its record by the site's cut flag: R3's by True and False, any other under None
+    records: dict[bool | None, _Record]
+
+
+def _fresh(pendants: _Pendants) -> tuple[str, ...]:
+    return tuple(role for role, _ in pendants)
 
 
 _RULES = {
-    RuleId.R1: _Rule(_apply_r1, _lift_r1),
-    RuleId.R2: _Rule(_apply_r2, _lift_r2),
-    RuleId.R3: _Rule(_apply_r3, _lift_r3),
-    RuleId.R4: _Rule(_apply_r4, _lift_r4),
-    RuleId.R5: _Rule(_apply_r5, _lift_r5),
-    RuleId.R6: _Rule(_apply_r6, _lift_r6),
-    RuleId.R7: _Rule(_apply_r7, _lift_r7),
-    RuleId.R8: _Rule(_merge_pendants, _lift_r8),
+    RuleId.R1: _Rule(_apply_r1, _lift_r1, {None: ((), None, 0, ())}),
+    RuleId.R2: _Rule(_apply_r2, _lift_r2, {None: (("c",), ("u", "w"), -1, ())}),
+    RuleId.R3: _Rule(_apply_r3, _lift_r3, {
+        True: (("c",), ("u", "v"), -1, ("cut",)),
+        False: (_fresh(_R3_PENDANTS), ("v",), 0, ("cut",)),
+    }),
+    RuleId.R4: _Rule(_apply_r4, _lift_r4, {None: (("c",), ("pu", "u", "v"), -1, ())}),
+    RuleId.R5: _Rule(_apply_r5, _lift_r5, {None: ((), ("v", "z"), -1, ())}),
+    RuleId.R6: _Rule(_apply_r6, _lift_r6, {None: (_fresh(_R6_PENDANTS), ("a",), 0, ())}),
+    RuleId.R7: _Rule(_apply_r7, _lift_r7, {None: (_fresh(_R7_PENDANTS), ("a", "v", "q"), -1, ())}),
+    RuleId.R8: _Rule(_merge_pendants, _lift_r8, {None: (("c",), ("xu", "xv"), 0, ("xu", "xv"))}),
 }
 # each rule's roles, the site keys it reads: its applier's parameters after g
 _ROLES = {rule: e.apply.__code__.co_varnames[1 : e.apply.__code__.co_argcount] for rule, e in _RULES.items()}
 # site -> its role values in one C call (two roles or more: a tuple)
 _READ_ROLES = {rule: itemgetter(*roles) for rule, roles in _ROLES.items()}
+
+# each rule's site keys by the cut flag: its roles and its record's additions
+_SITE_KEYS = {
+    rule: {cut: frozenset((*_ROLES[rule], *created, *marks)) for cut, (created, _, _, marks) in e.records.items()}
+    for rule, e in _RULES.items()
+}
+
+
+def check_record(step: ReductionStep, live: set[VertexId], top: VertexId) -> VertexId:
+    """Check one journal record without its graph and move past it.
+
+    live holds the ids of the record's pre-graph, top the largest id
+    that the journal's input or an earlier record holds. The site's keys
+    must be the rule's roles plus its additions (for R3, those its cut
+    flag names), k_delta the rule's, created the site's fresh ids in the
+    order the applier creates them, each above every id before it, and
+    removed the ids of the site keys the rule removes (for R1, any ids
+    but v and keep), each live. Raises RuleApplicationError naming the
+    first check that fails; otherwise drops the removed ids from live,
+    adds the created ones and returns the new top. lift_rule lifts a
+    record that passes, R1-R7 without a graph, without raising, whatever
+    the solution; the site's other ids are not checked, so what it
+    lifts to needs a check of its own.
+    """
+    rule, site = step.rule, step.site
+    cut = site.get("cut")
+    keys = _SITE_KEYS[rule].get(cut)  # None: a cut flag the rule has no record for
+    if keys is None or site.keys() != keys:
+        expected = " or ".join(map(str, map(sorted, _SITE_KEYS[rule].values() if keys is None else (keys,))))
+        raise RuleApplicationError(f"{rule.name}: site keys {sorted(site)} are not {expected}")
+    created_keys, removed_keys, k_delta, _ = _RULES[rule].records[cut]
+    if step.k_delta != k_delta:
+        raise RuleApplicationError(f"{rule.name}: k_delta {step.k_delta} is not {k_delta}")
+    created = tuple(map(site.__getitem__, created_keys))
+    if step.created != created:
+        raise RuleApplicationError(f"{rule.name}: created {step.created} is not the site's fresh ids {created}")
+    for c in created:
+        if c <= top:
+            raise RuleApplicationError(f"{rule.name}: created id {c} is not above every id before it")
+        top = c
+    if removed_keys is None:
+        if site["v"] in step.removed or site["keep"] in step.removed:
+            raise RuleApplicationError(f"{rule.name}: removed {step.removed} holds v or keep")
+    elif step.removed != (removed := tuple(map(site.__getitem__, removed_keys))):
+        raise RuleApplicationError(f"{rule.name}: removed {step.removed} is not the site's {removed}")
+    for r in step.removed:
+        if r not in live:
+            raise RuleApplicationError(f"{rule.name}: removed id {r} is not live")
+        live.remove(r)
+    live.update(created)
+    return top
 
 
 # ----------------------------------------------------------------------

@@ -246,9 +246,9 @@ _TWO_PATHS = "p cvc 6 4\ne 1 2\ne 2 3\ne 4 5\ne 5 6\n"
 _R8_ACROSS = {"step_index": 0, "rule": "R8", "created": [7], "removed": [1, 4], "k_delta": 0,
               "site": {"u": 2, "v": 5, "xu": 1, "xv": 4, "c": 7, "face": 0}}
 # Paths 1-2-3 and 4-5, and one R3 record at v = 2 with its cut flag set:
-# 1 and 3 are apart in G - 2, so the contraction of 1-2 into 6 replays on
-# the disconnected input, but the kernel {3-6, 4-5} has no connected
-# vertex cover, so lifting {3, 4, 6} (labels 1, 2, 4) fails there.
+# 1 and 3 are apart in G - 2, so the record fits its rule, but the
+# kernel {3-6, 4-5} has no connected vertex cover, and {3, 4, 6}
+# (labels 1, 2, 4) lifts to {1, 2, 3, 4}, no connected cover of the input.
 _R3_SPLIT = "p cvc 5 3\ne 1 2\ne 2 3\ne 4 5\n"
 _R3_CUT = {"step_index": 0, "rule": "R3", "created": [6], "removed": [1, 2], "k_delta": -1,
            "site": {"v": 2, "u": 1, "w": 3, "cut": True, "c": 6}}
@@ -280,9 +280,11 @@ def test_cli_lift_r8_across_components_exit_code(tmp_path, capsys, optimize):
     ids=["R2-c", "R8-xu", "untampered"],
 )
 def test_cli_lift_tampered_journal_site_exit_code(tmp_path, capsys, g, k, rule, role):
-    # Lifting trusts the recorded sites, so replay must reject a record
-    # whose site differs from the replayed one even where the created and
-    # removed ids still match.
+    # Lifting trusts the recorded sites. A journal with an R8 record is
+    # replayed, and replay must reject a record whose site differs from
+    # the replayed one even where the created and removed ids still
+    # match; one without is not, and the record check must reject an R2
+    # record whose contracted vertex is not its created id.
     graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(g))
     journal_file = tmp_path / "journal.jsonl"
     assert main(
@@ -303,7 +305,12 @@ def test_cli_lift_tampered_journal_site_exit_code(tmp_path, capsys, g, k, rule, 
         assert verify_cvc(g, fileio.parse_solution(capsys.readouterr().out))
     else:
         assert code == 2
-        assert "does not replay" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if rule == "R8":
+            assert "does not replay" in err
+        else:
+            assert err.startswith("error: bad journal record at step ")
+            assert "R2: created" in err and "is not the site's fresh ids" in err
 
 
 @pytest.mark.parametrize("tamper", ["adjacent", "unknown"])
@@ -340,25 +347,29 @@ def test_cli_lift_bad_r8_owner_exit_code(tmp_path, capsys, tamper):
 
 
 def test_cli_applier_bug_exits_70_with_traceback(tmp_path, capsys, monkeypatch):
-    # A ValueError out of R2's applier is a bug, not bad input: whether
-    # kernelize or lift's replay reaches it, main prints its traceback
-    # and no `error:` line, and exits 70.
+    # A ValueError out of an applier is a bug, not bad input: whether
+    # kernelize reaches it (R2's, on a random graph) or lift's replay of
+    # a journal with R8 records (R8's, on the ring), main prints its
+    # traceback and no `error:` line, and exits 70.
     g = gen_random_planar(14, 0.5, 2)
     graph_file = write(tmp_path / "g.cvc", fileio.serialize_graph(g))
-    journal_file = tmp_path / "journal.jsonl"
-    kernelize_argv = ["kernelize", "--input", graph_file, "--k", "14", "--journal", str(journal_file)]
+    kernelize_argv = ["kernelize", "--input", graph_file, "--k", "14", "--journal", str(tmp_path / "g.jsonl")]
     assert main(kernelize_argv) == 0
-    assert '"rule": "R2"' in journal_file.read_text()
+    assert '"rule": "R2"' in (tmp_path / "g.jsonl").read_text()
+    ring_file = write(tmp_path / "ring.cvc", fileio.serialize_graph(gen_tightness(3)))
+    journal_file = tmp_path / "ring.jsonl"
+    capsys.readouterr()
+    assert main(["kernelize", "--input", ring_file, "--k", "11", "--journal", str(journal_file)]) == 0
     kernel, _ = fileio.parse_graph(capsys.readouterr().out)
     sol_file = write(tmp_path / "ksol.txt", fileio.serialize_solution(dfs_tree_cover(kernel)))
+    lift_argv = ["lift", "--input", ring_file, "--journal", str(journal_file), "--solution", sol_file]
 
-    def broken_apply(g, v, u, w):
+    def broken_apply(g, *roles):
         raise ValueError("bug inside an applier")
 
-    r2 = reductions._RULES[reductions.RuleId.R2]
-    monkeypatch.setitem(reductions._RULES, reductions.RuleId.R2, r2._replace(apply=broken_apply))
-    lift_argv = ["lift", "--input", graph_file, "--journal", str(journal_file), "--solution", sol_file]
-    for argv in (kernelize_argv, lift_argv):
+    for argv, rule in ((kernelize_argv, reductions.RuleId.R2), (lift_argv, reductions.RuleId.R8)):
+        entry = reductions._RULES[rule]
+        monkeypatch.setitem(reductions._RULES, rule, entry._replace(apply=broken_apply))
         assert main(argv) == 70
         err = capsys.readouterr().err
         assert "Traceback" in err and "ValueError: bug inside an applier" in err
@@ -453,7 +464,11 @@ _INPUT_ERROR_ROWS = {
     ),
     "lift-r3-cut-across-components": (
         "lift --input {d}/split.cvc --journal {d}/r3cut.jsonl --solution {d}/r3cut.sol",
-        "kernel solution is not a connected vertex cover",
+        "kernel solution does not lift to a connected vertex cover of the input",
+    ),
+    "lift-empty-solution": (
+        "lift --input {d}/rand.cvc --journal {d}/rand.jsonl --solution {d}/empty.sol",
+        "kernel solution does not lift to a connected vertex cover of the input",
     ),
     "lift-unknown-label": (_LIFT + " --solution {d}/label99.sol", "solution label 99 is not a kernel vertex"),
     "lift-not-a-cover": (
@@ -537,6 +552,8 @@ def input_error_dir(tmp_path_factory):
         "bool-k-delta.jsonl": "".join(json.dumps(r) + "\n" for r in bool_k_delta),
         "float-index.jsonl": "".join(json.dumps(r) + "\n" for r in float_index),
         "rand.cvc": fileio.serialize_graph(rand),
+        "rand.jsonl": fileio.serialize_journal(rand_out.journal),
+        "empty.sol": "",
         "bool-id.jsonl": "".join(json.dumps(r) + "\n" for r in bool_id),
         "rand.sol": fileio.serialize_solution({rand_labels[v] for v in dfs_tree_cover(rand_out.instance.graph)}),
     }
@@ -576,7 +593,7 @@ def test_cli_input_errors_exit_2(input_error_dir, capsys, row):
     "row",
     [
         "kernelize-nonplanar", "lift-not-a-cover", "lift-r3-cut-across-components",
-        "verify-unknown-label", "generate-density-nan",
+        "lift-empty-solution", "verify-unknown-label", "generate-density-nan",
     ],
 )
 def test_cli_input_errors_exit_2_optimized(input_error_dir, row):
@@ -600,8 +617,9 @@ def test_cli_round_trip_without_networkx():
     # kernel solution, read line by line, must give the same kernel,
     # journal and lift, and an input error, a journal record without
     # one of its roles, with a site key beyond them or with a cut R3's
-    # flag cleared, a missing --k and the non-planar K5 at k = 1 must
-    # exit 2, while K5 at k = 5 exits 0 with `c kernel-k 5`.
+    # flag cleared, an empty kernel solution under python3 and python3
+    # -O, a missing --k and the non-planar K5 at k = 1 must exit 2, while
+    # K5 at k = 5 exits 0 with `c kernel-k 5`.
     script = Path(__file__).resolve().parent.parent / "scripts" / "roundtrip_without_networkx.sh"
     proc = subprocess.run(
         ["bash", str(script)], capture_output=True, text=True, timeout=300
@@ -611,7 +629,8 @@ def test_cli_round_trip_without_networkx():
     assert steps == [
         "generate", "kernelize", "ring-merges", "abbreviated-options", "solve", "lift", "verify",
         "nonleaf-lift", "stats", "wheel-round-trip", "contraction-round-trip", "r5-r7-round-trip",
-        "sparse-scale-round-trip", "decorated-input", "input-error", "missing-role", "unknown-role", "flipped-cut", "usage-error", "nonplanar",
+        "sparse-scale-round-trip", "decorated-input", "input-error", "missing-role", "unknown-role", "flipped-cut",
+        "empty-solution", "usage-error", "nonplanar",
     ]
 
 

@@ -34,7 +34,7 @@ from planarcvc.pipeline import (
     lift_solution,
     replay_journal,
 )
-from planarcvc.reductions import RuleId, lift_rule
+from planarcvc.reductions import RuleId, check_record, lift_rule
 
 from brute import dfs_tree_cover, non_leaf_cover, pendant_wheel
 
@@ -128,6 +128,26 @@ def test_kernel_vertex_ids_match_the_kernel():
     assert isinstance(extra, Kernel)
     for _, outcome in golden_kernels() + (("isolated", extra),):
         assert kernel_vertex_ids(outcome.journal) == set(outcome.instance.graph.vertices())
+
+
+def test_every_written_record_passes_the_record_check(corpus_small):
+    # lift checks the records of a journal without R8 records against the
+    # rule table alone; every record kernelize writes, R8's included,
+    # must pass, and the ids left live must be the kernel's. n = 100,
+    # seed 44 adds the R6 records that neither corpus holds.
+    kernels = [outcome for _, outcome in golden_kernels()]
+    kernels += [kernelize(Instance(g, g.n_vertices)) for g in (*corpus_small, gen_random_planar(100, 0.5, 44))]
+    seen = set()
+    for outcome in kernels:
+        if not isinstance(outcome, Kernel):
+            continue
+        adj = outcome.journal.input_graph.adjacency()
+        live, top = {v for v, nbrs in adj.items() if nbrs}, max(adj)
+        for step in outcome.journal.steps:
+            top = check_record(step, live, top)
+            seen.add((step.rule, step.site.get("cut")))
+        assert live == set(outcome.instance.graph.vertices())
+    assert seen == {(rule, None) for rule in RuleId if rule is not RuleId.R3} | {(RuleId.R3, True), (RuleId.R3, False)}
 
 
 def test_r8_undo_restores_every_pre_graph():

@@ -5,9 +5,11 @@ graph and one with R8 records from the ring family, get one record
 changed: a role deleted, a role id changed, two roles swapped, the rule
 renamed or k_delta moved by one. Every lift of the kernel's cover must
 either exit 0 with a connected vertex cover of the input, or exit 2
-with one `error:` line saying which step does not replay or which line
-does not parse. Anything else, a bug inside an applier that the
-mutated record reaches among it, exits 70 and fails here. The first
+with one `error:` line saying which step does not replay (a journal
+with R8 records), which record fails its check or that the kernel cover
+does not lift to a cover (any other journal), or which line does not
+parse. Anything else, a bug inside an applier or a lift that the
+mutated record reaches, exits 70 and fails here. The first
 record of each rule also loses each of its roles in turn, or gains a
 site key that is neither a role nor one the rule adds, and the first
 R3 (non-cut), R6 and R7 records get each pair of their pendant parents
@@ -29,13 +31,16 @@ from planarcvc.cli import main
 from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.graph import InputError
 from planarcvc.oracle import verify_cvc
-from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, replay_journal
+from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, lift_solution, replay_journal
 from planarcvc.reductions import RuleId
 
 from brute import dfs_tree_cover
 
 _KINDS = ("delete-role", "change-id", "swap-roles", "rename-rule", "k_delta")
-_INPUT_ERROR = re.compile(r"error: (journal does not replay at step \d+|line \d+): [^\n]*\n")
+_INPUT_ERROR = re.compile(
+    r"error: ((journal does not replay|bad journal record) at step \d+|line \d+): [^\n]*\n"
+    r"|error: kernel solution does not lift to a connected vertex cover of the input\n"
+)
 
 
 def _mutate(rng: random.Random, records: list[dict], kind: str) -> list[dict]:
@@ -110,6 +115,71 @@ def test_replay_of_a_record_with_swapped_parents_fails_at_that_record(kernels, r
     steps[idx] = step._replace(site=dict(step.site, **{a: step.site[b], b: step.site[a]}))
     with pytest.raises(InputError, match=rf"^journal does not replay at step {idx}: RuleApplicationError.*must ascend"):
         replay_journal(ReductionJournal(journal.input_graph, journal.dropped_isolated, steps))
+
+
+def _first(journal: ReductionJournal, rule: RuleId, cut: bool | None = None) -> int:
+    return next(i for i, s in enumerate(journal.steps) if s.rule is rule and s.site.get("cut") is cut)
+
+
+# (rule, cut flag of the record, change to it, the check's message): one
+# row per check that lift_solution makes on the records of a journal
+# without R8 records. `old` is an id that step 0 removed.
+_BAD_RECORDS = {
+    "missing-role": (RuleId.R5, None, lambda s, old: s._replace(site={r: v for r, v in s.site.items() if r != "y"}),
+                     r"R5: site keys \['v', 'x', 'z'\] are not \['v', 'x', 'y', 'z'\]"),
+    "cut-on-r2": (RuleId.R2, None, lambda s, old: s._replace(site=dict(s.site, cut=True)),
+                  r"R2: site keys \['c', 'cut', 'u', 'v', 'w'\] are not \['c', 'u', 'v', 'w'\]"),
+    "r3-without-cut": (RuleId.R3, True, lambda s, old: s._replace(site={r: v for r, v in s.site.items() if r != "cut"}),
+                       r"R3: site keys \['c', 'u', 'v', 'w'\] are not \[.*\] or \[.*\]"),
+    "k_delta": (RuleId.R6, None, lambda s, old: s._replace(k_delta=-1), r"R6: k_delta -1 is not 0"),
+    "created-order": (RuleId.R6, None, lambda s, old: s._replace(created=s.created[::-1]),
+                      r"R6: created \(.*\) is not the site's fresh ids \(.*\)"),
+    "created-not-fresh": (RuleId.R2, None, lambda s, old: s._replace(site=dict(s.site, c=old), created=(old,)),
+                          r"R2: created id \d+ is not above every id before it"),
+    "removed-order": (RuleId.R4, None, lambda s, old: s._replace(removed=s.removed[::-1]),
+                      r"R4: removed \(.*\) is not the site's \(.*\)"),
+    "removed-not-live": (RuleId.R5, None, lambda s, old: s._replace(site=dict(s.site, v=old), removed=(old, s.site["z"])),
+                         r"R5: removed id \d+ is not live"),
+    "r1-removes-keep": (RuleId.R1, None, lambda s, old: s._replace(removed=(*s.removed, s.site["keep"])),
+                        r"R1: removed \(.*\) holds v or keep"),
+    "r1-removes-twice": (RuleId.R1, None, lambda s, old: s._replace(removed=(*s.removed, s.removed[0])),
+                         r"R1: removed id \d+ is not live"),
+}
+
+
+@pytest.mark.parametrize("row", list(_BAD_RECORDS))
+def test_lift_without_replay_rejects_a_bad_record_at_its_step(kernels, row):
+    rule, cut, change, message = _BAD_RECORDS[row]
+    out = kernels["rand"]
+    journal = out.journal
+    idx = _first(journal, rule, cut)
+    steps = list(journal.steps)
+    steps[idx] = change(steps[idx], steps[0].removed[0])
+    bad = ReductionJournal(journal.input_graph, journal.dropped_isolated, steps)
+    with pytest.raises(InputError, match=f"^bad journal record at step {idx}: {message}$"):
+        lift_solution(bad, dfs_tree_cover(out.instance.graph))
+
+
+def test_lifts_without_replay_never_raise_on_checked_records(kernels):
+    # R1-R7 lift any solution across a record that passed its check: a
+    # random subset of the kernel lifts to a verified cover within budget
+    # or is rejected as one InputError, never anything else.
+    out = kernels["rand"]
+    kernel_ids = out.instance.graph.vertices()
+    rng = random.Random(7)
+    outcomes = Counter()
+    for trial in range(300):
+        solution = set(rng.sample(kernel_ids, rng.randint(0, len(kernel_ids)))) if trial else set()
+        try:
+            lifted = lift_solution(out.journal, solution)
+        except InputError as exc:
+            assert str(exc) == "kernel solution does not lift to a connected vertex cover of the input"
+            outcomes["rejected"] += 1
+        else:
+            assert verify_cvc(out.journal.input_graph, lifted)
+            assert len(lifted) <= len(solution) + out.journal.k_spent
+            outcomes["lifted"] += 1
+    assert outcomes["rejected"] and outcomes["lifted"], outcomes
 
 
 def test_lift_of_a_mutated_journal_is_a_cover_or_one_error_line(kernels, tmp_path, capsys):

@@ -16,7 +16,7 @@ from planarcvc.generators import (
     gen_random_planar,
     gen_tightness,
 )
-from planarcvc.graph import Graph
+from planarcvc.graph import Graph, InputError
 from planarcvc.oracle import verify_cvc
 from planarcvc.pipeline import (
     Instance,
@@ -374,10 +374,11 @@ def test_lift_rejects_invalid_kernel_solution():
         lift_solution(out.journal, set())
 
 
-def test_lift_checks_the_input_only_after_a_step(monkeypatch):
-    # With no step the kernel is the input minus its isolated vertices, so
-    # the kernel cover, checked on the kernel, is the lifted one; with a
-    # step the lifted cover is checked on the input too.
+def test_lift_checks_the_input_once_unless_it_replays(monkeypatch):
+    # A journal without an R8 record, one without steps included, is not
+    # replayed: its lifted cover is checked once, on the input itself. A
+    # journal with R8 records checks the kernel cover on the replayed
+    # kernel, then the lifted one on the input.
     from planarcvc import pipeline
 
     checked = []
@@ -393,14 +394,77 @@ def test_lift_checks_the_input_only_after_a_step(monkeypatch):
     assert isinstance(out, Kernel) and out.journal.steps == [] and out.journal.dropped_isolated
     cover = dfs_tree_cover(out.instance.graph)
     assert lift_solution(out.journal, cover) == cover
-    assert len(checked) == 1 and checked[0] is not g
+    assert len(checked) == 1 and checked[0] is g
 
     checked.clear()
     star = make_star(5)
     out = kernelize(Instance(star, 1))
     assert isinstance(out, Kernel) and out.journal.steps
     assert lift_solution(out.journal, {1}) == {1}
-    assert len(checked) == 2 and checked[1] is star
+    assert len(checked) == 1 and checked[0] is star
+
+    checked.clear()
+    ring = gen_tightness(3)
+    out = kernelize(Instance(ring, 11))
+    assert isinstance(out, Kernel) and out.journal.steps[-1].rule is RuleId.R8
+    assert verify_cvc(ring, lift_solution(out.journal, dfs_tree_cover(out.instance.graph)))
+    assert len(checked) == 2 and checked[0] is not ring and checked[1] is ring
+
+
+def test_lift_replays_only_a_journal_with_an_r8_record(monkeypatch):
+    # Only the R8 lift reads a graph. An R8-free journal (sparse random
+    # graph, thousands of R1-R7 steps) lifts with no applier call and no
+    # copy of the input; the ring's journal, all R8 records, replays
+    # each of its steps once.
+    from planarcvc import pipeline
+
+    calls = {"apply_rule": 0, "copy": 0}
+
+    def counted_apply(*args):
+        calls["apply_rule"] += 1
+        return apply_rule(*args)
+
+    def counted_copy(g):
+        calls["copy"] += 1
+        return graph_copy(g)
+
+    sparse = gen_random_planar(800, 0.35, 1)
+    ring = gen_tightness(3)
+    outs = {name: kernelize(Instance(g, len(dfs_tree_cover(g)))) for name, g in (("sparse", sparse), ("ring", ring))}
+    graph_copy = Graph.copy
+    monkeypatch.setattr(pipeline, "apply_rule", counted_apply)
+    monkeypatch.setattr(Graph, "copy", counted_copy)
+
+    out = outs["sparse"]
+    assert isinstance(out, Kernel) and len(out.journal.steps) > 500
+    assert all(step.rule is not RuleId.R8 for step in out.journal.steps)
+    assert verify_cvc(sparse, lift_solution(out.journal, dfs_tree_cover(out.instance.graph)))
+    assert calls == {"apply_rule": 0, "copy": 0}
+
+    out = outs["ring"]
+    assert isinstance(out, Kernel) and {step.rule for step in out.journal.steps} == {RuleId.R8}
+    assert verify_cvc(ring, lift_solution(out.journal, dfs_tree_cover(out.instance.graph)))
+    assert calls["apply_rule"] == len(out.journal.steps)
+
+
+def test_lift_without_replay_checks_the_budget(monkeypatch):
+    # The lifted cover of an R8-free journal is checked against
+    # |S| + k_spent, whatever the lift maps do: an R1 lift that adds one
+    # vertex it should not (the input's other pendant) is an InputError.
+    from planarcvc import reductions
+
+    star = make_star(5)
+    out = kernelize(Instance(star, 1))
+    assert isinstance(out, Kernel) and [s.rule for s in out.journal.steps] == [RuleId.R1]
+    r1 = reductions._RULES[RuleId.R1]
+
+    def lift_one_more(g, step, sol):
+        r1.lift(g, step, sol)
+        sol.add(step.removed[0])
+
+    monkeypatch.setitem(reductions._RULES, RuleId.R1, r1._replace(lift=lift_one_more))
+    with pytest.raises(InputError, match=r"^kernel solution lifts to 2 vertices, more than 1$"):
+        lift_solution(out.journal, {1})
 
 
 def test_lift_corpus_solutions(corpus_small):
