@@ -181,15 +181,15 @@ def replay_journal(journal: ReductionJournal) -> tuple[Graph, Graph]:
     fixpoint. Starts from the input minus its isolated vertices and
     applies the steps in order, checking that each replayed step equals
     its record (rule, site, created and removed ids, budget change), so
-    that lifting may trust the recorded sites. The fixpoint is copied once, before the
-    first R8 step; the kernel is the working graph itself. A journal with
-    no R8 step has the kernel as its fixpoint, and both elements are then
-    the same object. Raises InputError naming the step index when the
-    journal does not replay: a step fails on the graph (apply_rule raises
-    RuleApplicationError), differs from its record, is an R1-R7 step after
-    an R8 step, or is the first R8 step on a disconnected graph, which
-    lifting R8 steps relies on. Any other exception of an applier is a
-    bug and propagates.
+    that lifting may trust the recorded sites. The fixpoint is copied
+    once, before the first R8 step; the kernel is the working graph
+    itself. A journal with no R8 step has the kernel as its fixpoint, and
+    both elements are then the same object. Raises InputError naming the
+    step index when the journal does not replay: a step fails on the
+    graph (apply_rule raises RuleApplicationError), differs from its
+    record, is an R1-R7 step after an R8 step, or is the first R8 step on
+    a disconnected graph, which lifting R8 steps relies on. Any other
+    exception of an applier is a bug and propagates.
     """
     g = journal.input_graph.copy()
     for v in journal.input_graph.isolated_vertices():

@@ -434,19 +434,16 @@ def _lift_r8(g: Graph, step: ReductionStep, sol: set[VertexId]) -> None:
         g.add_edge(owner, pendant)
 
 
-# What an applier writes into its record beside the site's roles: the
-# site additions that hold its fresh ids, in the order it creates them;
-# the site keys of the ids it removes, in its order (None for R1, whose
-# dropped pendants no key names); its budget change; and its other
-# additions (R3's cut flag, R8's merged pendants).
-_Record = tuple[tuple[str, ...], tuple[str, ...] | None, int, tuple[str, ...]]
-
-
 class _Rule(NamedTuple):
     apply: Callable[..., _Applied]
     lift: Callable[[Graph | None, ReductionStep, set[VertexId]], None]
-    # its record by the site's cut flag: R3's by True and False, any other under None
-    records: dict[bool | None, _Record]
+    # What the applier writes into its record beside the site's roles, by
+    # the site's cut flag (R3's under True and False, any other rule's
+    # under None): the site additions that hold its fresh ids, in the
+    # order it creates them; the site keys of the ids it removes, in its
+    # order (None for R1, whose dropped pendants no key names); its budget
+    # change; and its other additions (R3's cut flag, R8's merged pendants).
+    records: dict[bool | None, tuple]
 
 
 def _fresh(pendants: _Pendants) -> tuple[str, ...]:

@@ -32,7 +32,7 @@ from planarcvc.generators import gen_random_planar, gen_tightness
 from planarcvc.graph import InputError
 from planarcvc.oracle import verify_cvc
 from planarcvc.pipeline import Instance, Kernel, ReductionJournal, kernelize, lift_solution, replay_journal
-from planarcvc.reductions import RuleId
+from planarcvc.reductions import RuleId, lift_rule
 
 from brute import dfs_tree_cover
 
@@ -161,10 +161,19 @@ def test_lift_without_replay_rejects_a_bad_record_at_its_step(kernels, row):
 
 
 def test_lifts_without_replay_never_raise_on_checked_records(kernels):
-    # R1-R7 lift any solution across a record that passed its check: a
-    # random subset of the kernel lifts to a verified cover within budget
-    # or is rejected as one InputError, never anything else.
+    # R1-R7 lift any solution across a record that passed its check: each
+    # record lifts every subset of its site's ids without raising and
+    # grows it by at most -k_delta, and a random subset of the kernel
+    # lifts to a verified cover within budget or is rejected as one
+    # InputError, never anything else.
     out = kernels["rand"]
+    for step in out.journal.steps:
+        ids = sorted({v for v in step.site.values() if type(v) is int})
+        for mask in range(1 << len(ids)):
+            sol = {v for i, v in enumerate(ids) if mask >> i & 1}
+            size = len(sol)
+            lift_rule(None, step, sol)
+            assert len(sol) <= size - step.k_delta, step
     kernel_ids = out.instance.graph.vertices()
     rng = random.Random(7)
     outcomes = Counter()

@@ -413,12 +413,13 @@ def test_lift_checks_the_input_once_unless_it_replays(monkeypatch):
 
 def test_lift_replays_only_a_journal_with_an_r8_record(monkeypatch):
     # Only the R8 lift reads a graph. An R8-free journal (sparse random
-    # graph, thousands of R1-R7 steps) lifts with no applier call and no
+    # graph, hundreds of R1-R7 steps) lifts with no applier call and no
     # copy of the input; the ring's journal, all R8 records, replays
     # each of its steps once.
     from planarcvc import pipeline
 
     calls = {"apply_rule": 0, "copy": 0}
+    graph_copy = Graph.copy
 
     def counted_apply(*args):
         calls["apply_rule"] += 1
@@ -431,7 +432,6 @@ def test_lift_replays_only_a_journal_with_an_r8_record(monkeypatch):
     sparse = gen_random_planar(800, 0.35, 1)
     ring = gen_tightness(3)
     outs = {name: kernelize(Instance(g, len(dfs_tree_cover(g)))) for name, g in (("sparse", sparse), ("ring", ring))}
-    graph_copy = Graph.copy
     monkeypatch.setattr(pipeline, "apply_rule", counted_apply)
     monkeypatch.setattr(Graph, "copy", counted_copy)
 
