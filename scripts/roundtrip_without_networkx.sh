@@ -48,9 +48,10 @@
 # R3 record says `"cut": false`, whose keys are those of a cut R3. An
 # empty kernel solution of that kernel lifts to a set that is no cover:
 # exit 2 with one `error:` line, under `python3` and `python3 -O` alike.
-# A kernelize without `--k` must exit 2 with argparse's `usage:` line. K5 is its own Phase 1 fixpoint, with no pendant owner, so
-# only a failing size gate tests its planarity: at k = 1 it must exit 2
-# with the not-planar error, and at k = 5 exit 0 with itself as kernel.
+# A kernelize without `--k` must exit 2 with argparse's `usage:` line.
+# K5 is its own Phase 1 fixpoint, with no pendant owner, so only a
+# failing size gate tests its planarity: at k = 1 it must exit 2 with
+# the not-planar error, and at k = 5 exit 0 with itself as kernel.
 # Prints one "ok <step>" line per step.
 #
 #   bash scripts/roundtrip_without_networkx.sh

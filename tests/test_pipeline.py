@@ -467,6 +467,18 @@ def test_lift_without_replay_checks_the_budget(monkeypatch):
         lift_solution(out.journal, {1})
 
 
+def test_lift_without_replay_rejects_an_id_outside_the_input():
+    # check_record leaves the ids of the roles a rule keeps unchecked: an
+    # R1 record whose v is no input vertex folds the kept pendant onto
+    # it, and the output check rejects that as bad input, not KeyError.
+    out = kernelize(Instance(make_star(5), 1))
+    assert isinstance(out, Kernel)
+    (step,) = out.journal.steps
+    journal = ReductionJournal(out.journal.input_graph, (), [step._replace(site=dict(step.site, v=99))])
+    with pytest.raises(InputError, match="^kernel solution does not lift to a connected vertex cover of the input$"):
+        lift_solution(journal, {step.site["keep"]})
+
+
 def test_lift_corpus_solutions(corpus_small):
     for g in corpus_small[:40]:
         mini = len(minimum_cvc(g, g.n_vertices))
